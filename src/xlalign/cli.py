@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import logging
 import os
@@ -28,7 +29,6 @@ def _add_shared_flags(p):
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="INI config file; CLI flags override it")
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, help="worker threads (default: all cores)")
     p.add_argument("--max-vocab", type=int, help="load at most this many words per language")
     p.add_argument("--csls-k", type=int, help="CSLS neighborhood size (default 10)")
     p.add_argument("--vocab-cutoff", type=int, help="self-learning vocabulary cutoff")
@@ -97,7 +97,7 @@ def _load_config_file(path):
 # config-file keys and the type used to parse them; names match CLI flags
 _CONFIG_KEYS = {
     "src": str, "trg": str, "out": str, "gold": str, "dict_path": str,
-    "seed": int, "threads": int, "max_vocab": int, "csls_k": int,
+    "seed": int, "max_vocab": int, "csls_k": int,
     "vocab_cutoff": int, "norm_iters": int, "norm_tol": float,
     "retrieval": str, "direction": str, "keep_prob": float,
     "stall_patience": int, "max_iterations": int, "conflict_policy": str,
@@ -127,37 +127,28 @@ def resolve_settings(args):
     return settings
 
 
+# settings whose config field has another name
+_FIELD_ALIASES = {"keep_prob": "keep_prob_initial"}
+
+
+def _config_from(cls, s):
+    """The config dataclass ``cls`` with each field that ``s`` has a setting
+    for taken from it; the other fields keep their defaults."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{_FIELD_ALIASES.get(key, key): value for key, value in s.items()
+                  if _FIELD_ALIASES.get(key, key) in names})
+
+
 def _mapping_config(s):
     from .mapping import MappingConfig
 
-    cfg = MappingConfig(seed=s.get("seed", 0))
-    if s.get("vocab_cutoff") is not None:
-        cfg.vocab_cutoff = s["vocab_cutoff"]
-    if s.get("csls_k") is not None:
-        cfg.csls_k = s["csls_k"]
-    if s.get("keep_prob") is not None:
-        cfg.keep_prob_initial = s["keep_prob"]
-    if s.get("stall_patience") is not None:
-        cfg.stall_patience = s["stall_patience"]
-    if s.get("max_iterations") is not None:
-        cfg.max_iterations = s["max_iterations"]
-    if s.get("direction") is not None:
-        cfg.direction = s["direction"]
-    cfg.reweight = bool(s.get("reweight", False))
-    return cfg
+    return _config_from(MappingConfig, s)
 
 
 def _refine_config(s):
     from .refine import RefinementConfig
 
-    cfg = RefinementConfig()
-    if s.get("norm_iters") is not None:
-        cfg.norm_iters = s["norm_iters"]
-    if s.get("norm_tol") is not None:
-        cfg.norm_tol = s["norm_tol"]
-    if s.get("conflict_policy") is not None:
-        cfg.conflict_policy = s["conflict_policy"]
-    return cfg
+    return _config_from(RefinementConfig, s)
 
 
 def _require(settings, *keys):
@@ -252,12 +243,13 @@ def _parse_ks(settings):
 
 def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
     from . import evaluate, io
+    from .retrieval import DEFAULT_CSLS_K
 
     gold = io.load_gold_dictionary(settings["gold"], src_vocab, trg_vocab)
     report = evaluate.precision_at_k(
         x, z, gold, ks=_parse_ks(settings),
         method=settings.get("retrieval", "csls"),
-        csls_k=settings.get("csls_k") or 10,
+        csls_k=settings.get("csls_k") or DEFAULT_CSLS_K,
     )
     name = settings.get("name", "system")
     for line in evaluate.report_lines(name, report):
@@ -369,10 +361,6 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # thread caps must land in the environment before numpy loads its BLAS
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose > 1 else

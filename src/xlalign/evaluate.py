@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractError
 from .io import GoldDictionary
-from .retrieval import DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _unit_rows, csls_scores
+from .retrieval import DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _score_blocks, _unit_rows, csls_scores
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -42,8 +42,14 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
     sources = sorted(gold.entries)
     kmax = ks[-1]
+    if method == "nn":
+        blocks = _score_blocks(_unit_rows(x), _unit_rows(z), block_size, np.asarray(sources))
+    elif method == "csls":
+        blocks = csls_scores(x, z, csls_k, query_indices=sources, block_size=block_size)
+    else:
+        raise ContractError(f"unknown retrieval method {method!r}")
     correct = {k: 0 for k in ks}
-    for start, block in _score_blocks(x, z, sources, method, csls_k, block_size):
+    for start, block in blocks:
         for row, sim in zip(sources[start:], block):
             # stable sort on the negated row: ties resolve to the lowest index
             top = np.argsort(-sim, kind="stable")[:kmax]
@@ -51,24 +57,13 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
             for k in ks:
                 if any(int(j) in targets for j in top[:k]):
                     correct[k] += 1
+        del block, sim  # a row view keeps the whole block alive
     n = len(sources)
     return EvalReport(
         precision_at={k: correct[k] / n for k in ks},
         evaluated_sources=n,
         oov_sources=gold.oov_sources,
     )
-
-
-def _score_blocks(x, z, sources, method, csls_k, block_size):
-    if method == "nn":
-        ux, uz = _unit_rows(x), _unit_rows(z)
-        idx = np.asarray(sources)
-        for start in range(0, len(sources), block_size):
-            yield start, ux[idx[start : start + block_size]] @ uz.T
-    elif method == "csls":
-        yield from csls_scores(x, z, csls_k, query_indices=sources, block_size=block_size)
-    else:
-        raise ContractError(f"unknown retrieval method {method!r}")
 
 
 def compare_reports(reports: dict[str, EvalReport], baseline: str,

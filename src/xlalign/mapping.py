@@ -7,19 +7,13 @@ until the mean-cosine objective stops improving.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentCollapseError, ContractError, NumericalError
 from .io import BilingualDictionary
-from .retrieval import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_CSLS_K,
-    _knn_means,
-    _unit_rows,
-    induce_dictionary,
-)
+from .retrieval import DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _induce, _unit_rows, induce_dictionary
 
 
 @dataclass
@@ -201,41 +195,28 @@ def self_learning_align(x, z, init: BilingualDictionary, cfg: MappingConfig,
 def _induce_with_dropout(xw, zw, cfg, keep_prob, rng, block_size):
     """CSLS induction with each score retained with probability keep_prob.
 
-    The dropout mask is drawn row by row in query order, so the result does
-    not depend on the block partitioning.
+    The dropout mask is drawn block by block in query-row order, forward
+    before backward, so the draws do not depend on the block partitioning.
     """
-    ux, uz = _unit_rows(xw), _unit_rows(zw)
-    k = min(cfg.csls_k, uz.shape[0] - 1, ux.shape[0])
-    pairs: list[tuple[int, int]] = []
-    if cfg.direction in ("forward", "union"):
-        pairs += [(i, j) for i, j in enumerate(_dropout_argmax(ux, uz, k, keep_prob, rng, block_size))]
-    if cfg.direction in ("backward", "union"):
-        pairs += [(i, j) for j, i in enumerate(_dropout_argmax(uz, ux, k, keep_prob, rng, block_size))]
-    if cfg.direction == "union":
-        pairs = sorted(set(pairs))
-    return pairs
+    k = min(cfg.csls_k, zw.shape[0] - 1, xw.shape[0])
 
+    def dropout(sim):
+        sim[rng.random(sim.shape) >= keep_prob] = -np.inf
 
-def _dropout_argmax(uq, uc, k, keep_prob, rng, block_size):
-    r_t = _knn_means(uq, uc, k, block_size)
-    r_s = _knn_means(uc, uq, k, block_size)
-    out = np.empty(uq.shape[0], dtype=np.int64)
-    for start in range(0, uq.shape[0], block_size):
-        sim = 2.0 * (uq[start : start + block_size] @ uc.T)
-        sim -= r_t[start : start + block_size][:, None]
-        sim -= r_s[None, :]
-        if keep_prob < 1.0:
-            drop = rng.random(sim.shape) >= keep_prob
-            sim[drop] = -np.inf
-        out[start : start + sim.shape[0]] = sim.argmax(axis=1)
-    return out.tolist()
+    return _induce(xw, zw, "csls", k, cfg.direction, block_size,
+                   hook=dropout if keep_prob < 1.0 else None)
 
 
 def align(x, z, cfg: MappingConfig, block_size=DEFAULT_BLOCK_SIZE) -> MappingResult:
-    """Full unsupervised alignment: heuristic init then self-learning."""
+    """Full unsupervised alignment: heuristic init then self-learning.
+
+    The configuration and the two spaces' dimensions are checked before the
+    cutoff-squared init runs.
+    """
+    cfg.validate()
+    if np.shape(x)[1] != np.shape(z)[1]:
+        raise ContractError(
+            f"dimension mismatch: source d={np.shape(x)[1]}, target d={np.shape(z)[1]}"
+        )
     init = unsupervised_init(x, z, cfg)
     return self_learning_align(x, z, init, cfg, block_size=block_size)
-
-
-def config_as_dict(cfg: MappingConfig) -> dict:
-    return asdict(cfg)

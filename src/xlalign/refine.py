@@ -19,7 +19,7 @@ from .normalize import (
     _deviations,
     iterative_normalize,
 )
-from .retrieval import _unit_rows
+from .retrieval import DEFAULT_BLOCK_SIZE, _argmax, _score_blocks, _unit_rows
 
 
 @dataclass
@@ -42,10 +42,11 @@ class RefinedSpaces:
 def _mutual_pairs(x, z, dictionary):
     """Subset of pairs (i, j) where i and j are each other's nearest neighbor."""
     ux, uz = _unit_rows(x), _unit_rows(z)
-    src = sorted({i for i, _ in dictionary})
-    trg = sorted({j for _, j in dictionary})
-    fwd = {i: int((ux[i] @ uz.T).argmax()) for i in src}
-    bwd = {j: int((uz[j] @ ux.T).argmax()) for j in trg}
+    src = np.unique(np.array([i for i, _ in dictionary], dtype=np.int64))
+    trg = np.unique(np.array([j for _, j in dictionary], dtype=np.int64))
+    fwd = _argmax(_score_blocks(ux, uz, DEFAULT_BLOCK_SIZE, src), len(src))
+    bwd = _argmax(_score_blocks(uz, ux, DEFAULT_BLOCK_SIZE, trg), len(trg))
+    fwd, bwd = dict(zip(src.tolist(), fwd.tolist())), dict(zip(trg.tolist(), bwd.tolist()))
     return {(i, j) for i, j in dictionary if fwd[i] == j and bwd[j] == i}
 
 

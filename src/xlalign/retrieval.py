@@ -2,9 +2,14 @@
 
 CSLS rescales cosine similarity by the mean similarity of each point to its
 k nearest neighbors on the other side, which demotes hub vectors. All argmax
-tie-breaking is lowest-index-wins, and queries are processed in fixed-size
-row blocks so large vocabularies never materialize an n x n matrix; block
-size does not affect results.
+tie-breaking is lowest-index-wins. Every score in the package (CSLS penalties,
+induction, evaluation, mutual-neighbor refinement) comes from one loop over
+fixed-size query row blocks, ``_score_blocks``, so no n x n matrix is ever
+built. Block size changes scores only in the last bits (BLAS rounds blocks of
+different heights differently). A consumer may edit a block in place, but
+every layer drops its reference (``del``) before the next block's product is
+computed, so one block is alive at a time. Induction computes the CSLS
+penalties once; the backward direction's are the forward ones swapped.
 """
 from __future__ import annotations
 
@@ -45,16 +50,60 @@ def nn_retrieve(sim):
     return sim.argmax(axis=1).tolist()
 
 
+def _score_blocks(uq, uc, block_size, rows=None, penalties=None):
+    """Yield (start, block) of unit query rows ``uq[rows]`` (default: all)
+    scored against all unit candidates ``uc``: cosines, or CSLS scores
+    2 cos - r_q - r_c when ``penalties`` = (r_q, r_c) is given."""
+    n = uq.shape[0] if rows is None else len(rows)
+    for start in range(0, n, block_size):
+        sel = slice(start, start + block_size) if rows is None else rows[start : start + block_size]
+        q = uq[sel]
+        # numpy computes a one-row product as a matrix-vector product, which
+        # rounds differently from the matrix-matrix product of taller blocks
+        sim = q @ uc.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ uc.T)[:1]
+        if penalties is not None:
+            sim *= 2.0
+            sim -= penalties[0][sel][:, None]
+            sim -= penalties[1]
+        yield start, sim
+        del q, sim
+
+
+def _argmax(blocks, n, hook=None):
+    """Best candidate per query row of ``n`` score rows arriving in blocks;
+    ``hook(block)``, when given, may first edit each block in place."""
+    out = np.empty(n, dtype=np.int64)
+    for start, sim in blocks:
+        if hook is not None:
+            hook(sim)
+        out[start : start + sim.shape[0]] = sim.argmax(axis=1)
+        del sim
+    return out
+
+
 def _knn_means(unit_a, unit_b, k, block_size):
     """For each row of unit_a, mean cosine to its k nearest rows of unit_b."""
-    n = unit_a.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, block_size):
-        sim = unit_a[start : start + block_size] @ unit_b.T
+    out = np.empty(unit_a.shape[0])
+    for start, sim in _score_blocks(unit_a, unit_b, block_size):
         # top-k values per row; order within the top-k does not matter
-        top = np.partition(sim, sim.shape[1] - k, axis=1)[:, -k:]
-        out[start : start + block_size] = top.mean(axis=1)
+        sim.partition(sim.shape[1] - k, axis=1)
+        out[start : start + sim.shape[0]] = sim[:, -k:].mean(axis=1)
+        del sim
     return out
+
+
+def _csls_penalties(ux, uz, k, block_size, directions="forward"):
+    """Forward CSLS penalties (rT, rS) between unit queries ux and unit
+    candidates uz; the backward direction's penalties are the two swapped."""
+    if ux.shape[1] != uz.shape[1]:
+        raise ContractError("query and candidate spaces must share dimensionality")
+    checks = {"forward": [(ux, uz)], "backward": [(uz, ux)], "union": [(ux, uz), (uz, ux)]}
+    for q, c in checks[directions]:
+        if not 1 <= k <= len(c) - 1 or k > len(q):
+            raise ContractError(
+                f"csls k={k} out of range for {len(q)} queries and {len(c)} candidates"
+            )
+    return _knn_means(ux, uz, k, block_size), _knn_means(uz, ux, k, block_size)
 
 
 def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
@@ -67,45 +116,16 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
     regardless of ``query_indices``. Yields (start, block) pairs over the
     selected queries.
     """
-    x = np.asarray(x_mapped, dtype=np.float64)
-    z = np.asarray(z_mapped, dtype=np.float64)
-    if x.shape[1] != z.shape[1]:
-        raise ContractError("query and candidate spaces must share dimensionality")
-    if not 1 <= k <= z.shape[0] - 1 or k > x.shape[0]:
-        raise ContractError(
-            f"csls k={k} out of range for {x.shape[0]} queries and {z.shape[0]} candidates"
-        )
-    ux, uz = _unit_rows(x), _unit_rows(z)
-    r_t = _knn_means(ux, uz, k, block_size)
-    r_s = _knn_means(uz, ux, k, block_size)
-    queries = np.arange(x.shape[0]) if query_indices is None else np.asarray(query_indices)
-    for start in range(0, queries.shape[0], block_size):
-        idx = queries[start : start + block_size]
-        sim = 2.0 * (ux[idx] @ uz.T) - r_t[idx][:, None] - r_s[None, :]
-        yield start, sim
+    ux, uz = _unit_rows(x_mapped), _unit_rows(z_mapped)
+    rows = None if query_indices is None else np.asarray(query_indices)
+    yield from _score_blocks(ux, uz, block_size, rows, _csls_penalties(ux, uz, k, block_size))
 
 
 def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
                   block_size=DEFAULT_BLOCK_SIZE):
     """CSLS argmax candidate per query; ties go to the lowest index."""
     n = np.asarray(x_mapped).shape[0] if query_indices is None else len(query_indices)
-    out = np.empty(n, dtype=np.int64)
-    for start, sim in csls_scores(x_mapped, z_mapped, k, query_indices, block_size):
-        out[start : start + sim.shape[0]] = sim.argmax(axis=1)
-    return out.tolist()
-
-
-def _retrieve(queries, candidates, method, k, block_size):
-    if method == "nn":
-        n = queries.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        uq, uc = _unit_rows(queries), _unit_rows(candidates)
-        for start in range(0, n, block_size):
-            out[start : start + block_size] = (uq[start : start + block_size] @ uc.T).argmax(axis=1)
-        return out.tolist()
-    if method == "csls":
-        return csls_retrieve(queries, candidates, k, block_size=block_size)
-    raise ContractError(f"unknown retrieval method {method!r}")
+    return _argmax(csls_scores(x_mapped, z_mapped, k, query_indices, block_size), n).tolist()
 
 
 def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
@@ -116,15 +136,24 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     for every target j. union: both, deduplicated and sorted by source then
     target index.
     """
-    x = np.asarray(x_mapped, dtype=np.float64)
-    z = np.asarray(z_mapped, dtype=np.float64)
-    pairs: list[tuple[int, int]] = []
-    if directions in ("forward", "union"):
-        pairs += [(i, j) for i, j in enumerate(_retrieve(x, z, method, k, block_size))]
-    if directions in ("backward", "union"):
-        pairs += [(i, j) for j, i in enumerate(_retrieve(z, x, method, k, block_size))]
+    return _induce(x_mapped, z_mapped, method, k, directions, block_size)
+
+
+def _induce(x, z, method, k, directions, block_size, hook=None):
+    """induce_dictionary, with ``hook`` applied to every score block before
+    its argmax: forward blocks in row order, then backward blocks."""
     if directions not in ("forward", "backward", "union"):
         raise ContractError(f"unknown directions {directions!r}")
-    if directions == "union":
-        pairs = sorted(set(pairs))
-    return pairs
+    if method not in ("nn", "csls"):
+        raise ContractError(f"unknown retrieval method {method!r}")
+    ux, uz = _unit_rows(x), _unit_rows(z)
+    fwd = _csls_penalties(ux, uz, k, block_size, directions) if method == "csls" else None
+    bwd = None if fwd is None else fwd[::-1]
+    pairs: list[tuple[int, int]] = []
+    if directions != "backward":
+        best = _argmax(_score_blocks(ux, uz, block_size, penalties=fwd), len(ux), hook)
+        pairs += enumerate(best.tolist())
+    if directions != "forward":
+        best = _argmax(_score_blocks(uz, ux, block_size, penalties=bwd), len(uz), hook)
+        pairs += [(i, j) for j, i in enumerate(best.tolist())]
+    return sorted(set(pairs)) if directions == "union" else pairs

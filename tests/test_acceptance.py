@@ -40,7 +40,7 @@ def test_synthetic_end_to_end_recovery(tmp_path, capsys):
     code = cli.main([str(a) for a in (
         "pipeline", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
         "--gold", tmp_path / "gold.txt", "--out", tmp_path / "run",
-        "--retrieval", "nn", *FAST, "--threads", "1",
+        "--retrieval", "nn", *FAST,
     )])
     elapsed = time.perf_counter() - start
     stdout = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from xlalign import cli
 from xlalign.io import Vocabulary, load_embeddings, save_embeddings
+from xlalign.mapping import MappingConfig
+from xlalign.refine import RefinementConfig
 
 from conftest import make_rotated_pair
 
@@ -204,6 +207,30 @@ class TestConfigFile:
         assert code == 0
         manifest = json.loads((tmp_path / "run2" / "manifest.json").read_text())
         assert manifest["seed"] == 9
+
+    def test_every_config_field_key_reaches_its_config(self, tmp_path):
+        # one non-default value per settings key that names a config field
+        values = {
+            "vocab_cutoff": 123, "csls_k": 4, "keep_prob": 0.25, "stall_patience": 6,
+            "max_iterations": 77, "direction": "backward", "seed": 5, "reweight": True,
+            "norm_iters": 3, "norm_tol": 0.0005, "conflict_policy": "mutual-only",
+        }
+        defaults = {f.name: f.default for cls in (MappingConfig, RefinementConfig)
+                    for f in dataclasses.fields(cls)}
+        exposed = {key for key in cli._CONFIG_KEYS
+                   if cli._FIELD_ALIASES.get(key, key) in defaults}
+        assert exposed == set(values)
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\n" + "".join(
+            f"{key.replace('_', '-')} = {value}\n" for key, value in values.items()))
+        settings = cli.resolve_settings(
+            cli.build_parser().parse_args(["pipeline", "--config", str(config)]))
+        mapping_cfg, refine_cfg = cli._mapping_config(settings), cli._refine_config(settings)
+        for key, value in values.items():
+            name = cli._FIELD_ALIASES.get(key, key)
+            cfg = mapping_cfg if hasattr(mapping_cfg, name) else refine_cfg
+            assert defaults[name] != value
+            assert getattr(cfg, name) == value, key
 
     def test_unknown_config_key(self, tmp_path, caplog):
         config = tmp_path / "bad.ini"

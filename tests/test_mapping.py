@@ -200,6 +200,34 @@ class TestSelfLearningAlign:
         with pytest.raises(ContractError):
             mapping.MappingConfig(direction="both").validate()
 
+    def test_dropout_independent_of_block_size(self):
+        # the dropout mask is drawn in query-row order, so the block
+        # partitioning must not change a single draw
+        x, z, _ = make_rotated_pair(n=120, d=8, seed=15)
+        init = [(i, i) for i in range(120)]
+        cfg = self.fast_cfg(120, keep_prob_initial=0.3, stall_patience=2)
+        results = [mapping.self_learning_align(x, z, init, cfg, block_size=bs)
+                   for bs in (1, 7, 1024)]
+        for r in results[1:]:
+            assert r.dictionary == results[0].dictionary
+            assert r.iterations == results[0].iterations
+            assert r.objective == results[0].objective
+            assert r.w_src.tobytes() == results[0].w_src.tobytes()
+            assert r.w_trg.tobytes() == results[0].w_trg.tobytes()
+
+    def test_loop_induction_bypasses_induce_dictionary(self, monkeypatch):
+        # the final full-vocabulary refit is the only call through the public
+        # induce_dictionary, so wrapping it times the refit and not the loop
+        calls = []
+        induce = mapping.induce_dictionary
+        monkeypatch.setattr(mapping, "induce_dictionary",
+                            lambda *a, **kw: calls.append(kw) or induce(*a, **kw))
+        x, z, _ = make_rotated_pair(n=100, d=6, seed=16)
+        result = mapping.self_learning_align(x, z, [(i, i) for i in range(100)],
+                                             self.fast_cfg(100))
+        assert result.iterations > 1
+        assert len(calls) == 1
+
     def test_reweight_scale_stored(self):
         x, z, _ = make_rotated_pair(n=120, d=6, seed=14)
         result = mapping.align(x, z, self.fast_cfg(120, reweight=True))
@@ -207,3 +235,25 @@ class TestSelfLearningAlign:
         assert result.reweight_scale.shape == (6,)
         # orthogonality of the stored transforms is unaffected by reweighting
         assert np.max(np.abs(result.w_src.T @ result.w_src - np.eye(6))) < 1e-6
+
+
+class TestAlignContracts:
+    """align checks its inputs before the cutoff-squared init runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_init(self, monkeypatch):
+        def init(*args):
+            raise AssertionError("unsupervised_init ran before the contract check")
+
+        monkeypatch.setattr(mapping, "unsupervised_init", init)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(17)
+        x, z = rng.standard_normal((20, 4)), rng.standard_normal((20, 5))
+        with pytest.raises(ContractError, match="dimension"):
+            mapping.align(x, z, mapping.MappingConfig(vocab_cutoff=20))
+
+    def test_invalid_config(self):
+        x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
+        with pytest.raises(ContractError, match="keep_prob_initial"):
+            mapping.align(x, z, mapping.MappingConfig(vocab_cutoff=20, keep_prob_initial=1.5))

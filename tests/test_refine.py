@@ -5,7 +5,7 @@ from xlalign import refine
 from xlalign.errors import ContractError, DegenerateInputError
 from xlalign.normalize import preprocess
 
-from oracles import refine_literal
+from oracles import refine_literal, unit
 
 
 class TestAverageVectors:
@@ -49,6 +49,23 @@ class TestAverageVectors:
                                               policy="mutual-only")
         assert counts == (1, 1)
         assert x[1].tobytes() == xin[1].tobytes()
+
+    def test_mutual_pairs_match_literal_nearest_neighbors(self):
+        rng = np.random.default_rng(3)
+        xin, zin = rng.standard_normal((60, 5)), rng.standard_normal((70, 5))
+
+        def nearest(v, m):
+            return int(np.argmax([np.dot(unit(v), unit(r)) for r in m]))
+
+        # every source with its nearest target, so about half are mutual,
+        # plus random pairs that almost never are
+        pairs = [(i, nearest(xin[i], zin)) for i in range(60)]
+        pairs += [(int(i), int(j)) for i, j in zip(rng.integers(0, 60, 30), rng.integers(0, 70, 30))]
+        expected = {(i, j) for i, j in pairs
+                    if nearest(xin[i], zin) == j and nearest(zin[j], xin) == i}
+        assert 0 < len(expected) < len(set(pairs))
+        assert refine._mutual_pairs(xin, zin, pairs) == expected
+        assert refine._mutual_pairs(xin, zin, []) == set()
 
     def test_pair_rows_bitwise_equal(self):
         rng = np.random.default_rng(1)

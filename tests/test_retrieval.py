@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlalign import retrieval
 from xlalign.errors import ContractError
@@ -174,3 +176,44 @@ class TestInduceDictionary:
     def test_unknown_direction(self):
         with pytest.raises(ContractError):
             retrieval.induce_dictionary(np.eye(2), np.eye(2), method="nn", directions="sideways")
+
+
+@st.composite
+def csls_induction_case(draw):
+    """Random spaces with some duplicated rows (exact score ties), plus a
+    direction, a k valid for it and a block size."""
+    nx, nz = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, z = rng.standard_normal((nx, d)), rng.standard_normal((nz, d))
+    for m in (x, z):
+        for dst, src in draw(st.lists(st.tuples(st.integers(0, len(m) - 1),
+                                                st.integers(0, len(m) - 1)), max_size=3)):
+            m[dst] = m[src]
+    directions = draw(st.sampled_from(["forward", "backward", "union"]))
+    k_max = {"forward": min(nz - 1, nx), "backward": min(nx - 1, nz),
+             "union": min(nx, nz) - 1}[directions]
+    k = draw(st.integers(1, k_max))
+    return x, z, directions, k, draw(st.sampled_from([1, 3, 7, 1024]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(csls_induction_case())
+def test_csls_induction_matches_bruteforce(case):
+    x, z, directions, k, block_size = case
+    forward = list(enumerate(csls_bruteforce(x, z, k)[0]))
+    backward = [(i, j) for j, i in enumerate(csls_bruteforce(z, x, k)[0])]
+    expected = {"forward": forward, "backward": backward,
+                "union": sorted(set(forward + backward))}[directions]
+    assert retrieval.induce_dictionary(x, z, method="csls", k=k, directions=directions,
+                                       block_size=block_size) == expected
+
+
+def test_union_csls_computes_penalties_once(monkeypatch):
+    calls = []
+    knn_means = retrieval._knn_means
+    monkeypatch.setattr(retrieval, "_knn_means", lambda *a: calls.append(a) or knn_means(*a))
+    rng = np.random.default_rng(9)
+    retrieval.induce_dictionary(rng.standard_normal((30, 5)), rng.standard_normal((25, 5)),
+                                method="csls", k=3, directions="union", block_size=7)
+    assert len(calls) == 2
