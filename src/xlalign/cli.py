@@ -1,8 +1,10 @@
 """Command-line pipeline: align, refine, induce, evaluate, pipeline.
 
-Configuration comes from an INI-style file of flat key = value sections,
-every key overridable by a same-named CLI flag (the flag wins). Logs go to
-stderr, results to stdout or files. Exit codes: 0 success/converged,
+Each setting is declared once, in ``_SETTINGS``, and each subcommand takes
+the flags of exactly the settings it reads. An INI file (``--config``) of
+flat ``key = value`` sections may set any setting of any subcommand; its
+values are checked as the flags are, and a flag wins over the file. Logs go
+to stderr, results to stdout or files. Exit codes: 0 success/converged,
 1 error, 2 completed without convergence.
 """
 from __future__ import annotations
@@ -22,108 +24,97 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
+# setting -> argparse keywords of its flag, which is --name with dashes unless
+# "flags" says otherwise; "default" applies beneath the config file
+_SETTINGS = {
+    "src": {"help": "source embedding file"},
+    "trg": {"help": "target embedding file"},
+    "out": {"help": "output directory"},
+    "config": {"help": "INI config file; CLI flags override it"},
+    "max_vocab": {"type": int, "help": "load at most this many words per language"},
+    "verbose": {"flags": ("-v", "--verbose"), "action": "count", "help": "-v INFO, -vv DEBUG"},
+    "seed": {"type": int, "default": 0, "help": "RNG seed"},
+    "csls_k": {"type": int, "help": "CSLS neighborhood size (default 10)"},
+    "vocab_cutoff": {"type": int, "help": "self-learning vocabulary cutoff"},
+    "direction": {"choices": ("forward", "backward", "union"), "help": "induction direction"},
+    "keep_prob": {"type": float, "help": "initial similarity keep probability"},
+    "stall_patience": {"type": int, "help": "stalled iterations before keep_prob grows"},
+    "max_iterations": {"type": int, "help": "self-learning iteration limit"},
+    "reweight": {"action": "store_true", "default": False,
+                 "help": "scale mapped spaces by sqrt singular values"},
+    "dict_path": {"flags": ("--dict",), "help": "induced dictionary file"},
+    "norm_iters": {"type": int, "help": "refinement normalization iterations"},
+    "norm_tol": {"type": float, "help": "refinement normalization tolerance"},
+    "conflict_policy": {"choices": ("first-pair", "mutual-only"), "help": "pairs to average"},
+    "gold": {"help": "gold dictionary file"},
+    "ks": {"default": "1,5,10", "help": "comma-separated k values"},
+    "retrieval": {"choices": ("nn", "csls"), "default": "csls", "help": "retrieval method"},
+    "name": {"default": "system", "help": "system name in reports"},
+    "compare": {"metavar": "DIR", "help": "baseline run directory (with eval.json) to diff"},
+    "skip_refine": {"action": "store_true", "default": False, "help": "evaluate unrefined"},
+}
+# config-file keys; the other flags are not settings, so not in the manifest
+_INI_KEYS = _SETTINGS.keys() - {"config", "verbose", "compare"}
 
-def _add_shared_flags(p):
-    p.add_argument("--src", help="source embedding file")
-    p.add_argument("--trg", help="target embedding file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--config", help="INI config file; CLI flags override it")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--max-vocab", type=int, help="load at most this many words per language")
-    p.add_argument("--csls-k", type=int, help="CSLS neighborhood size (default 10)")
-    p.add_argument("--vocab-cutoff", type=int, help="self-learning vocabulary cutoff")
-    p.add_argument("--norm-iters", type=int, help="refinement normalization iterations")
-    p.add_argument("--retrieval", choices=["nn", "csls"], help="evaluation retrieval method")
-    p.add_argument("-v", "--verbose", action="count", default=0)
+_IO = ("src", "trg", "out", "config", "max_vocab", "verbose")
+_MAPPING = ("seed", "csls_k", "vocab_cutoff", "direction", "keep_prob",
+            "stall_patience", "max_iterations", "reweight")
+_REFINE = ("norm_iters", "norm_tol", "conflict_policy")
+_EVALUATE = ("gold", "ks", "retrieval")
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="xlalign")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("align", help="unsupervised alignment of two embedding spaces")
-    _add_shared_flags(p)
-    p.add_argument("--direction", choices=["forward", "backward", "union"])
-    p.add_argument("--keep-prob", type=float, help="initial similarity keep probability")
-    p.add_argument("--stall-patience", type=int)
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--reweight", action="store_true", default=None,
-                   help="scale mapped spaces by sqrt singular values")
-
-    p = sub.add_parser("refine", help="midpoint averaging + re-normalization")
-    _add_shared_flags(p)
-    p.add_argument("--dict", dest="dict_path", help="induced dictionary file")
-    p.add_argument("--norm-tol", type=float)
-    p.add_argument("--conflict-policy", choices=["first-pair", "mutual-only"])
-
-    p = sub.add_parser("induce", help="induce a dictionary between two mapped spaces")
-    _add_shared_flags(p)
-    p.add_argument("--direction", choices=["forward", "backward", "union"])
-
-    p = sub.add_parser("evaluate", help="precision at k against a gold dictionary")
-    _add_shared_flags(p)
-    p.add_argument("--gold", help="gold dictionary file")
-    p.add_argument("--ks", help="comma-separated k values (default 1,5,10)")
-    p.add_argument("--name", default="system", help="system name in reports")
-    p.add_argument("--compare", metavar="DIR",
-                   help="baseline run directory (with eval.json) to diff against")
-
-    p = sub.add_parser("pipeline", help="align, refine, evaluate in sequence")
-    _add_shared_flags(p)
-    p.add_argument("--gold", help="gold dictionary file")
-    p.add_argument("--ks", help="comma-separated k values (default 1,5,10)")
-    p.add_argument("--direction", choices=["forward", "backward", "union"])
-    p.add_argument("--keep-prob", type=float)
-    p.add_argument("--stall-patience", type=int)
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--norm-tol", type=float)
-    p.add_argument("--conflict-policy", choices=["first-pair", "mutual-only"])
-    p.add_argument("--reweight", action="store_true", default=None)
-    p.add_argument("--skip-refine", action="store_true")
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            kwargs = dict(_SETTINGS[name])
+            flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
+            default = kwargs.pop("default", False)
+            if default is not False:
+                kwargs["help"] += f" (default {default})"
+            # None marks a flag not given, so the file or the default applies
+            p.add_argument(*flags, dest=name, default=None, **kwargs)
     return parser
+
+
+def _parse_value(spec, text, where):
+    """A config-file value, parsed and checked as its flag's would be."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    boolean = spec.get("action") == "store_true"
+    parse = str.lower if boolean else spec.get("type", str)
+    choices = states if boolean else spec.get("choices")
+    try:
+        value = parse(text)
+    except ValueError:
+        raise ValueError(f"{where}: {text!r} is not a valid {parse.__name__}") from None
+    if choices and value not in choices:
+        raise ValueError(f"{where}: {text!r} is not one of {', '.join(choices)}")
+    return states[value] if boolean else value
 
 
 def _load_config_file(path):
     cp = configparser.ConfigParser()
     if not cp.read(path, encoding="utf-8"):
         raise FileNotFoundError(f"config file not found: {path}")
-    flat = {}
+    settings = {}
     for section in cp.sections():
-        for key, value in cp[section].items():
-            flat[key.replace("-", "_")] = value
-    return flat
-
-
-# config-file keys and the type used to parse them; names match CLI flags
-_CONFIG_KEYS = {
-    "src": str, "trg": str, "out": str, "gold": str, "dict_path": str,
-    "seed": int, "max_vocab": int, "csls_k": int,
-    "vocab_cutoff": int, "norm_iters": int, "norm_tol": float,
-    "retrieval": str, "direction": str, "keep_prob": float,
-    "stall_patience": int, "max_iterations": int, "conflict_policy": str,
-    "ks": str, "name": str, "reweight": lambda s: s.lower() in ("1", "true", "yes"),
-    "skip_refine": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-_DEFAULTS = {
-    "seed": 0, "retrieval": "csls", "name": "system", "ks": "1,5,10",
-    "skip_refine": False, "reweight": False,
-}
+        for key, text in cp[section].items():
+            key = key.replace("-", "_")
+            if key not in _INI_KEYS:
+                raise ValueError(f"unknown config key {key!r} in {path}")
+            settings[key] = _parse_value(_SETTINGS[key], text, f"config key {key!r} in {path}")
+    return settings
 
 
 def resolve_settings(args):
     """Merge defaults < config file < CLI flags into one flat dict."""
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _CONFIG_KEYS[key](value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    settings = {key: spec["default"] for key, spec in _SETTINGS.items() if "default" in spec}
+    if args.config:
+        settings.update(_load_config_file(args.config))
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _INI_KEYS and value is not None)
     return settings
 
 
@@ -197,18 +188,25 @@ def cmd_align(args):
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_refine(args):
+def _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, out_dir):
+    """Shared by cmd_refine and cmd_pipeline; saves and returns the refined spaces."""
     from . import io, refine
+
+    refined = refine.refine_pipeline(x, z, pairs, _refine_config(settings))
+    os.makedirs(out_dir, exist_ok=True)
+    io.save_embeddings(src_vocab, refined.x_refined, os.path.join(out_dir, "src_refined.vec"))
+    io.save_embeddings(trg_vocab, refined.z_refined, os.path.join(out_dir, "trg_refined.vec"))
+    return refined
+
+
+def cmd_refine(args):
+    from . import io
 
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "out", "dict_path")
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = io.load_dictionary_pairs(settings["dict_path"], src_vocab, trg_vocab)
-    refined = refine.refine_pipeline(x, z, pairs, _refine_config(settings))
-    out_dir = settings["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    io.save_embeddings(src_vocab, refined.x_refined, os.path.join(out_dir, "src_refined.vec"))
-    io.save_embeddings(trg_vocab, refined.z_refined, os.path.join(out_dir, "trg_refined.vec"))
+    refined = _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, settings["out"])
     print(f"pairs_averaged={refined.pairs_averaged}")
     print(f"pairs_skipped={refined.pairs_skipped}")
     for side, rep in (("src", refined.x_norm_report), ("trg", refined.z_norm_report)):
@@ -226,7 +224,7 @@ def cmd_induce(args):
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = retrieval.induce_dictionary(
         x, z,
-        method=settings.get("retrieval", "csls"),
+        method=settings["retrieval"],
         k=settings.get("csls_k") or retrieval.DEFAULT_CSLS_K,
         directions=settings.get("direction") or "union",
     )
@@ -237,21 +235,17 @@ def cmd_induce(args):
     return EXIT_OK
 
 
-def _parse_ks(settings):
-    return tuple(int(k) for k in str(settings.get("ks", "1,5,10")).split(","))
-
-
 def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
     from . import evaluate, io
     from .retrieval import DEFAULT_CSLS_K
 
     gold = io.load_gold_dictionary(settings["gold"], src_vocab, trg_vocab)
     report = evaluate.precision_at_k(
-        x, z, gold, ks=_parse_ks(settings),
-        method=settings.get("retrieval", "csls"),
+        x, z, gold, ks=tuple(int(k) for k in settings["ks"].split(",")),
+        method=settings["retrieval"],
         csls_k=settings.get("csls_k") or DEFAULT_CSLS_K,
     )
-    name = settings.get("name", "system")
+    name = settings["name"]
     for line in evaluate.report_lines(name, report):
         print(line)
     if out_dir:
@@ -287,9 +281,9 @@ def cmd_evaluate(args):
     _require(settings, "src", "trg", "gold")
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     report = _run_evaluate(settings, x, z, src_vocab, trg_vocab, settings.get("out"))
-    if getattr(args, "compare", None):
+    if args.compare:
         base_name, base_report = _load_saved_report(args.compare)
-        name = settings.get("name", "system")
+        name = settings["name"]
         if base_name == name:
             base_name += "-baseline"
         print(evaluate.compare_reports({name: report, base_name: base_report},
@@ -298,8 +292,6 @@ def cmd_evaluate(args):
 
 
 def cmd_pipeline(args):
-    from . import io, refine
-
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "out", "gold")
     out_dir = settings["out"]
@@ -308,14 +300,12 @@ def cmd_pipeline(args):
     src_vocab, trg_vocab, xw, zw, result = _run_align(settings, out_dir)
     timings["align_s"] = time.perf_counter() - t0
 
-    if settings.get("skip_refine"):
+    if settings["skip_refine"]:
         x_final, z_final = xw, zw
     else:
         t0 = time.perf_counter()
-        refined = refine.refine_pipeline(xw, zw, result.dictionary, _refine_config(settings))
+        refined = _run_refine(settings, xw, zw, result.dictionary, src_vocab, trg_vocab, out_dir)
         x_final, z_final = refined.x_refined, refined.z_refined
-        io.save_embeddings(src_vocab, x_final, os.path.join(out_dir, "src_refined.vec"))
-        io.save_embeddings(trg_vocab, z_final, os.path.join(out_dir, "trg_refined.vec"))
         timings["refine_s"] = time.perf_counter() - t0
         log.info("refined: %d pairs averaged, %d skipped",
                  refined.pairs_averaged, refined.pairs_skipped)
@@ -326,8 +316,11 @@ def cmd_pipeline(args):
 
     manifest = {
         "settings": {k: settings[k] for k in sorted(settings)},
-        "seed": settings.get("seed", 0),
+        "seed": settings["seed"],
         "versions": _versions(),
+        # BLAS reads these when numpy loads; None where unset
+        "thread_env": {var: os.environ.get(var) for var in
+                       ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         "timings": timings,
         "objective": result.objective,
         "iterations": result.iterations,
@@ -350,28 +343,34 @@ def _versions():
             "xlalign": __version__}
 
 
+# subcommand -> (function, help, the settings whose flags it takes)
 _COMMANDS = {
-    "align": cmd_align,
-    "refine": cmd_refine,
-    "induce": cmd_induce,
-    "evaluate": cmd_evaluate,
-    "pipeline": cmd_pipeline,
+    "align": (cmd_align, "unsupervised alignment of two embedding spaces", _IO + _MAPPING),
+    "refine": (cmd_refine, "midpoint averaging + re-normalization",
+               _IO + ("dict_path",) + _REFINE),
+    "induce": (cmd_induce, "induce a dictionary between two mapped spaces",
+               _IO + ("csls_k", "retrieval", "direction")),
+    "evaluate": (cmd_evaluate, "precision at k against a gold dictionary",
+                 _IO + ("csls_k",) + _EVALUATE + ("name", "compare")),
+    "pipeline": (cmd_pipeline, "align, refine, evaluate in sequence",
+                 _IO + _MAPPING + _REFINE + _EVALUATE + ("skip_refine",)),
 }
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    verbosity = args.verbose or 0
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if args.verbose > 1 else
-        logging.INFO if args.verbose else logging.WARNING,
+        level=logging.DEBUG if verbosity > 1 else
+        logging.INFO if verbosity else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except Exception as e:  # noqa: BLE001 - CLI boundary
         log.error("%s", e)
-        if args.verbose > 1:
+        if verbosity > 1:
             raise
         return EXIT_ERROR
 

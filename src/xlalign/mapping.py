@@ -100,12 +100,10 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
     retrieval between the (length-normalized) sorted rows, both directions,
     union, gives the initial dictionary over the cutoff vocabulary.
     """
+    cfg.validate()
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     cutoff = cfg.vocab_cutoff
-    # cutoff 1 is the degenerate single-candidate case: only (0, 0) exists
-    if cutoff < 1:
-        raise ContractError("vocab_cutoff must be >= 1")
     if cutoff > min(x.shape[0], z.shape[0]):
         raise ContractError(
             f"vocab_cutoff {cutoff} exceeds vocabulary sizes {x.shape[0]}, {z.shape[0]}"
@@ -113,8 +111,6 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
     xc, zc = x[:cutoff], z[:cutoff]
     mx = _unit_rows(np.sort(xc @ xc.T, axis=1))
     mz = _unit_rows(np.sort(zc @ zc.T, axis=1))
-    if cutoff == 1:
-        return [(0, 0)]
     return induce_dictionary(mx, mz, method="nn", directions="union")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -135,8 +136,11 @@ class TestEvaluate:
 
 
 class TestPipeline:
-    def test_end_to_end(self, tmp_path, capsys):
+    def test_end_to_end(self, tmp_path, capsys, monkeypatch):
         write_corpus(tmp_path)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "run"
         code = run(["pipeline", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
                     "--gold", tmp_path / "gold.txt", "--out", out, *FAST])
@@ -148,6 +152,8 @@ class TestPipeline:
         assert manifest["converged"] is True
         assert {"align_s", "refine_s", "evaluate_s"} <= set(manifest["timings"])
         assert manifest["versions"]["xlalign"]
+        assert manifest["thread_env"] == {
+            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None}
 
     def test_skip_refine_matches_align_plus_evaluate(self, tmp_path, capsys):
         write_corpus(tmp_path)
@@ -217,7 +223,7 @@ class TestConfigFile:
         }
         defaults = {f.name: f.default for cls in (MappingConfig, RefinementConfig)
                     for f in dataclasses.fields(cls)}
-        exposed = {key for key in cli._CONFIG_KEYS
+        exposed = {key for key in cli._INI_KEYS
                    if cli._FIELD_ALIASES.get(key, key) in defaults}
         assert exposed == set(values)
         config = tmp_path / "run.ini"
@@ -238,3 +244,87 @@ class TestConfigFile:
         code = run(["align", "--config", config, "--src", "a", "--trg", "b", "--out", "c"])
         assert code == 1
         assert "bogus" in caplog.text
+
+    def test_config_booleans_take_configparser_spellings(self, tmp_path):
+        config = tmp_path / "run.ini"
+        for text, expected in (("on", True), ("Yes", True), ("0", False), ("off", False)):
+            config.write_text(f"[mapping]\nreweight = {text}\nskip-refine = {text}\n")
+            settings = cli.resolve_settings(
+                cli.build_parser().parse_args(["pipeline", "--config", str(config)]))
+            assert settings["reweight"] is expected and settings["skip_refine"] is expected
+
+    @pytest.mark.parametrize("line, words", [
+        ("reweight = ture", ["'reweight'", "'ture'", "true"]),
+        ("direction = sideways", ["'direction'", "'sideways'", "union"]),
+        ("seed = abc", ["'seed'", "'abc'", "int"]),
+        ("norm-tol = small", ["'norm_tol'", "'small'", "float"]),
+    ])
+    def test_bad_config_value_fails_before_loading(self, tmp_path, caplog, monkeypatch, line,
+                                                   words):
+        def no_load(*args):
+            raise AssertionError("embeddings loaded")
+
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[run]\n{line}\n")
+        code = run(["pipeline", "--config", config, "--src", "a", "--trg", "b",
+                    "--gold", "g", "--out", tmp_path / "run"])
+        assert code == 1
+        for word in [*words, str(config)]:
+            assert word in caplog.text
+
+    def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        write_corpus(tmp_path)
+        config = tmp_path / "run.ini"
+        config.write_text("[refine]\ndict_path = x\nnorm-iters = 2\n[evaluate]\nname = other\n"
+                          "[align]\nstall-patience = 3\nreweight = yes\n")
+        code = run(["evaluate", "--config", config, "--src", tmp_path / "src.vec",
+                    "--trg", tmp_path / "trg.vec", "--gold", tmp_path / "gold.txt",
+                    "--retrieval", "nn"])
+        assert code == 0
+        assert "other.1=" in capsys.readouterr().out
+
+
+# every flag of each subcommand, in help order
+FLAGS = {
+    "align": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
+              "--seed", "--csls-k", "--vocab-cutoff", "--direction", "--keep-prob",
+              "--stall-patience", "--max-iterations", "--reweight"],
+    "refine": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
+               "--dict", "--norm-iters", "--norm-tol", "--conflict-policy"],
+    "induce": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
+               "--csls-k", "--retrieval", "--direction"],
+    "evaluate": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
+                 "--csls-k", "--gold", "--ks", "--retrieval", "--name", "--compare"],
+    "pipeline": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
+                 "--seed", "--csls-k", "--vocab-cutoff", "--direction", "--keep-prob",
+                 "--stall-patience", "--max-iterations", "--reweight",
+                 "--norm-iters", "--norm-tol", "--conflict-policy",
+                 "--gold", "--ks", "--retrieval", "--skip-refine"],
+}
+
+
+class TestFlags:
+    def test_each_subcommand_takes_its_pinned_flags(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(FLAGS)
+        for command, sub in commands.items():
+            flags = [flag for action in sub._actions if action.dest != "help"
+                     for flag in action.option_strings]
+            assert flags == FLAGS[command], command
+
+    @pytest.mark.parametrize("command, flag", [
+        ("align", "--norm-iters"), ("align", "--retrieval"),
+        ("refine", "--seed"), ("refine", "--csls-k"), ("refine", "--vocab-cutoff"),
+        ("refine", "--retrieval"),
+        ("induce", "--seed"), ("induce", "--vocab-cutoff"), ("induce", "--norm-iters"),
+        ("evaluate", "--seed"), ("evaluate", "--vocab-cutoff"), ("evaluate", "--norm-iters"),
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--src", "a", "--trg", "b", "--out", "c",
+                      flag, "nn" if flag == "--retrieval" else "3"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err

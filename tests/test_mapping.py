@@ -69,10 +69,12 @@ class TestUnsupervisedInit:
         assert pairs == [(i, i) for i in range(n)]
 
     def test_cutoff_one_single_pair(self):
+        # same contract as align: MappingConfig.validate rejects cutoff 1
         rng = np.random.default_rng(5)
         x = preprocess(rng.standard_normal((5, 4)))
         cfg = mapping.MappingConfig(vocab_cutoff=1)
-        assert mapping.unsupervised_init(x, x, cfg) == [(0, 0)]
+        with pytest.raises(ContractError):
+            mapping.unsupervised_init(x, x, cfg)
 
     def test_cutoff_too_large(self):
         rng = np.random.default_rng(6)
