@@ -24,6 +24,19 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
+
+def positive_int(text):
+    """An integer >= 1."""
+    if int(text) < 1:
+        raise ValueError(f"{text!r} is less than 1")
+    return int(text)
+
+
+def positive_int_list(text):
+    """Comma-separated integers >= 1, as a tuple."""
+    return tuple(positive_int(part) for part in text.split(","))
+
+
 # setting -> argparse keywords of its flag, which is --name with dashes unless
 # "flags" says otherwise; "default" applies beneath the config file
 _SETTINGS = {
@@ -34,7 +47,7 @@ _SETTINGS = {
     "max_vocab": {"type": int, "help": "load at most this many words per language"},
     "verbose": {"flags": ("-v", "--verbose"), "action": "count", "help": "-v INFO, -vv DEBUG"},
     "seed": {"type": int, "default": 0, "help": "RNG seed"},
-    "csls_k": {"type": int, "help": "CSLS neighborhood size (default 10)"},
+    "csls_k": {"type": positive_int, "help": "CSLS neighborhood size (default 10)"},
     "vocab_cutoff": {"type": int, "help": "self-learning vocabulary cutoff"},
     "direction": {"choices": ("forward", "backward", "union"), "help": "induction direction"},
     "keep_prob": {"type": float, "help": "initial similarity keep probability"},
@@ -47,7 +60,8 @@ _SETTINGS = {
     "norm_tol": {"type": float, "help": "refinement normalization tolerance"},
     "conflict_policy": {"choices": ("first-pair", "mutual-only"), "help": "pairs to average"},
     "gold": {"help": "gold dictionary file"},
-    "ks": {"default": "1,5,10", "help": "comma-separated k values"},
+    "ks": {"type": positive_int_list, "default": (1, 5, 10),
+           "help": "comma-separated k values"},
     "retrieval": {"choices": ("nn", "csls"), "default": "csls", "help": "retrieval method"},
     "name": {"default": "system", "help": "system name in reports"},
     "compare": {"metavar": "DIR", "help": "baseline run directory (with eval.json) to diff"},
@@ -225,7 +239,7 @@ def cmd_induce(args):
     pairs = retrieval.induce_dictionary(
         x, z,
         method=settings["retrieval"],
-        k=settings.get("csls_k") or retrieval.DEFAULT_CSLS_K,
+        k=settings.get("csls_k", retrieval.DEFAULT_CSLS_K),
         directions=settings.get("direction") or "union",
     )
     os.makedirs(settings["out"], exist_ok=True)
@@ -241,9 +255,9 @@ def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
 
     gold = io.load_gold_dictionary(settings["gold"], src_vocab, trg_vocab)
     report = evaluate.precision_at_k(
-        x, z, gold, ks=tuple(int(k) for k in settings["ks"].split(",")),
+        x, z, gold, ks=settings["ks"],
         method=settings["retrieval"],
-        csls_k=settings.get("csls_k") or DEFAULT_CSLS_K,
+        csls_k=settings.get("csls_k", DEFAULT_CSLS_K),
     )
     name = settings["name"]
     for line in evaluate.report_lines(name, report):

@@ -1,13 +1,17 @@
 """Reading and writing embedding files and bilingual dictionaries.
 
 Embedding files use the text word2vec layout: a "n d" header line followed
-by one "word x_1 ... x_d" line per word. Dictionary files hold one
-"src_word trg_word" pair per line. All matrices are float64.
+by one "word x_1 ... x_d" line per word; later rows are ignored. Dictionary
+files hold one "src_word trg_word" pair per line; blank lines are skipped.
+Files are UTF-8 text split on whitespace, and a missing, undecodable or
+malformed one raises ``FormatError``. All matrices are float64.
 """
 from __future__ import annotations
 
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +34,9 @@ class Vocabulary:
         self.index = {w: i for i, w in enumerate(self.words)}
         if len(self.index) != len(self.words):
             raise ContractError("vocabulary contains duplicate words")
-        if "" in self.index:
-            raise ContractError("vocabulary contains an empty word")
+        bad = [w for w in self.words if w.split() != [w]]
+        if bad:
+            raise ContractError(f"vocabulary word {bad[0]!r} is not one whitespace-free token")
 
     def __len__(self):
         return len(self.words)
@@ -48,76 +53,70 @@ class GoldDictionary:
     oov_sources: int
 
 
+def _read_lines(path):
+    """Yield ``(line number, tokens)`` of each line of a UTF-8 text file, closing
+    it when the generator ends; a missing or undecodable file is a ``FormatError``."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise FormatError(f"{path}: file not found") from None
+    with fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.split()
+        except UnicodeDecodeError:
+            # no line number: the decoder reads ahead, so the failing line is unknown
+            raise FormatError(
+                f"{path}: not valid UTF-8 text; binary formats are not supported") from None
+
+
 def load_embeddings(path, max_vocab=None):
     """Load a text-format embedding file.
 
     Returns ``(Vocabulary, matrix)`` where row i of the float64 matrix is the
     vector of word i. Duplicate words keep their first occurrence; at most
-    ``max_vocab`` words are returned.
+    ``max_vocab`` words are returned. Rows past the header's count are ignored.
     """
     if max_vocab is not None and max_vocab < 1:
         raise ContractError("max_vocab must be positive")
     path = Path(path)
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError(f"embedding file not found: {path}") from None
-    with fh:
+    # closed explicitly: a traceback through this frame would keep it open
+    with closing(_read_lines(path)) as lines:
+        lineno, header = next(lines, (1, []))
         try:
-            header = fh.readline()
-        except UnicodeDecodeError:
-            raise FormatError(
-                f"{path}: not valid UTF-8 text; binary embedding formats are not supported"
-            ) from None
-        parts = header.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}: header must be two integers 'n d'", line=1)
-        try:
-            n, dim = int(parts[0]), int(parts[1])
+            n, dim = map(int, header)
         except ValueError:
             raise FormatError(f"{path}: header must be two integers 'n d'", line=1) from None
         if n < 0 or dim < 1:
             raise FormatError(f"{path}: invalid header counts n={n} d={dim}", line=1)
 
         limit = n if max_vocab is None else min(n, max_vocab)
-        words: list[str] = []
-        seen: set[str] = set()
-        rows: list[np.ndarray] = []
+        vectors: dict[str, np.ndarray] = {}
         duplicates = 0
-        for lineno in range(2, n + 2):
-            if len(words) >= limit:
-                break
-            try:
-                line = fh.readline()
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: not valid UTF-8 text", line=lineno) from None
-            if not line:
-                raise FormatError(
-                    f"{path}: file ends after {lineno - 2} rows, header declared {n}"
-                )
-            tokens = line.split()
+        for lineno, tokens in islice(lines, n):
             if len(tokens) != dim + 1:
                 raise FormatError(
                     f"{path}: expected a word and {dim} values, got {len(tokens)} tokens",
                     line=lineno,
                 )
-            word = tokens[0]
             try:
                 vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
             except ValueError:
                 raise FormatError(f"{path}: unparseable number", line=lineno) from None
             if not np.all(np.isfinite(vec)):
                 raise FormatError(f"{path}: non-finite value", line=lineno)
-            if word in seen:
+            if tokens[0] in vectors:
                 duplicates += 1
-                continue
-            seen.add(word)
-            words.append(word)
-            rows.append(vec)
+            else:
+                vectors[tokens[0]] = vec
+                if len(vectors) == limit:
+                    break
+    if len(vectors) < limit and lineno <= n:
+        raise FormatError(f"{path}: file ends after {lineno - 1} rows, header declared {n}")
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate word(s), first occurrence kept")
-    matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, dim))
-    return Vocabulary(words), matrix
+    matrix = np.array(list(vectors.values()), dtype=np.float64) if vectors else np.zeros((0, dim))
+    return Vocabulary(list(vectors)), matrix
 
 
 def save_embeddings(vocab, emb, path):
@@ -137,36 +136,35 @@ def save_embeddings(vocab, emb, path):
             fh.write(word + " " + " ".join(f"{v:.9g}" for v in row) + "\n")
 
 
+def _word_pairs(path):
+    """Yield ``(src_word, trg_word)`` for each non-blank line of a word-pair file."""
+    for lineno, tokens in _read_lines(path):
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise FormatError(
+                f"{path}: expected 'src_word trg_word', got {len(tokens)} tokens",
+                line=lineno,
+            )
+        yield tokens
+
+
 def load_dictionary_pairs(path, src, trg):
     """Load a word-pair file as (source-index, target-index) pairs.
 
     Pairs with either word out of vocabulary are dropped (with a count
     warning); duplicates are kept once, first occurrence order preserved.
     """
-    pairs: BilingualDictionary = []
-    seen = set()
+    pairs: dict[tuple[int, int], None] = {}
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise FormatError(
-                    f"{path}: expected 'src_word trg_word', got {len(tokens)} tokens",
-                    line=lineno,
-                )
-            sw, tw = tokens
-            if sw not in src or tw not in trg:
-                dropped += 1
-                continue
-            pair = (src.index[sw], trg.index[tw])
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
+    for sw, tw in _word_pairs(path):
+        if sw in src and tw in trg:
+            pairs[src.index[sw], trg.index[tw]] = None
+        else:
+            dropped += 1
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} out-of-vocabulary pair(s)")
-    return pairs
+    return list(pairs)
 
 
 def save_dictionary_pairs(pairs, src, trg, path):
@@ -186,23 +184,12 @@ def load_gold_dictionary(path, src, trg):
     entries: dict[int, set[int]] = {}
     oov_words: set[str] = set()
     emptied: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise FormatError(
-                    f"{path}: expected 'src_word trg_word', got {len(tokens)} tokens",
-                    line=lineno,
-                )
-            sw, tw = tokens
-            if sw not in src:
-                oov_words.add(sw)
-                continue
-            if tw not in trg:
-                emptied.add(sw)
-                continue
+    for sw, tw in _word_pairs(path):
+        if sw not in src:
+            oov_words.add(sw)
+        elif tw not in trg:
+            emptied.add(sw)
+        else:
             entries.setdefault(src.index[sw], set()).add(trg.index[tw])
     emptied = {w for w in emptied if src.index[w] not in entries}
     if emptied:

@@ -71,11 +71,8 @@ def procrustes_solve(x_pairs, z_pairs):
         raise ContractError(f"shape mismatch: {x.shape} vs {z.shape}")
     if x.shape[0] < 1:
         raise ContractError("need at least one pair")
-    try:
-        u, _, vt = np.linalg.svd(x.T @ z)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"SVD failed: {e}") from e
-    return u @ vt
+    u, v, _ = _symmetric_solve(x, z)
+    return u @ v.T
 
 
 def _symmetric_solve(x_pairs, z_pairs):

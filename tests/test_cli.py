@@ -328,3 +328,46 @@ class TestFlags:
                       flag, "nn" if flag == "--retrieval" else "3"])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+def no_load(*args):
+    raise AssertionError("embeddings loaded")
+
+
+class TestIntegerSettings:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("induce", "--csls-k", "0"), ("evaluate", "--csls-k", "0"),
+        ("evaluate", "--ks", "a,b"), ("evaluate", "--ks", "1,0"), ("pipeline", "--ks", "1,,5"),
+    ])
+    def test_bad_flag_exits_2_before_loading(self, command, flag, value, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--src", "a", "--trg", "b", "--out", "c", "--retrieval", "csls",
+                      flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line, key", [
+        ("induce", "csls-k = 0", "'csls_k'"), ("evaluate", "csls_k = -3", "'csls_k'"),
+        ("evaluate", "ks = 1,x", "'ks'"), ("pipeline", "ks = 0", "'ks'"),
+    ])
+    def test_bad_config_value_exits_1_before_loading(self, tmp_path, caplog, monkeypatch,
+                                                     command, line, key):
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[run]\n{line}\n")
+        code = run([command, "--config", config, "--src", "a", "--trg", "b",
+                    "--out", tmp_path / "run"])
+        assert code == 1
+        assert key in caplog.text and str(config) in caplog.text
+
+    def test_ks_from_flag_and_config(self, tmp_path, capsys):
+        write_corpus(tmp_path, n=50)
+        config = tmp_path / "run.ini"
+        config.write_text("[evaluate]\nks = 3, 1\n")
+        args = ["evaluate", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+                "--gold", tmp_path / "gold.txt", "--retrieval", "nn", "--config", config]
+        for extra, ks in (([], ["1", "3"]), (["--ks", "2"], ["2"])):
+            assert run(args + extra) == 0
+            keys = [l.split("=")[0] for l in capsys.readouterr().out.splitlines()]
+            assert [key for key in keys if key[-1].isdigit()] == [f"system.{k}" for k in ks]

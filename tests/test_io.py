@@ -58,6 +58,30 @@ class TestLoadEmbeddings:
             io.load_embeddings(tmp_path / "nope.vec")
 
 
+    def test_truncated_file(self, tmp_path):
+        path = write(tmp_path, "3 2\napple 1 0\nbanana 0 1\n")
+        with pytest.raises(FormatError, match="file ends after 2 rows, header declared 3"):
+            io.load_embeddings(path)
+
+    def test_rows_past_header_count_ignored(self, tmp_path):
+        path = write(tmp_path, "1 2\napple 1 0\nbanana 0 1\nnot a row at all\n")
+        vocab, emb = io.load_embeddings(path)
+        assert vocab.words == ["apple"]
+        np.testing.assert_array_equal(emb, [[1, 0]])
+
+    def test_blank_row_names_line(self, tmp_path):
+        path = write(tmp_path, "2 2\napple 1 0\n\nbanana 0 1\n")
+        with pytest.raises(FormatError, match="line 3: .*got 0 tokens"):
+            io.load_embeddings(path)
+
+    def test_max_vocab_counts_distinct_words(self, tmp_path):
+        path = write(tmp_path, "4 2\napple 1 0\napple 9 9\nbanana 0 1\ncherry 1 1\n")
+        with pytest.warns(UserWarning, match="dropped 1 duplicate"):
+            vocab, emb = io.load_embeddings(path, max_vocab=2)
+        assert vocab.words == ["apple", "banana"]
+        np.testing.assert_array_equal(emb, [[1, 0], [0, 1]])
+
+
 class TestSaveEmbeddings:
     def test_round_trip(self, tmp_path):
         path = write(tmp_path, "2 3\napple 1 0 0\nbanana 0 1 0\n")
@@ -95,6 +119,30 @@ class TestSaveEmbeddings:
             vocab2, emb2 = io.load_embeddings(out)
             assert vocab2.words == vocab.words
             np.testing.assert_allclose(emb2, emb, atol=1e-6)
+
+
+class TestDictionaryPairs:
+    @pytest.fixture
+    def vocabs(self):
+        return io.Vocabulary(["dog", "cat", "cow"]), io.Vocabulary(["Hund", "Katze", "Kuh"])
+
+    def test_first_occurrence_order_kept_once(self, tmp_path, vocabs):
+        path = write(tmp_path, "cow Kuh\ndog Hund\ncow Kuh\ndog Katze\ndog Hund\n", "d.txt")
+        assert io.load_dictionary_pairs(path, *vocabs) == [(2, 2), (0, 0), (0, 1)]
+
+    def test_oov_pairs_counted(self, tmp_path, vocabs):
+        path = write(tmp_path, "dog Hund\nfox Fuchs\ncat Fuchs\nfox Katze\n", "d.txt")
+        with pytest.warns(UserWarning, match="dropped 3 out-of-vocabulary pair"):
+            assert io.load_dictionary_pairs(path, *vocabs) == [(0, 0)]
+
+    def test_blank_lines_skipped(self, tmp_path, vocabs):
+        path = write(tmp_path, "\ndog Hund\n   \n\t\ncat Katze\n\n", "d.txt")
+        assert io.load_dictionary_pairs(path, *vocabs) == [(0, 0), (1, 1)]
+
+    def test_bad_token_count_names_line(self, tmp_path, vocabs):
+        path = write(tmp_path, "dog Hund\n\ncat\n", "d.txt")
+        with pytest.raises(FormatError, match="line 3: .*expected 'src_word trg_word', got 1"):
+            io.load_dictionary_pairs(path, *vocabs)
 
 
 class TestGoldDictionary:
@@ -149,3 +197,53 @@ class TestGoldDictionary:
 def test_vocabulary_rejects_empty_word():
     with pytest.raises(ContractError):
         io.Vocabulary(["a", ""])
+
+
+@pytest.mark.parametrize("word", ["new york", "tab\tword", "nb\u00a0sp", "line\n", " lead"])
+def test_vocabulary_rejects_word_with_whitespace(word):
+    with pytest.raises(ContractError, match="whitespace"):
+        io.Vocabulary(["a", word])
+
+
+WORDS = io.Vocabulary(["a", "b"])
+LOADERS = {
+    "embeddings": io.load_embeddings,
+    "pairs": lambda path: io.load_dictionary_pairs(path, WORDS, WORDS),
+    "gold": lambda path: io.load_gold_dictionary(path, WORDS, WORDS),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("content", [None, b"1 1\na b\n\xff\xfe\x00binary\n"],
+                         ids=["missing", "not-utf8"])
+def test_every_loader_raises_format_error_for_a_bad_file(tmp_path, loader, content):
+    path = tmp_path / "file.txt"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(FormatError, match="not found" if content is None else "UTF-8"):
+        LOADERS[loader](path)
+
+
+@pytest.mark.parametrize("loader, text, malformed", [
+    ("embeddings", "2 1\na 1\nb\n", True),
+    ("embeddings", "2 1\na 1\nb 2\n", False),
+    ("pairs", "a b\na\n", True),
+    ("pairs", "a b\n", False),
+    ("gold", "a b c\n", True),
+])
+def test_loader_closes_its_file(tmp_path, monkeypatch, loader, text, malformed):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(io, "open", recording_open, raising=False)
+    path = write(tmp_path, text)
+    errors = []  # a kept error's traceback keeps the loader's frames alive
+    try:
+        LOADERS[loader](path)
+    except FormatError as e:
+        errors.append(e)
+    assert len(errors) == malformed
+    assert len(opened) == 1 and opened[0].closed
