@@ -3,8 +3,9 @@
 Embedding files use the text word2vec layout: a "n d" header line followed
 by one "word x_1 ... x_d" line per word; later rows are ignored. Dictionary
 files hold one "src_word trg_word" pair per line; blank lines are skipped.
-Files are UTF-8 text split on whitespace, and a missing, undecodable or
-malformed one raises ``FormatError``. All matrices are float64.
+Files are UTF-8 text split on whitespace, and one that cannot be opened,
+cannot be decoded or is malformed raises ``FormatError``. All matrices are
+float64.
 """
 from __future__ import annotations
 
@@ -55,11 +56,14 @@ class GoldDictionary:
 
 def _read_lines(path):
     """Yield ``(line number, tokens)`` of each line of a UTF-8 text file, closing
-    it when the generator ends; a missing or undecodable file is a ``FormatError``."""
+    it when the generator ends; a file that cannot be opened (missing, a
+    directory, unreadable) or decoded is a ``FormatError``."""
     try:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
         raise FormatError(f"{path}: file not found") from None
+    except OSError as e:
+        raise FormatError(f"{path}: cannot open: {e.strerror or e}") from None
     with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -132,8 +136,11 @@ def save_embeddings(vocab, emb, path):
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{emb.shape[0]} {emb.shape[1]}\n")
+        # one % per row; rows convert one at a time, as a whole-matrix
+        # tolist() would hold every value as a Python float at once
+        fmt = "%s " + " ".join(["%.9g"] * emb.shape[1]) + "\n"
         for word, row in zip(vocab.words, emb):
-            fh.write(word + " " + " ".join(f"{v:.9g}" for v in row) + "\n")
+            fh.write(fmt % (word, *row.tolist()))
 
 
 def _word_pairs(path):

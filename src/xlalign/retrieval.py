@@ -3,13 +3,15 @@
 CSLS rescales cosine similarity by the mean similarity of each point to its
 k nearest neighbors on the other side, which demotes hub vectors. All argmax
 tie-breaking is lowest-index-wins. Every score in the package (CSLS penalties,
-induction, evaluation, mutual-neighbor refinement) comes from one loop over
-fixed-size query row blocks, ``_score_blocks``, so no n x n matrix is ever
-built. Block size changes scores only in the last bits (BLAS rounds blocks of
-different heights differently). A consumer may edit a block in place, but
-every layer drops its reference (``del``) before the next block's product is
-computed, so one block is alive at a time. Induction computes the CSLS
-penalties once; the backward direction's are the forward ones swapped.
+induction, evaluation, mutual-neighbor refinement, the unsupervised init's
+similarities) comes from one loop over fixed-size query row blocks,
+``_score_blocks``, so no n x n score matrix is ever built; the init keeps one
+n x n matrix, the sorted target similarities, as its candidates. Block size
+changes scores only in the last bits (BLAS rounds blocks of different heights
+differently). A consumer may edit a block in place, but every layer drops its
+reference (``del``) before the next block's product is computed, so one block
+is alive at a time. Induction computes the CSLS penalties once; the backward
+direction's are the forward ones swapped.
 """
 from __future__ import annotations
 
@@ -79,6 +81,24 @@ def _argmax(blocks, n, hook=None):
         out[start : start + sim.shape[0]] = sim.argmax(axis=1)
         del sim
     return out
+
+
+def _argmax_both(blocks, n, m):
+    """Best candidate per query row and best query per candidate column of an
+    ``n`` x ``m`` score matrix arriving in row blocks; ties go to the lowest
+    index both ways, as a later block takes a column only when strictly greater."""
+    rows = np.empty(n, dtype=np.int64)
+    cols = np.zeros(m, dtype=np.int64)
+    col_max = np.full(m, -np.inf)
+    for start, sim in blocks:
+        rows[start : start + sim.shape[0]] = sim.argmax(axis=1)
+        best = sim.argmax(axis=0)
+        top = sim[best, np.arange(m)]
+        del sim
+        better = top > col_max
+        cols[better] = best[better] + start
+        col_max[better] = top[better]
+    return rows, cols
 
 
 def _knn_means(unit_a, unit_b, k, block_size):

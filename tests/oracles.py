@@ -38,6 +38,33 @@ def csls_bruteforce(x, z, k, query_indices=None):
     return best, scores
 
 
+def init_bruteforce(x, z, cutoff):
+    """Similarity-distribution seed dictionary, literally: the full Gram
+    matrix of each side's first ``cutoff`` rows, every row sorted and scaled
+    to unit length, nearest neighbor by loops in both directions, union."""
+    def sorted_unit_rows(m):
+        m = np.asarray(m, dtype=np.float64)[:cutoff]
+        gram = m @ m.T
+        return [unit(np.sort(row)) for row in gram]
+
+    mx, mz = sorted_unit_rows(x), sorted_unit_rows(z)
+    sim = [[float(np.dot(mx[i], mz[j])) for j in range(cutoff)] for i in range(cutoff)]
+    pairs = set()
+    for i in range(cutoff):
+        best_j = 0
+        for j in range(1, cutoff):
+            if sim[i][j] > sim[i][best_j]:
+                best_j = j
+        pairs.add((i, best_j))
+    for j in range(cutoff):
+        best_i = 0
+        for i in range(1, cutoff):
+            if sim[i][j] > sim[best_i][j]:
+                best_i = i
+        pairs.add((best_i, j))
+    return sorted(pairs)
+
+
 def iternorm_literal(x, max_iters, tol):
     """Literal alternation: unit-normalize rows, then subtract column mean."""
     x = np.array(x, dtype=np.float64)

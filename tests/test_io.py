@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,21 @@ class TestSaveEmbeddings:
     def test_size_mismatch(self, tmp_path):
         with pytest.raises(ContractError):
             io.save_embeddings(io.Vocabulary(["a"]), np.zeros((2, 3)), tmp_path / "x.vec")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_per_value_formatting(self, tmp_path, dtype):
+        emb = np.array([[-1.5, -0.0, 0.0, 1e-12, 1e+20],
+                        [3.0, -7.0, 1e6, 123456789.0, 0.1],
+                        [1 / 3, -2 / 3, 2.5e-8, -123.25, -1e-5]]).astype(dtype)
+        vocab = io.Vocabulary(["a", "b", "c"])
+        out = tmp_path / "golden.vec"
+        io.save_embeddings(vocab, emb, out)
+        expected = "3 5\n" + "".join(
+            word + " " + " ".join(f"{v:.9g}" for v in row) + "\n"
+            for word, row in zip(vocab.words, emb))
+        assert out.read_bytes() == expected.encode("utf-8")
+        if dtype is np.float64:
+            assert out.read_text().splitlines()[1] == "a -1.5 -0 0 1e-12 1e+20"
 
     def test_round_trip_random_property(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -221,6 +238,24 @@ def test_every_loader_raises_format_error_for_a_bad_file(tmp_path, loader, conte
     if content is not None:
         path.write_bytes(content)
     with pytest.raises(FormatError, match="not found" if content is None else "UTF-8"):
+        LOADERS[loader](path)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_every_loader_raises_format_error_for_a_directory(tmp_path, loader):
+    with pytest.raises(FormatError, match=f"{tmp_path}: cannot open: Is a directory"):
+        LOADERS[loader](tmp_path)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_every_loader_raises_format_error_for_an_unreadable_file(tmp_path, monkeypatch, loader):
+    # chmod cannot make a file unreadable to root, so open itself is replaced
+    def denied(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    monkeypatch.setattr(io, "open", denied, raising=False)
+    path = write(tmp_path, "1 1\na 1\n")
+    with pytest.raises(FormatError, match=f"{path}: cannot open: Permission denied"):
         LOADERS[loader](path)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from xlalign.errors import ContractError
 from xlalign.normalize import preprocess
 
 from conftest import make_rotated_pair
-from oracles import random_orthogonal
+from oracles import init_bruteforce, random_orthogonal
 
 
 class TestProcrustesSolve:
@@ -82,6 +84,28 @@ class TestUnsupervisedInit:
         cfg = mapping.MappingConfig(vocab_cutoff=10)
         with pytest.raises(ContractError):
             mapping.unsupervised_init(x, x, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("block_size", [1, 7, 1024])
+    def test_matches_bruteforce(self, seed, block_size):
+        x, z, _ = make_rotated_pair(n=60, d=6, seed=seed, noise=0.05)
+        cfg = mapping.MappingConfig(vocab_cutoff=50)
+        assert mapping.unsupervised_init(x, z, cfg, block_size=block_size) == \
+            init_bruteforce(x, z, 50)
+
+    def test_peak_memory_one_cutoff_squared_matrix(self):
+        # the sorted target rows (8 n^2 bytes) plus a few row blocks; holding
+        # both sides' sorted matrices, or a copy of one, is 8 n^2 more
+        n, block = 1200, 128
+        x, z, _ = make_rotated_pair(n=n, d=20, seed=7)
+        cfg = mapping.MappingConfig(vocab_cutoff=n)
+        tracemalloc.start()
+        try:
+            mapping.unsupervised_init(x, z, cfg, block_size=block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + 4 * 8 * block * n + 256 * 1024
 
 
 class TestSelfLearningAlign:

@@ -217,3 +217,13 @@ def test_union_csls_computes_penalties_once(monkeypatch):
     retrieval.induce_dictionary(rng.standard_normal((30, 5)), rng.standard_normal((25, 5)),
                                 method="csls", k=3, directions="union", block_size=7)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 7, 64])
+def test_argmax_both_matches_full_argmax_with_ties(block_size):
+    # few distinct values: most rows and columns hold ties, some across blocks
+    sim = np.random.default_rng(10).integers(0, 3, size=(23, 17)).astype(np.float64)
+    rows, cols = retrieval._argmax_both(retrieval._score_blocks(sim, np.eye(17), block_size),
+                                        23, 17)
+    np.testing.assert_array_equal(rows, sim.argmax(axis=1))
+    np.testing.assert_array_equal(cols, sim.argmax(axis=0))
