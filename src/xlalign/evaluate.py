@@ -12,7 +12,9 @@ import numpy as np
 
 from .errors import ContractError
 from .io import GoldDictionary
-from .retrieval import DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _score_blocks, _unit_rows, csls_scores
+from .retrieval import (
+    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _require_finite, _score_blocks, _unit_rows, csls_scores,
+)
 
 DEFAULT_KS = (1, 5, 10)
 
@@ -32,11 +34,14 @@ class EvalReport:
 def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
                    method="nn", csls_k=DEFAULT_CSLS_K,
                    block_size=DEFAULT_BLOCK_SIZE) -> EvalReport:
-    """Score a shared space against a gold dictionary at each k in ``ks``."""
+    """Score a shared space against a gold dictionary at each k in ``ks``.
+
+    Non-finite input raises ContractError naming its row.
+    """
     if not gold.entries:
         raise ContractError("gold dictionary is empty")
-    x = np.asarray(x_space, dtype=np.float64)
-    z = np.asarray(z_space, dtype=np.float64)
+    x = _require_finite(x_space, "x_space")
+    z = _require_finite(z_space, "z_space")
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")

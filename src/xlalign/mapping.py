@@ -1,12 +1,19 @@
 """Unsupervised alignment of two embedding spaces.
 
 Seeds a dictionary from intra-language similarity distributions, then
-alternates orthogonal Procrustes solves with CSLS dictionary induction
-(stochastic dropout on similarities keeps the search from locking in early)
-until the mean-cosine objective stops improving.
+alternates orthogonal Procrustes solves with CSLS dictionary induction until
+the mean-cosine objective stops improving. Induction is stochastic, as in
+VecMap (Artetxe, Labaka & Agirre, 2018): each similarity is kept with
+probability keep_prob and every row takes the argmax of the kept ones, which
+keeps the search from locking in early. That argmax is sampled exactly by
+rank, with no mask: it is the row's g-th best candidate (equal scores ranked
+by index) with g ~ Geometric(keep_prob), and candidate 0 when g exceeds the
+row, as when every score is dropped. Rows rank by the rank-only CSLS scores
+of ``retrieval``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +21,8 @@ import numpy as np
 from .errors import AlignmentCollapseError, ContractError, NumericalError
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _argmax_both, _induce, _score_blocks, induce_dictionary,
+    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _argmax_both, _induce, _nth_best, _require_finite,
+    _score_blocks, induce_dictionary,
 )
 
 
@@ -104,11 +112,11 @@ def unsupervised_init(x, z, cfg: MappingConfig,
     the source side is built, sorted and scored one row block at a time, and
     one product per block answers both directions. Peak memory is about
     8 (cutoff^2 + 3 block_size cutoff) bytes: 3.7 GB at cutoff 20000 with
-    the default block size.
+    the default block size. Non-finite input raises ContractError naming
+    its row.
     """
     cfg.validate()
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
+    x, z = _require_finite(x, "x"), _require_finite(z, "z")
     cutoff = cfg.vocab_cutoff
     if cutoff > min(x.shape[0], z.shape[0]):
         raise ContractError(
@@ -146,13 +154,13 @@ def self_learning_align(x, z, init: BilingualDictionary, cfg: MappingConfig,
     mapped space. When it stalls for ``stall_patience`` iterations the
     similarity dropout keep probability grows; once keep_prob reaches 1 a
     stalled objective terminates the loop. All randomness comes from
-    ``cfg.seed``, so a run is reproducible bit for bit.
+    ``cfg.seed``, so a run is reproducible bit for bit. Non-finite input
+    raises ContractError naming its row.
     """
     cfg.validate()
     if not init:
         raise ContractError("initial dictionary must be non-empty")
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
+    x, z = _require_finite(x, "x"), _require_finite(z, "z")
     cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
     xc, zc = x[:cutoff], z[:cutoff]
     rng = np.random.default_rng(cfg.seed)
@@ -215,23 +223,38 @@ def self_learning_align(x, z, init: BilingualDictionary, cfg: MappingConfig,
 def _induce_with_dropout(xw, zw, cfg, keep_prob, rng, block_size):
     """CSLS induction with each score retained with probability keep_prob.
 
-    The dropout mask is drawn block by block in query-row order, forward
-    before backward, so the draws do not depend on the block partitioning.
+    Each row takes the argmax of its retained scores, drawn exactly by rank
+    (``_dropout_argmax``): one geometric draw per query row, in row order,
+    forward rows before backward rows, so the draws do not depend on the
+    block partitioning. At keep_prob 1 nothing is drawn.
     """
     k = min(cfg.csls_k, zw.shape[0] - 1, xw.shape[0])
+    pick = (lambda sim: _dropout_argmax(sim, keep_prob, rng)) if keep_prob < 1.0 else None
+    return _induce(xw, zw, "csls", k, cfg.direction, block_size, pick=pick)
 
-    def dropout(sim):
-        sim[rng.random(sim.shape) >= keep_prob] = -np.inf
 
-    return _induce(xw, zw, "csls", k, cfg.direction, block_size,
-                   hook=dropout if keep_prob < 1.0 else None)
+def _dropout_argmax(sim, keep_prob, rng):
+    """Row argmax of ``sim`` after each score is dropped with probability
+    1 - keep_prob (all dropped: index 0), without drawing the b x m mask.
+
+    The first kept score in the row's best-first order (equal scores by
+    index) is the argmax, and its rank g is Geometric(keep_prob). Ranking the
+    best ``top`` scores of a row serves every g up to ``top``, the smallest
+    value with (1 - keep_prob)^top <= 2^-10, so fewer than one row in 1024
+    is sorted in full.
+    """
+    g = rng.geometric(keep_prob, size=sim.shape[0])
+    # infinite for a subnormal keep_prob, so capped before rounding up
+    top = math.ceil(min(10 * math.log(2) / -math.log1p(-keep_prob), sim.shape[1]))
+    return _nth_best(sim, g, top)
 
 
 def align(x, z, cfg: MappingConfig, block_size=DEFAULT_BLOCK_SIZE) -> MappingResult:
     """Full unsupervised alignment: heuristic init then self-learning.
 
     The configuration and the two spaces' dimensions are checked before the
-    cutoff-squared init runs.
+    cutoff-squared init runs, and the init rejects non-finite values before
+    its first product.
     """
     cfg.validate()
     if np.shape(x)[1] != np.shape(z)[1]:

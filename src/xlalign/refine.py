@@ -19,7 +19,7 @@ from .normalize import (
     _deviations,
     iterative_normalize,
 )
-from .retrieval import DEFAULT_BLOCK_SIZE, _argmax, _score_blocks, _unit_rows
+from .retrieval import DEFAULT_BLOCK_SIZE, _argmax, _require_finite, _score_blocks, _unit_rows
 
 
 @dataclass
@@ -95,12 +95,14 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
     With ``norm_iters`` = 0 the output is exactly the averaging output.
     A pair of antipodal vectors averages to zero, which the normalization
     phase cannot handle; that raises with the offending pair named.
+    Non-finite input raises ContractError naming its row.
     """
     cfg = cfg or RefinementConfig()
     if cfg.norm_iters < 0:
         raise ContractError("norm_iters must be >= 0")
     x, z, (averaged, skipped) = average_vectors(
-        x_aligned, z_aligned, dictionary, cfg.conflict_policy
+        _require_finite(x_aligned, "x_aligned"), _require_finite(z_aligned, "z_aligned"),
+        dictionary, cfg.conflict_policy,
     )
     if cfg.norm_iters == 0:
         return RefinedSpaces(

@@ -10,8 +10,14 @@ n x n matrix, the sorted target similarities, as its candidates. Block size
 changes scores only in the last bits (BLAS rounds blocks of different heights
 differently). A consumer may edit a block in place, but every layer drops its
 reference (``del``) before the next block's product is computed, so one block
-is alive at a time. Induction computes the CSLS penalties once; the backward
-direction's are the forward ones swapped.
+is alive at a time.
+
+Induction only ranks the candidates of each query row, so it scores rank-only:
+a query's own penalty is the same along its row and cannot change the row's
+order, so forward rows score cos - rS/2 and backward rows cos - rT/2. Halving
+is exact in binary, so these order bit for bit like 2 cos - r. Induction
+computes each penalty once, and only the ones its directions rank by. The
+public ``csls_scores`` and ``csls_retrieve`` keep the full CSLS values.
 """
 from __future__ import annotations
 
@@ -28,6 +34,17 @@ def _unit_rows(m):
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     return np.divide(m, norms, out=np.zeros_like(m), where=norms != 0.0)
+
+
+def _require_finite(m, name):
+    """``m`` as a float64 array; ContractError naming the first row of ``m``
+    that holds a NaN or infinity."""
+    m = np.asarray(m, dtype=np.float64)
+    finite = np.isfinite(m)
+    if not finite.all():
+        row = int(np.argwhere(~finite)[0][0])
+        raise ContractError(f"{name} row {row} holds a non-finite value")
+    return m
 
 
 def cosine_block(queries, candidates):
@@ -52,10 +69,10 @@ def nn_retrieve(sim):
     return sim.argmax(axis=1).tolist()
 
 
-def _score_blocks(uq, uc, block_size, rows=None, penalties=None):
+def _score_blocks(uq, uc, block_size, rows=None, shift=None):
     """Yield (start, block) of unit query rows ``uq[rows]`` (default: all)
-    scored against all unit candidates ``uc``: cosines, or CSLS scores
-    2 cos - r_q - r_c when ``penalties`` = (r_q, r_c) is given."""
+    scored against all unit candidates ``uc``: cosines, less ``shift[j]`` in
+    candidate column j when ``shift`` is given."""
     n = uq.shape[0] if rows is None else len(rows)
     for start in range(0, n, block_size):
         sel = slice(start, start + block_size) if rows is None else rows[start : start + block_size]
@@ -63,23 +80,46 @@ def _score_blocks(uq, uc, block_size, rows=None, penalties=None):
         # numpy computes a one-row product as a matrix-vector product, which
         # rounds differently from the matrix-matrix product of taller blocks
         sim = q @ uc.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ uc.T)[:1]
-        if penalties is not None:
-            sim *= 2.0
-            sim -= penalties[0][sel][:, None]
-            sim -= penalties[1]
+        if shift is not None:
+            sim -= shift
         yield start, sim
         del q, sim
 
 
-def _argmax(blocks, n, hook=None):
-    """Best candidate per query row of ``n`` score rows arriving in blocks;
-    ``hook(block)``, when given, may first edit each block in place."""
+def _argmax(blocks, n, pick=None):
+    """Chosen candidate per query row of ``n`` score rows arriving in blocks:
+    the row argmax, or ``pick(block)`` when given."""
     out = np.empty(n, dtype=np.int64)
     for start, sim in blocks:
-        if hook is not None:
-            hook(sim)
-        out[start : start + sim.shape[0]] = sim.argmax(axis=1)
+        out[start : start + sim.shape[0]] = sim.argmax(axis=1) if pick is None else pick(sim)
         del sim
+    return out
+
+
+def _nth_best(sim, g, top):
+    """Per row r of ``sim``, the index of its g[r]-th best score, ranking
+    equal scores by index; 0 where g[r] exceeds the row length.
+
+    The ``top`` best values of each row are found by one partition and sorted;
+    the g-th best value is read from them and located in the row, and the
+    rank among equal values picks the tie. Only rows with g > ``top`` are
+    sorted in full.
+    """
+    b, m = sim.shape
+    top = min(top, m)
+    best = np.partition(sim, m - top, axis=1)[:, m - top :]
+    best.sort(axis=1)
+    rows = np.arange(b)
+    value = best[rows, top - np.minimum(g, top)]
+    equal = sim == value[:, None]
+    out = equal.argmax(axis=1)
+    # the g-th best is the t-th lowest index holding its value, t = g - (count
+    # of greater values); every greater value is among the top
+    tie = g - (best > value[:, None]).sum(axis=1)
+    for r in np.flatnonzero((tie > 1) & (g <= top)):
+        out[r] = np.flatnonzero(equal[r])[tie[r] - 1]
+    for r in np.flatnonzero(g > top):
+        out[r] = np.argsort(-sim[r], kind="stable")[g[r] - 1] if g[r] <= m else 0
     return out
 
 
@@ -112,9 +152,9 @@ def _knn_means(unit_a, unit_b, k, block_size):
     return out
 
 
-def _csls_penalties(ux, uz, k, block_size, directions="forward"):
-    """Forward CSLS penalties (rT, rS) between unit queries ux and unit
-    candidates uz; the backward direction's penalties are the two swapped."""
+def _check_csls(ux, uz, k, directions):
+    """ContractError unless the spaces share dimensionality and every query
+    side of ``directions`` has k nearest neighbors to average."""
     if ux.shape[1] != uz.shape[1]:
         raise ContractError("query and candidate spaces must share dimensionality")
     checks = {"forward": [(ux, uz)], "backward": [(uz, ux)], "union": [(ux, uz), (uz, ux)]}
@@ -123,7 +163,6 @@ def _csls_penalties(ux, uz, k, block_size, directions="forward"):
             raise ContractError(
                 f"csls k={k} out of range for {len(q)} queries and {len(c)} candidates"
             )
-    return _knn_means(ux, uz, k, block_size), _knn_means(uz, ux, k, block_size)
 
 
 def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
@@ -137,8 +176,17 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
     selected queries.
     """
     ux, uz = _unit_rows(x_mapped), _unit_rows(z_mapped)
+    _check_csls(ux, uz, k, "forward")
+    r_t, r_s = _knn_means(ux, uz, k, block_size), _knn_means(uz, ux, k, block_size)
     rows = None if query_indices is None else np.asarray(query_indices)
-    yield from _score_blocks(ux, uz, block_size, rows, _csls_penalties(ux, uz, k, block_size))
+    if rows is not None:
+        r_t = r_t[rows]
+    for start, sim in _score_blocks(ux, uz, block_size, rows):
+        sim *= 2.0
+        sim -= r_t[start : start + sim.shape[0], None]
+        sim -= r_s
+        yield start, sim
+        del sim
 
 
 def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
@@ -154,26 +202,34 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
 
     forward: (i, retrieve(i)) for every source i. backward: (retrieve(j), j)
     for every target j. union: both, deduplicated and sorted by source then
-    target index.
+    target index. Non-finite input raises ContractError naming its row.
     """
-    return _induce(x_mapped, z_mapped, method, k, directions, block_size)
+    x = _require_finite(x_mapped, "x_mapped")
+    z = _require_finite(z_mapped, "z_mapped")
+    return _induce(x, z, method, k, directions, block_size)
 
 
-def _induce(x, z, method, k, directions, block_size, hook=None):
-    """induce_dictionary, with ``hook`` applied to every score block before
-    its argmax: forward blocks in row order, then backward blocks."""
+def _induce(x, z, method, k, directions, block_size, pick=None):
+    """induce_dictionary, with ``pick(block)`` choosing each score row's
+    candidate in place of its argmax: forward blocks in row order, then
+    backward blocks. CSLS blocks hold rank-only scores (module docstring)."""
     if directions not in ("forward", "backward", "union"):
         raise ContractError(f"unknown directions {directions!r}")
     if method not in ("nn", "csls"):
         raise ContractError(f"unknown retrieval method {method!r}")
     ux, uz = _unit_rows(x), _unit_rows(z)
-    fwd = _csls_penalties(ux, uz, k, block_size, directions) if method == "csls" else None
-    bwd = None if fwd is None else fwd[::-1]
+    shift_x = shift_z = None
+    if method == "csls":
+        _check_csls(ux, uz, k, directions)
+        if directions != "backward":
+            shift_z = _knn_means(uz, ux, k, block_size) / 2.0
+        if directions != "forward":
+            shift_x = _knn_means(ux, uz, k, block_size) / 2.0
     pairs: list[tuple[int, int]] = []
     if directions != "backward":
-        best = _argmax(_score_blocks(ux, uz, block_size, penalties=fwd), len(ux), hook)
+        best = _argmax(_score_blocks(ux, uz, block_size, shift=shift_z), len(ux), pick)
         pairs += enumerate(best.tolist())
     if directions != "forward":
-        best = _argmax(_score_blocks(uz, ux, block_size, penalties=bwd), len(uz), hook)
+        best = _argmax(_score_blocks(uz, ux, block_size, shift=shift_x), len(uz), pick)
         pairs += [(i, j) for j, i in enumerate(best.tolist())]
     return sorted(set(pairs)) if directions == "union" else pairs

@@ -38,6 +38,18 @@ def csls_bruteforce(x, z, k, query_indices=None):
     return best, scores
 
 
+def dropout_argmax_literal(sim, keep_prob, rng):
+    """Row argmax after dropping each score with probability 1 - keep_prob:
+    the literal b x m random mask, dropped scores set to -inf."""
+    kept = rng.random(sim.shape) < keep_prob
+    return np.where(kept, sim, -np.inf).argmax(axis=1)
+
+
+def ranked_literal(row):
+    """Indices of ``row`` best first; equal scores in index order."""
+    return sorted(range(len(row)), key=lambda j: (-row[j], j))
+
+
 def init_bruteforce(x, z, cutoff):
     """Similarity-distribution seed dictionary, literally: the full Gram
     matrix of each side's first ``cutoff`` rows, every row sorted and scaled

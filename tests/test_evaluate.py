@@ -94,6 +94,14 @@ class TestPrecisionAtK:
         with pytest.raises(ContractError):
             evaluate.precision_at_k(basis_space(2), basis_space(2), gold, ks=(5,))
 
+    @pytest.mark.parametrize("method", ["nn", "csls"])
+    def test_non_finite_input_names_row(self, method):
+        z = basis_space(4)
+        z[2, 1] = np.inf
+        gold = GoldDictionary({i: {i} for i in range(4)}, 0)
+        with pytest.raises(ContractError, match="z_space row 2 "):
+            evaluate.precision_at_k(basis_space(4), z, gold, ks=(1,), method=method, csls_k=2)
+
 
 class TestCompareReports:
     def rep(self, p1):

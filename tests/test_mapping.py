@@ -8,7 +8,7 @@ from xlalign.errors import ContractError
 from xlalign.normalize import preprocess
 
 from conftest import make_rotated_pair
-from oracles import init_bruteforce, random_orthogonal
+from oracles import dropout_argmax_literal, init_bruteforce, random_orthogonal, ranked_literal
 
 
 class TestProcrustesSolve:
@@ -261,6 +261,86 @@ class TestSelfLearningAlign:
         assert result.reweight_scale.shape == (6,)
         # orthogonality of the stored transforms is unaffected by reweighting
         assert np.max(np.abs(result.w_src.T @ result.w_src - np.eye(6))) < 1e-6
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("side", ["x", "z"])
+    @pytest.mark.parametrize("call", ["align", "unsupervised_init", "self_learning_align"])
+    def test_names_first_bad_row(self, call, side):
+        # one NaN used to give a junk init dictionary, then an SVD failure
+        x, z, _ = make_rotated_pair(n=30, d=4, seed=19)
+        bad = x if side == "x" else z
+        bad[12, 0] = np.inf
+        bad[7, 2] = np.nan
+        cfg = mapping.MappingConfig(vocab_cutoff=30)
+        args = (x, z, [(i, i) for i in range(30)]) if call == "self_learning_align" else (x, z)
+        with pytest.raises(ContractError, match=f"{side} row 7 "):
+            getattr(mapping, call)(*args, cfg)
+
+
+def _draw_counts(row, keep_prob, draws=20000, chunk=2000):
+    """Chosen index of ``draws`` copies of ``row`` under the rank sampler and
+    under the literal mask (independent streams), drawn ``chunk`` rows at a time."""
+    sim = np.tile(row, (chunk, 1))
+    sampler_rng, mask_rng = np.random.default_rng(20), np.random.default_rng(21)
+    sampled = np.concatenate([mapping._dropout_argmax(sim, keep_prob, sampler_rng)
+                              for _ in range(draws // chunk)])
+    masked = np.concatenate([dropout_argmax_literal(sim, keep_prob, mask_rng)
+                             for _ in range(draws // chunk)])
+    return sampled, masked
+
+
+def _chi2_two_sample(a, b, categories):
+    """Two-sample chi-square over the given index categories plus the rest;
+    equal sample sizes, so each term is (a_i - b_i)^2 / (a_i + b_i)."""
+    counts = [(np.isin(a, c).sum(), np.isin(b, c).sum()) for c in categories]
+    counts.append((len(a) - sum(c for c, _ in counts), len(b) - sum(c for _, c in counts)))
+    return sum((ca - cb) ** 2 / (ca + cb) for ca, cb in counts if ca + cb)
+
+
+class TestDropoutSampler:
+    """The rank sampler against the literal b x m mask it replaces."""
+
+    CHI2_DF6_999 = 22.46  # 99.9% quantile of chi-square with 6 degrees of freedom
+
+    def test_matches_literal_mask_on_tied_row(self):
+        # 30 wide, 8 distinct values: most top candidates tie with another
+        row = np.random.default_rng(22).integers(0, 8, 30).astype(np.float64)
+        keep_prob, draws = 0.3, 20000
+        sampled, masked = _draw_counts(row, keep_prob, draws)
+        ranked = ranked_literal(row)
+        assert _chi2_two_sample(sampled, masked, [[j] for j in ranked[:6]]) < self.CHI2_DF6_999
+        # each of the top six against its exact count, within 5 standard deviations
+        for rank, j in enumerate(ranked[:6]):
+            expected = draws * keep_prob * (1 - keep_prob) ** rank
+            for counts in (sampled, masked):
+                assert abs((counts == j).sum() - expected) < 5 * np.sqrt(expected)
+
+    def test_rows_past_the_ranked_top_are_sorted_in_full(self):
+        # at keep_prob 0.05 the sampler ranks the best 136 of 200; a draw past
+        # that falls back to a full sort, and one past 200 gives index 0
+        row = np.round(np.random.default_rng(23).standard_normal(200), 1)
+        keep_prob, draws = 0.05, 20000
+        g = np.random.default_rng(20).geometric(keep_prob, size=draws)
+        assert np.sum(g > 136) >= 5
+        sampled, masked = _draw_counts(row, keep_prob, draws)
+        ranked = ranked_literal(row)
+        np.testing.assert_array_equal(sampled, [ranked[n - 1] if n <= 200 else 0 for n in g])
+        assert _chi2_two_sample(sampled, masked, [[j] for j in ranked[:6]]) < self.CHI2_DF6_999
+
+    def test_all_dropped_row_gives_index_zero(self):
+        sim = np.tile([1.0, 3.0, 2.0], (50, 1))
+        rng = np.random.default_rng(24)
+        for keep_prob in (1e-12, 1e-320):
+            np.testing.assert_array_equal(mapping._dropout_argmax(sim, keep_prob, rng), 0)
+        np.testing.assert_array_equal(dropout_argmax_literal(sim, 1e-12, rng), 0)
+
+    def test_tie_goes_to_lower_index(self):
+        # candidates 1 and 3 tie for best; 1 must take the best-kept share
+        sampled, masked = _draw_counts(np.array([1.0, 3.0, 2.0, 3.0]), 0.5, draws=4000)
+        for counts in (sampled, masked):
+            assert (counts == 1).sum() > 1.5 * (counts == 3).sum()
+        assert _chi2_two_sample(sampled, masked, [[1], [3], [2]]) < 16.27  # df 3, 99.9%
 
 
 class TestAlignContracts:

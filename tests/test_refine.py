@@ -156,3 +156,10 @@ class TestRefinePipeline:
         with pytest.raises(ContractError):
             refine.refine_pipeline(np.eye(2), np.eye(2), [(0, 0)],
                                    refine.RefinementConfig(norm_iters=-1))
+
+    def test_non_finite_input_names_row(self):
+        # a NaN outside every pair used to pass through to the output
+        x = np.random.default_rng(8).standard_normal((6, 3))
+        x[4, 0] = np.nan
+        with pytest.raises(ContractError, match="x_aligned row 4 "):
+            refine.refine_pipeline(x, np.eye(6, 3), [(0, 0)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from xlalign import retrieval
 from xlalign.errors import ContractError
 
-from oracles import csls_bruteforce
+from oracles import csls_bruteforce, ranked_literal
 
 
 class TestCosineBlock:
@@ -227,3 +227,27 @@ def test_argmax_both_matches_full_argmax_with_ties(block_size):
                                         23, 17)
     np.testing.assert_array_equal(rows, sim.argmax(axis=1))
     np.testing.assert_array_equal(cols, sim.argmax(axis=0))
+
+
+def test_induce_rejects_non_finite_input():
+    x = np.random.default_rng(11).standard_normal((30, 4))
+    x[7, 2] = np.nan
+    with pytest.raises(ContractError, match="x_mapped row 7 "):
+        retrieval.induce_dictionary(x, np.ones((30, 4)), method="nn")
+
+
+@pytest.mark.parametrize("top", [1, 3, 12, 40])
+def test_nth_best_matches_literal_ranking(top):
+    # few distinct values: exact ties inside the top values, across their
+    # boundary and past it; g runs past the row length, which gives index 0
+    sim = np.random.default_rng(12).integers(0, 4, size=(9, 12)).astype(np.float64)
+    m = sim.shape[1]
+    for g in range(1, m + 3):
+        want = [ranked_literal(row)[g - 1] if g <= m else 0 for row in sim]
+        np.testing.assert_array_equal(retrieval._nth_best(sim, np.full(9, g), top), want)
+
+
+def test_nth_best_tie_goes_to_lower_index():
+    sim = np.array([[1.0, 3.0, 2.0, 3.0]] * 2)
+    for top in (1, 2, 4):
+        np.testing.assert_array_equal(retrieval._nth_best(sim, np.array([1, 2]), top), [1, 3])
