@@ -3,6 +3,13 @@
 A gold source word counts as correct at k when any of its gold translations
 appears among the k highest-scoring target words. Retrieval is forward only
 (source to target).
+
+Ranks are counted, not sorted: in a score row s, target j has rank
+#{i : s_i > s_j} + #{i < j : s_i = s_j}, its position in a stable descending
+sort of the row, so equal scores go to the lowest index. A source hits at k
+when its best-ranked gold target has rank < k. CSLS ranks by cos - rS/2, the
+rank-only score of ``retrieval`` (its module docstring): the query penalty is
+the same along a row, so evaluation makes one ``_knn_means`` pass.
 """
 from __future__ import annotations
 
@@ -13,10 +20,13 @@ import numpy as np
 from .errors import ContractError
 from .io import GoldDictionary
 from .retrieval import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _require_finite, _score_blocks, _unit_rows, csls_scores,
+    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _check_csls, _knn_means, _require_finite, _score_blocks,
+    _unit_rows,
 )
 
 DEFAULT_KS = (1, 5, 10)
+# score rows compared at a time: bounds the boolean temporaries of _ranks
+_RANK_CHUNK = 16
 
 
 @dataclass
@@ -36,39 +46,78 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
                    block_size=DEFAULT_BLOCK_SIZE) -> EvalReport:
     """Score a shared space against a gold dictionary at each k in ``ks``.
 
-    Non-finite input raises ContractError naming its row.
+    Non-finite input, and a gold source or target outside its space, raise
+    ContractError naming the row or index. A source with no gold targets is
+    evaluated and misses at every k.
     """
     if not gold.entries:
         raise ContractError("gold dictionary is empty")
     x = _require_finite(x_space, "x_space")
     z = _require_finite(z_space, "z_space")
     ks = sorted(set(int(k) for k in ks))
-    if ks[0] < 1 or ks[-1] > z.shape[0]:
+    if not ks or ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
-    sources = sorted(gold.entries)
-    kmax = ks[-1]
+    sources, targets, counts = _gold_arrays(gold, x.shape[0], z.shape[0])
+    ux, uz = _unit_rows(x), _unit_rows(z)
     if method == "nn":
-        blocks = _score_blocks(_unit_rows(x), _unit_rows(z), block_size, np.asarray(sources))
+        shift = None
     elif method == "csls":
-        blocks = csls_scores(x, z, csls_k, query_indices=sources, block_size=block_size)
+        _check_csls(ux, uz, csls_k, "forward")
+        shift = _knn_means(uz, ux, csls_k, block_size) / 2.0
     else:
         raise ContractError(f"unknown retrieval method {method!r}")
-    correct = {k: 0 for k in ks}
-    for start, block in blocks:
-        for row, sim in zip(sources[start:], block):
-            # stable sort on the negated row: ties resolve to the lowest index
-            top = np.argsort(-sim, kind="stable")[:kmax]
-            targets = gold.entries[row]
-            for k in ks:
-                if any(int(j) in targets for j in top[:k]):
-                    correct[k] += 1
-        del block, sim  # a row view keeps the whole block alive
+    best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
+    for start, block in _score_blocks(ux, uz, block_size, sources, shift):
+        rows = slice(start, start + block.shape[0])
+        rank, count, target = best[rows], counts[rows], targets[rows]
+        np.minimum(rank, _ranks(block, target[:, 0]), out=rank, where=count > 0)
+        for depth in range(1, targets.shape[1]):
+            sel = np.flatnonzero(count > depth)
+            rank[sel] = np.minimum(rank[sel], _ranks(block[sel], target[sel, depth]))
+        del block
     n = len(sources)
     return EvalReport(
-        precision_at={k: correct[k] / n for k in ks},
+        precision_at={k: int(np.count_nonzero(best < k)) / n for k in ks},
         evaluated_sources=n,
         oov_sources=gold.oov_sources,
     )
+
+
+def _gold_arrays(gold, n_sources, n_targets):
+    """Sorted gold sources, their sorted targets as rows padded with 0, and
+    each source's target count; ContractError naming the first source or
+    target outside its space."""
+    sources = sorted(gold.entries)
+    counts = np.array([len(gold.entries[s]) for s in sources])
+    targets = np.zeros((len(sources), max(counts.max(), 1)), dtype=np.int64)
+    for row, s in enumerate(sources):
+        if not 0 <= s < n_sources:
+            raise ContractError(f"gold source {s} out of range for {n_sources} source rows")
+        listed = sorted(gold.entries[s])
+        for t in listed:
+            if not 0 <= t < n_targets:
+                raise ContractError(
+                    f"gold target {t} of source {s} out of range for {n_targets} target rows"
+                )
+        targets[row, : len(listed)] = listed
+    return np.array(sources, dtype=np.int64), targets, counts
+
+
+def _ranks(sim, targets):
+    """Rank of ``targets[r]`` in score row r of ``sim`` (module docstring).
+
+    Rows are compared in chunks of ``_RANK_CHUNK`` against their target's
+    score; only the rare rows where another score equals it count the equal
+    scores before the target.
+    """
+    value = sim[np.arange(len(targets)), targets]
+    out = np.empty(len(targets), dtype=np.int64)
+    for lo in range(0, len(targets), _RANK_CHUNK):
+        chunk, v = sim[lo : lo + _RANK_CHUNK], value[lo : lo + _RANK_CHUNK, None]
+        out[lo : lo + len(chunk)] = (chunk > v).sum(axis=1)
+        for r in np.flatnonzero((chunk == v).sum(axis=1) > 1):
+            out[lo + r] += np.count_nonzero(chunk[r, : targets[lo + r]] == v[r])
+    return out
 
 
 def compare_reports(reports: dict[str, EvalReport], baseline: str,

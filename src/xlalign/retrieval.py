@@ -12,11 +12,12 @@ differently). A consumer may edit a block in place, but every layer drops its
 reference (``del``) before the next block's product is computed, so one block
 is alive at a time.
 
-Induction only ranks the candidates of each query row, so it scores rank-only:
-a query's own penalty is the same along its row and cannot change the row's
-order, so forward rows score cos - rS/2 and backward rows cos - rT/2. Halving
-is exact in binary, so these order bit for bit like 2 cos - r. Induction
-computes each penalty once, and only the ones its directions rank by. The
+Induction and evaluation only rank the candidates of each query row, so they
+score rank-only: a query's own penalty is the same along its row and cannot
+change the row's order, so forward rows score cos - rS/2 and backward rows
+cos - rT/2. Halving is exact in binary, so these order bit for bit like
+2 cos - r. Each penalty is computed once, and only the ones the directions
+rank by: evaluation is forward only and makes one ``_knn_means`` pass. The
 public ``csls_scores`` and ``csls_retrieve`` keep the full CSLS values.
 """
 from __future__ import annotations
@@ -80,10 +81,11 @@ def _score_blocks(uq, uc, block_size, rows=None, shift=None):
         # numpy computes a one-row product as a matrix-vector product, which
         # rounds differently from the matrix-matrix product of taller blocks
         sim = q @ uc.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ uc.T)[:1]
+        del q  # with ``rows``, a copy: not held while the consumer uses the block
         if shift is not None:
             sim -= shift
         yield start, sim
-        del q, sim
+        del sim
 
 
 def _argmax(blocks, n, pick=None):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from xlalign import evaluate
 from xlalign.errors import ContractError
 from xlalign.io import GoldDictionary
-from xlalign.retrieval import cosine_block
+from xlalign.retrieval import DEFAULT_BLOCK_SIZE, cosine_block
 
+from conftest import make_rotated_pair
 from oracles import topk_hits
 
 
@@ -57,6 +60,7 @@ class TestPrecisionAtK:
     @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_matches_bruteforce_recount(self, method):
         rng = np.random.default_rng(2)
+        cases = []
         for _ in range(5):
             nx = int(rng.integers(12, 40))
             nz = int(rng.integers(12, 40))
@@ -64,11 +68,28 @@ class TestPrecisionAtK:
             z = rng.standard_normal((nz, 5))
             entries = {i: {int(t) for t in rng.integers(0, nz, size=2)}
                        for i in rng.choice(nx, size=nx // 2, replace=False)}
+            cases.append((x, z, entries, (1, 3, 5), DEFAULT_BLOCK_SIZE))
+        # integer spaces of 1-3 dimensions score many targets exactly equal;
+        # gold sources hold 0-3 targets, the largest k is every target, and
+        # blocks run from one row to all of them
+        for trial in range(40):
+            d = int(rng.integers(1, 4))
+            nx = int(rng.integers(6, 30))
+            nz = int(rng.integers(6, 30))
+            x = rng.integers(-2, 3, size=(nx, d)).astype(np.float64)
+            z = rng.integers(-2, 3, size=(nz, d)).astype(np.float64)
+            entries = {int(i): {int(t) for t in rng.integers(0, nz, size=int(rng.integers(0, 4)))}
+                       for i in rng.choice(nx, size=nx // 2, replace=False)}
+            cases.append((x, z, entries, (1, 2, 5, nz), (1, 3, 7, 1024)[trial % 4]))
+        for x, z, entries, ks, block_size in cases:
             gold = GoldDictionary(entries, 0)
-            ks = (1, 3, 5)
-            rep = evaluate.precision_at_k(x, z, gold, ks=ks, method=method, csls_k=3)
+            rep = evaluate.precision_at_k(x, z, gold, ks=ks, method=method, csls_k=3,
+                                          block_size=block_size)
             if method == "nn":
-                rows = {i: cosine_block(x[i : i + 1], z)[0] for i in entries}
+                # all rows in one product: a one-row product is a matrix-vector
+                # product, which rounds exact ties differently from the blocks
+                cos = cosine_block(x, z)
+                rows = {i: cos[i] for i in entries}
             else:
                 from oracles import csls_bruteforce
                 srcs = sorted(entries)
@@ -93,6 +114,40 @@ class TestPrecisionAtK:
         gold = GoldDictionary({0: {0}}, 0)
         with pytest.raises(ContractError):
             evaluate.precision_at_k(basis_space(2), basis_space(2), gold, ks=(5,))
+
+    def test_empty_ks_rejected(self):
+        gold = GoldDictionary({0: {0}}, 0)
+        with pytest.raises(ContractError):
+            evaluate.precision_at_k(basis_space(2), basis_space(2), gold, ks=())
+
+    @pytest.mark.parametrize("method", ["nn", "csls"])
+    @pytest.mark.parametrize("entries, match", [
+        ({-1: {0}, 0: {0}}, "gold source -1 "),
+        ({0: {0}, 4: {1}}, "gold source 4 "),
+        ({0: {0}, 1: {-1, 1}}, "gold target -1 of source 1 "),
+        ({0: {0}, 1: {1, 4}}, "gold target 4 of source 1 "),
+    ])
+    def test_gold_index_outside_its_space(self, method, entries, match):
+        with pytest.raises(ContractError, match=match):
+            evaluate.precision_at_k(basis_space(4), basis_space(4), GoldDictionary(entries, 0),
+                                    ks=(1,), method=method, csls_k=2)
+
+    @pytest.mark.parametrize("method", ["nn", "csls"])
+    def test_peak_memory_one_score_block(self, method):
+        # the unit copies of both spaces (16 n d bytes) and one n-wide block
+        # (8 b n): a score block or a _knn_means block, never both; a copy of
+        # a block, such as np.partition of it, is 8 b n more
+        n, d, block = 1200, 20, 128
+        x, z, gold_rows = make_rotated_pair(n=n, d=d, seed=3)
+        gold = GoldDictionary({i: {int(gold_rows[i])} for i in range(n)}, 0)
+        tracemalloc.start()
+        try:
+            evaluate.precision_at_k(x, z, gold, ks=(1, 10), method=method, csls_k=10,
+                                    block_size=block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * d + 8 * block * n + 256 * 1024
 
     @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_non_finite_input_names_row(self, method):
