@@ -175,10 +175,11 @@ def _run_align(settings, out_dir):
     """Shared by cmd_align and cmd_pipeline; returns mapped artifacts."""
     from . import io, mapping, normalize
 
+    cfg = _mapping_config(settings)
+    cfg.validate()  # a bad setting fails before the embeddings load
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     x = normalize.preprocess(x)
     z = normalize.preprocess(z)
-    cfg = _mapping_config(settings)
     cfg.vocab_cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
     log.info("aligning %d x %d against %d x %d (cutoff %d)",
              x.shape[0], x.shape[1], z.shape[0], z.shape[1], cfg.vocab_cutoff)

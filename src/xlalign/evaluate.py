@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ContractError
 from .io import GoldDictionary
 from .retrieval import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _check_csls, _knn_means, _require_finite, _score_blocks,
-    _unit_rows,
+    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _check_csls, _check_dims, _knn_means, _require_finite,
+    _score_blocks, _unit_rows,
 )
 
 DEFAULT_KS = (1, 5, 10)
@@ -46,14 +46,16 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
                    block_size=DEFAULT_BLOCK_SIZE) -> EvalReport:
     """Score a shared space against a gold dictionary at each k in ``ks``.
 
-    Non-finite input, and a gold source or target outside its space, raise
-    ContractError naming the row or index. A source with no gold targets is
+    Non-finite input, spaces of different dimensionality, and a gold source
+    or target outside its space raise ContractError naming the row, the
+    dimensions or the index. A source with no gold targets is
     evaluated and misses at every k.
     """
     if not gold.entries:
         raise ContractError("gold dictionary is empty")
     x = _require_finite(x_space, "x_space")
     z = _require_finite(z_space, "z_space")
+    _check_dims(x, z, ("x_space", "z_space"))
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")

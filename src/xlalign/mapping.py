@@ -21,8 +21,8 @@ import numpy as np
 from .errors import AlignmentCollapseError, ContractError, NumericalError
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _argmax_both, _induce, _nth_best, _require_finite,
-    _score_blocks, induce_dictionary,
+    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _argmax_both, _check_dims, _induce, _nth_best,
+    _require_finite, _score_blocks, induce_dictionary,
 )
 
 
@@ -50,6 +50,12 @@ class MappingConfig:
             raise ContractError("keep_prob_growth must be > 1")
         if self.direction not in ("forward", "backward", "union"):
             raise ContractError(f"unknown direction {self.direction!r}")
+        if self.stall_patience < 1:
+            raise ContractError("stall_patience must be >= 1")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0.0):
+            raise ContractError("convergence_tol must be finite and >= 0")
+        if self.max_iterations < 1:
+            raise ContractError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -111,9 +117,9 @@ def unsupervised_init(x, z, cfg: MappingConfig,
     Only the target side's sorted rows are held in full (8 cutoff^2 bytes);
     the source side is built, sorted and scored one row block at a time, and
     one product per block answers both directions. Peak memory is about
-    8 (cutoff^2 + 3 block_size cutoff) bytes: 3.7 GB at cutoff 20000 with
-    the default block size. Non-finite input raises ContractError naming
-    its row.
+    8 (cutoff^2 + 3 block_size cutoff) bytes: 3.3 GB at cutoff 20000 with
+    the default block size of 256 rows. Non-finite input raises
+    ContractError naming its row.
     """
     cfg.validate()
     x, z = _require_finite(x, "x"), _require_finite(z, "z")
@@ -257,9 +263,6 @@ def align(x, z, cfg: MappingConfig, block_size=DEFAULT_BLOCK_SIZE) -> MappingRes
     its first product.
     """
     cfg.validate()
-    if np.shape(x)[1] != np.shape(z)[1]:
-        raise ContractError(
-            f"dimension mismatch: source d={np.shape(x)[1]}, target d={np.shape(z)[1]}"
-        )
+    _check_dims(x, z, ("source", "target"))
     init = unsupervised_init(x, z, cfg, block_size=block_size)
     return self_learning_align(x, z, init, cfg, block_size=block_size)

@@ -19,7 +19,9 @@ from .normalize import (
     _deviations,
     iterative_normalize,
 )
-from .retrieval import DEFAULT_BLOCK_SIZE, _argmax, _require_finite, _score_blocks, _unit_rows
+from .retrieval import (
+    DEFAULT_BLOCK_SIZE, _argmax, _check_dims, _require_finite, _score_blocks, _unit_rows,
+)
 
 
 @dataclass
@@ -61,6 +63,7 @@ def average_vectors(x_aligned, z_aligned, dictionary: BilingualDictionary,
     """
     x = np.array(x_aligned, dtype=np.float64)
     z = np.array(z_aligned, dtype=np.float64)
+    _check_dims(x, z, ("x_aligned", "z_aligned"))
     for i, j in dictionary:
         if not (0 <= i < x.shape[0] and 0 <= j < z.shape[0]):
             raise ContractError(f"dictionary pair ({i}, {j}) out of range")
@@ -95,7 +98,8 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
     With ``norm_iters`` = 0 the output is exactly the averaging output.
     A pair of antipodal vectors averages to zero, which the normalization
     phase cannot handle; that raises with the offending pair named.
-    Non-finite input raises ContractError naming its row.
+    Non-finite input raises ContractError naming its row, and spaces of
+    different dimensionality raise it naming both dimensions.
     """
     cfg = cfg or RefinementConfig()
     if cfg.norm_iters < 0:

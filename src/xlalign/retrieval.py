@@ -12,6 +12,16 @@ differently). A consumer may edit a block in place, but every layer drops its
 reference (``del``) before the next block's product is computed, so one block
 is alive at a time.
 
+Blocks are ``DEFAULT_BLOCK_SIZE`` = 256 rows unless a caller passes
+``block_size``. Consumers hold two or three blocks at once (the init a Gram
+block and a score block, ``_nth_best`` a partition copy and a mask beside its
+block), so the height sets most of the memory above the init's n x n matrix.
+A sweep over 128, 256, 512 and 1024 rows on the three perfbench workloads
+(table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS by 30% on
+initheavy, 23% on selflearn and 16% on bigvocab, gave the same outputs, and
+moved no end-to-end time beyond the run-to-run spread. 128 saved 7% more on
+initheavy but ran the loop slower than 256 on selflearn and initheavy.
+
 Induction and evaluation only rank the candidates of each query row, so they
 score rank-only: a query's own penalty is the same along its row and cannot
 change the row's order, so forward rows score cos - rS/2 and backward rows
@@ -28,7 +38,7 @@ from .errors import ContractError
 from .io import BilingualDictionary
 
 DEFAULT_CSLS_K = 10
-DEFAULT_BLOCK_SIZE = 1024
+DEFAULT_BLOCK_SIZE = 256
 
 
 def _unit_rows(m):
@@ -48,6 +58,17 @@ def _require_finite(m, name):
     return m
 
 
+def _check_dims(x, z, names):
+    """ContractError unless the spaces ``names`` are matrices of one
+    dimensionality, naming both dimensions; called before any product."""
+    for m, name in zip((x, z), names):
+        if np.ndim(m) != 2:
+            raise ContractError(f"{name} must be a matrix, got {np.ndim(m)} axes")
+    dx, dz = np.shape(x)[1], np.shape(z)[1]
+    if dx != dz:
+        raise ContractError(f"dimension mismatch: {names[0]} d={dx}, {names[1]} d={dz}")
+
+
 def cosine_block(queries, candidates):
     """Cosine similarity matrix between query rows and candidate rows.
 
@@ -55,10 +76,7 @@ def cosine_block(queries, candidates):
     """
     queries = np.asarray(queries, dtype=np.float64)
     candidates = np.asarray(candidates, dtype=np.float64)
-    if queries.shape[1] != candidates.shape[1]:
-        raise ContractError(
-            f"dimension mismatch: queries d={queries.shape[1]}, candidates d={candidates.shape[1]}"
-        )
+    _check_dims(queries, candidates, ("queries", "candidates"))
     return _unit_rows(queries) @ _unit_rows(candidates).T
 
 
@@ -155,10 +173,8 @@ def _knn_means(unit_a, unit_b, k, block_size):
 
 
 def _check_csls(ux, uz, k, directions):
-    """ContractError unless the spaces share dimensionality and every query
-    side of ``directions`` has k nearest neighbors to average."""
-    if ux.shape[1] != uz.shape[1]:
-        raise ContractError("query and candidate spaces must share dimensionality")
+    """ContractError unless every query side of ``directions`` has k nearest
+    neighbors to average; the caller checks dimensions (``_check_dims``)."""
     checks = {"forward": [(ux, uz)], "backward": [(uz, ux)], "union": [(ux, uz), (uz, ux)]}
     for q, c in checks[directions]:
         if not 1 <= k <= len(c) - 1 or k > len(q):
@@ -178,6 +194,7 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
     selected queries.
     """
     ux, uz = _unit_rows(x_mapped), _unit_rows(z_mapped)
+    _check_dims(ux, uz, ("x_mapped", "z_mapped"))
     _check_csls(ux, uz, k, "forward")
     r_t, r_s = _knn_means(ux, uz, k, block_size), _knn_means(uz, ux, k, block_size)
     rows = None if query_indices is None else np.asarray(query_indices)
@@ -204,10 +221,12 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
 
     forward: (i, retrieve(i)) for every source i. backward: (retrieve(j), j)
     for every target j. union: both, deduplicated and sorted by source then
-    target index. Non-finite input raises ContractError naming its row.
+    target index. Non-finite input raises ContractError naming its row, and
+    spaces of different dimensionality raise it naming both dimensions.
     """
     x = _require_finite(x_mapped, "x_mapped")
     z = _require_finite(z_mapped, "z_mapped")
+    _check_dims(x, z, ("x_mapped", "z_mapped"))
     return _induce(x, z, method, k, directions, block_size)
 
 

@@ -47,6 +47,13 @@ class TestAlign:
         assert correct / len(pairs) >= 0.95
         assert (out / "src_mapped.vec").exists() and (out / "trg_mapped.vec").exists()
 
+    def test_max_iterations_zero_exits_1_before_loading(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        code = run(["pipeline", "--src", "a", "--trg", "b", "--gold", "c",
+                    "--out", tmp_path / "run", "--max-iterations", "0"])
+        assert code == 1
+        assert "max_iterations must be >= 1" in caplog.text
+
     def test_missing_input_exits_1(self, tmp_path, caplog):
         code = run(["align", "--src", tmp_path / "nope.vec", "--trg", tmp_path / "nope2.vec",
                     "--out", tmp_path / "run"])

@@ -150,6 +150,14 @@ class TestPrecisionAtK:
         assert peak < 16 * n * d + 8 * block * n + 256 * 1024
 
     @pytest.mark.parametrize("method", ["nn", "csls"])
+    def test_dimension_mismatch(self, method):
+        # nn used to reach the first block product and raise numpy's matmul error
+        gold = GoldDictionary({i: {i} for i in range(3)}, 0)
+        with pytest.raises(ContractError, match="x_space d=4, z_space d=3"):
+            evaluate.precision_at_k(basis_space(4), basis_space(4)[:, :3], gold, ks=(1,),
+                                    method=method, csls_k=2)
+
+    @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_non_finite_input_names_row(self, method):
         z = basis_space(4)
         z[2, 1] = np.inf

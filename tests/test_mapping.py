@@ -107,6 +107,20 @@ class TestUnsupervisedInit:
             tracemalloc.stop()
         assert peak < 8 * n * n + 4 * 8 * block * n + 256 * 1024
 
+    def test_peak_memory_at_the_default_block_size(self):
+        # the sorted target rows plus three 256-row blocks; 1024-row blocks
+        # are 27 MB more at this cutoff
+        n = 1500
+        x, z, _ = make_rotated_pair(n=n, d=20, seed=7)
+        cfg = mapping.MappingConfig(vocab_cutoff=n)
+        tracemalloc.start()
+        try:
+            mapping.unsupervised_init(x, z, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + 3 * 8 * 256 * n + 256 * 1024
+
 
 class TestSelfLearningAlign:
     def fast_cfg(self, n, **kw):
@@ -363,3 +377,16 @@ class TestAlignContracts:
         x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
         with pytest.raises(ContractError, match="keep_prob_initial"):
             mapping.align(x, z, mapping.MappingConfig(vocab_cutoff=20, keep_prob_initial=1.5))
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 0), ("max_iterations", -3), ("stall_patience", 0),
+        ("stall_patience", -1), ("convergence_tol", -1e-6), ("convergence_tol", float("nan")),
+        ("convergence_tol", float("inf")),
+    ])
+    def test_loop_fields_rejected(self, field, value):
+        # 0 iterations returned an unaligned result, a negative tolerance never
+        # stalled and a NaN one converged after one iteration
+        x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
+        cfg = mapping.MappingConfig(vocab_cutoff=20, **{field: value})
+        with pytest.raises(ContractError, match=field):
+            mapping.align(x, z, cfg)

@@ -157,6 +157,13 @@ class TestRefinePipeline:
             refine.refine_pipeline(np.eye(2), np.eye(2), [(0, 0)],
                                    refine.RefinementConfig(norm_iters=-1))
 
+    @pytest.mark.parametrize("policy", ["first-pair", "mutual-only"])
+    def test_dimension_mismatch(self, policy):
+        # raised numpy's broadcast error (first-pair) or matmul error (mutual-only)
+        with pytest.raises(ContractError, match="x_aligned d=4, z_aligned d=3"):
+            refine.refine_pipeline(np.eye(4), np.eye(4)[:, :3], [(0, 0), (1, 1)],
+                                   refine.RefinementConfig(conflict_policy=policy))
+
     def test_non_finite_input_names_row(self):
         # a NaN outside every pair used to pass through to the output
         x = np.random.default_rng(8).standard_normal((6, 3))

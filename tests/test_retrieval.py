@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from xlalign import retrieval
 from xlalign.errors import ContractError
 
+from conftest import make_rotated_pair
 from oracles import csls_bruteforce, ranked_literal
 
 
@@ -234,6 +237,29 @@ def test_induce_rejects_non_finite_input():
     x[7, 2] = np.nan
     with pytest.raises(ContractError, match="x_mapped row 7 "):
         retrieval.induce_dictionary(x, np.ones((30, 4)), method="nn")
+
+
+@pytest.mark.parametrize("method", ["nn", "csls"])
+def test_induce_rejects_dimension_mismatch(method):
+    # nn used to reach the first block product and raise numpy's matmul error
+    with pytest.raises(ContractError, match="x_mapped d=4, z_mapped d=3"):
+        retrieval.induce_dictionary(np.eye(4), np.eye(4)[:, :3], method=method, k=2)
+    with pytest.raises(ContractError, match="x_mapped must be a matrix, got 1 axes"):
+        retrieval.induce_dictionary(np.ones(4), np.eye(4), method=method, k=2)
+
+
+def test_union_csls_peak_memory_at_the_default_block_size():
+    # the unit copies of both spaces (16 n d bytes) and one 256-row score
+    # block; a 1024-row block is 9 MB more at this size
+    n, d = 1500, 20
+    x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+    tracemalloc.start()
+    try:
+        retrieval.induce_dictionary(x, z, method="csls", k=10, directions="union")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * d + 8 * 256 * n + 512 * 1024
 
 
 @pytest.mark.parametrize("top", [1, 3, 12, 40])
