@@ -6,16 +6,19 @@ tie-breaking is lowest-index-wins. Every score in the package (CSLS penalties,
 induction, evaluation, mutual-neighbor refinement, the unsupervised init's
 similarities) comes from one loop over fixed-size query row blocks,
 ``_score_blocks``, so no n x n score matrix is ever built; the init keeps one
-n x n matrix, the sorted target similarities, as its candidates. Block size
-changes scores only in the last bits (BLAS rounds blocks of different heights
-differently). A consumer may edit a block in place, but every layer drops its
-reference (``del``) before the next block's product is computed, so one block
-is alive at a time.
+n x n float32 matrix, the sorted target similarities, as its candidates.
+``_score_blocks`` and the argmax helpers keep their input's dtype: the init
+scores in float32, every other layer in float64. Block size changes scores
+only in the last bits (BLAS rounds blocks of different heights differently).
+A consumer may edit a block in place, but every layer drops its reference
+(``del``) before the next block's product is computed, so one block is alive
+at a time.
 
 Blocks are ``DEFAULT_BLOCK_SIZE`` = 256 rows unless a caller passes
-``block_size``. Consumers hold two or three blocks at once (the init a Gram
-block and a score block, ``_nth_best`` a partition copy and a mask beside its
-block), so the height sets most of the memory above the init's n x n matrix.
+``block_size``. Consumers hold two or three blocks at once (the init a
+float64 similarity block and its float32 sorted copy, then that copy and a
+score block; ``_nth_best`` a partition copy and a mask beside its block), so
+the height sets most of the memory above the init's n x n matrix.
 A sweep over 128, 256, 512 and 1024 rows on the three perfbench workloads
 (table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS by 30% on
 initheavy, 23% on selflearn and 16% on bigvocab, gave the same outputs, and
@@ -95,15 +98,19 @@ def _score_blocks(uq, uc, block_size, rows=None, shift=None):
     n = uq.shape[0] if rows is None else len(rows)
     for start in range(0, n, block_size):
         sel = slice(start, start + block_size) if rows is None else rows[start : start + block_size]
-        q = uq[sel]
-        # numpy computes a one-row product as a matrix-vector product, which
-        # rounds differently from the matrix-matrix product of taller blocks
-        sim = q @ uc.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ uc.T)[:1]
-        del q  # with ``rows``, a copy: not held while the consumer uses the block
-        if shift is not None:
-            sim -= shift
-        yield start, sim
-        del sim
+        # yielded unnamed, so a consumer's ``del`` frees the block at once
+        yield start, _block_scores(uq, sel, uc, shift)
+
+
+def _block_scores(uq, sel, uc, shift):
+    q = uq[sel]
+    # numpy computes a one-row product as a matrix-vector product, which
+    # rounds differently from the matrix-matrix product of taller blocks
+    sim = q @ uc.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ uc.T)[:1]
+    del q  # with ``rows``, a copy: not held while the consumer uses the block
+    if shift is not None:
+        sim -= shift
+    return sim
 
 
 def _argmax(blocks, n, pick=None):
@@ -191,13 +198,16 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
     of x to its k nearest candidates and rS(z) the mean cosine of z to its k
     nearest queries. Both penalties are computed over the full sets passed in,
     regardless of ``query_indices``. Yields (start, block) pairs over the
-    selected queries.
+    selected queries. Non-finite input and a query index outside the query
+    rows raise ContractError naming the first one.
     """
-    ux, uz = _unit_rows(x_mapped), _unit_rows(z_mapped)
-    _check_dims(ux, uz, ("x_mapped", "z_mapped"))
+    x = _require_finite(x_mapped, "x_mapped")
+    z = _require_finite(z_mapped, "z_mapped")
+    _check_dims(x, z, ("x_mapped", "z_mapped"))
+    ux, uz = _unit_rows(x), _unit_rows(z)
     _check_csls(ux, uz, k, "forward")
+    rows = None if query_indices is None else _query_rows(query_indices, len(ux))
     r_t, r_s = _knn_means(ux, uz, k, block_size), _knn_means(uz, ux, k, block_size)
-    rows = None if query_indices is None else np.asarray(query_indices)
     if rows is not None:
         r_t = r_t[rows]
     for start, sim in _score_blocks(ux, uz, block_size, rows):
@@ -206,6 +216,20 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
         sim -= r_s
         yield start, sim
         del sim
+
+
+def _query_rows(query_indices, n):
+    """``query_indices`` as an int64 array; ContractError unless it lists
+    integers in [0, n), naming the first that is not."""
+    rows = np.asarray(query_indices)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise ContractError("query_indices must be a sequence of integers")
+    bad = np.flatnonzero((rows < 0) | (rows >= n))
+    if bad.size:
+        raise ContractError(
+            f"query index {rows[bad[0]]} (entry {bad[0]}) out of range for {n} query rows"
+        )
+    return rows.astype(np.int64)
 
 
 def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from xlalign import mapping
 from xlalign.errors import ContractError
 from xlalign.normalize import preprocess
 
-from conftest import make_rotated_pair
+from conftest import make_rotated_pair, make_warped_pair
 from oracles import dropout_argmax_literal, init_bruteforce, random_orthogonal, ranked_literal
 
 
@@ -120,6 +121,41 @@ class TestUnsupervisedInit:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n + 3 * 8 * 256 * n + 256 * 1024
+
+    def test_peak_memory_in_float32(self):
+        # the float32 sorted target rows (4 n^2 bytes) plus three float32
+        # 256-row blocks: a float64 similarity block and its float32 sorted
+        # copy, or that copy and its score block; in float64 the init peaks
+        # at 27.3 MB here, against this bound of 14.1 MB
+        n, d = 1500, 20
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+        cfg = mapping.MappingConfig(vocab_cutoff=n)
+        tracemalloc.start()
+        try:
+            mapping.unsupervised_init(x, z, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n + 3 * 4 * 256 * n + 8 * n * d + 256 * 1024
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_matches_bruteforce_on_nearly_parallel_sorted_rows(self, seed):
+        # the warped pair's sorted rows have cosines near 1, where a plain
+        # float32 product rounds away the differences that pick the argmax
+        x, z = make_warped_pair(n=300, seed=seed)
+        cfg = mapping.MappingConfig(vocab_cutoff=300)
+        assert mapping.unsupervised_init(x, z, cfg) == init_bruteforce(x, z, 300)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-20, 1e20, 1e30])
+    def test_scale_invariance(self, scale):
+        # a float32 cast of the input would underflow the similarities at the
+        # small scales and overflow them at the large ones
+        x, z, _ = make_rotated_pair(n=120, d=8, seed=0, noise=0.05)
+        cfg = mapping.MappingConfig(vocab_cutoff=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mapping.unsupervised_init(scale * x, scale * z, cfg) == \
+                mapping.unsupervised_init(x, z, cfg)
 
 
 class TestSelfLearningAlign:

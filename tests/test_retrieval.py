@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,38 @@ def test_argmax_both_matches_full_argmax_with_ties(block_size):
                                         23, 17)
     np.testing.assert_array_equal(rows, sim.argmax(axis=1))
     np.testing.assert_array_equal(cols, sim.argmax(axis=0))
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 7, 64])
+def test_argmax_both_compares_float32_blocks_exactly(block_size):
+    # values one float32 ulp apart, and ties, across blocks: the float64
+    # column maxima hold every float32 value exactly, so no comparison rounds
+    ulps = np.random.default_rng(13).integers(0, 3, size=(23, 17))
+    sim = (1.0 - ulps * np.finfo(np.float32).epsneg).astype(np.float32)
+    assert len(np.unique(sim)) == 3
+    rows, cols = retrieval._argmax_both(
+        retrieval._score_blocks(sim, np.eye(17, dtype=np.float32), block_size), 23, 17)
+    np.testing.assert_array_equal(rows, sim.argmax(axis=1))
+    np.testing.assert_array_equal(cols, sim.argmax(axis=0))
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+@pytest.mark.parametrize("call", ["csls_scores", "csls_retrieve"])
+def test_csls_rejects_non_finite_input(call, side):
+    # a NaN row scores NaN everywhere, and its argmax would silently be candidate 0
+    x, z = np.eye(4), np.eye(4)
+    (x if side == "x" else z)[2, 1] = np.nan
+    with pytest.raises(ContractError, match=f"{side}_mapped row 2 "):
+        list(getattr(retrieval, call)(x, z, k=1))
+
+
+@pytest.mark.parametrize("indices, first", [([-1], "-1 (entry 0)"), ([7], "7 (entry 0)"),
+                                            ([0, 4, -2], "4 (entry 1)")])
+@pytest.mark.parametrize("call", ["csls_scores", "csls_retrieve"])
+def test_csls_rejects_query_index_out_of_range(call, indices, first):
+    # numpy would silently read a negative index from the end of the rows
+    with pytest.raises(ContractError, match=re.escape(f"query index {first} out of range")):
+        list(getattr(retrieval, call)(np.eye(4), np.eye(4), k=1, query_indices=indices))
 
 
 def test_induce_rejects_non_finite_input():
