@@ -20,8 +20,8 @@ import numpy as np
 from .errors import ContractError
 from .io import GoldDictionary
 from .retrieval import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _check_csls, _check_dims, _knn_means, _require_finite,
-    _score_blocks, _unit_rows,
+    DEFAULT_CSLS_K, _check_csls, _check_dims, _knn_means, _require_finite, _score_blocks,
+    _unit_rows,
 )
 
 DEFAULT_KS = (1, 5, 10)
@@ -42,8 +42,7 @@ class EvalReport:
 
 
 def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
-                   method="nn", csls_k=DEFAULT_CSLS_K,
-                   block_size=DEFAULT_BLOCK_SIZE) -> EvalReport:
+                   method="nn", csls_k=DEFAULT_CSLS_K) -> EvalReport:
     """Score a shared space against a gold dictionary at each k in ``ks``.
 
     Non-finite input, spaces of different dimensionality, and a gold source
@@ -65,11 +64,11 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
         shift = None
     elif method == "csls":
         _check_csls(ux, uz, csls_k, "forward")
-        shift = _knn_means(uz, ux, csls_k, block_size) / 2.0
+        shift = _knn_means(uz, ux, csls_k) / 2.0
     else:
         raise ContractError(f"unknown retrieval method {method!r}")
     best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
-    for start, block in _score_blocks(ux, uz, block_size, sources, shift):
+    for start, block in _score_blocks(ux, uz, sources, shift):
         rows = slice(start, start + block.shape[0])
         rank, count, target = best[rows], counts[rows], targets[rows]
         np.minimum(rank, _ranks(block, target[:, 0]), out=rank, where=count > 0)

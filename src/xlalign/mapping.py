@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import retrieval
 from .errors import AlignmentCollapseError, ContractError, NumericalError
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_CSLS_K, _argmax_both, _check_dims, _induce, _nth_best,
-    _require_finite, _score_blocks, induce_dictionary,
+    DEFAULT_CSLS_K, _argmax_both, _check_dims, _induce, _nth_best, _require_finite,
+    _score_blocks, induce_dictionary,
 )
 
 
@@ -104,8 +105,7 @@ def _symmetric_solve(x_pairs, z_pairs):
     return u, vt.T, s
 
 
-def unsupervised_init(x, z, cfg: MappingConfig,
-                      block_size=DEFAULT_BLOCK_SIZE) -> BilingualDictionary:
+def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
     """Seed dictionary from similarity-distribution matching.
 
     Words with similar meanings have similar distributions of similarities to
@@ -128,10 +128,9 @@ def unsupervised_init(x, z, cfg: MappingConfig,
 
     Only the target side's sorted rows are held in full (4 cutoff^2 bytes);
     the source side is built, sorted and scored one row block at a time, and
-    one product per block answers both directions. Peak memory is about
-    4 (cutoff^2 + 3 block_size cutoff) bytes: 1.7 GB at cutoff 20000 with
-    the default block size of 256 rows. Non-finite input raises
-    ContractError naming its row.
+    one product per block answers both directions, 256 rows a block. Peak
+    memory is about 4 (cutoff² + 3 · 256 · cutoff) bytes: 1.7 GB at cutoff
+    20000. Non-finite input raises ContractError naming its row.
     """
     cfg.validate()
     x, z = _require_finite(x, "x"), _require_finite(z, "z")
@@ -142,20 +141,21 @@ def unsupervised_init(x, z, cfg: MappingConfig,
         )
     xc, zc = x[:cutoff], z[:cutoff]
     mz = np.empty((cutoff, cutoff), dtype=np.float32)
-    for start, sim in _score_blocks(zc, zc, block_size):
+    for start, sim in _score_blocks(zc, zc):
         mz[start : start + sim.shape[0]] = _sorted_unit_rows(sim)
         del sim
     center = mz.mean(axis=0, dtype=np.float64).astype(np.float32)
-    shift = np.concatenate([(center - mz[start : start + block_size]) @ center
-                            for start in range(0, cutoff, block_size)])
+    height = retrieval.BLOCK_SIZE
+    shift = np.concatenate([(center - mz[start : start + height]) @ center
+                            for start in range(0, cutoff, height)])
 
     def scores():
         # sorted source rows, one block at a time, against all sorted target rows
-        for start, sim in _score_blocks(xc, xc, block_size):
+        for start, sim in _score_blocks(xc, xc):
             rows = _sorted_unit_rows(sim).astype(np.float32)
             del sim
             rows -= center
-            for _, block in _score_blocks(rows, mz, block_size, shift=shift):
+            for _, block in _score_blocks(rows, mz, shift=shift):
                 yield start, block
             del rows, block
 
@@ -171,8 +171,8 @@ def _sorted_unit_rows(sim):
     return np.divide(sim, norms, out=sim, where=norms != 0.0)
 
 
-def self_learning_align(x, z, init: BilingualDictionary, cfg: MappingConfig,
-                        block_size=DEFAULT_BLOCK_SIZE) -> MappingResult:
+def self_learning_align(x, z, init: BilingualDictionary,
+                        cfg: MappingConfig) -> MappingResult:
     """Alternate Procrustes solves and stochastic CSLS induction to converge.
 
     The objective is the mean cosine of the current dictionary pairs in the
@@ -180,17 +180,19 @@ def self_learning_align(x, z, init: BilingualDictionary, cfg: MappingConfig,
     similarity dropout keep probability grows; once keep_prob reaches 1 a
     stalled objective terminates the loop. All randomness comes from
     ``cfg.seed``, so a run is reproducible bit for bit. Non-finite input
-    raises ContractError naming its row.
+    raises ContractError naming its row, and spaces of different
+    dimensionality raise it naming both dimensions.
     """
     cfg.validate()
     if not init:
         raise ContractError("initial dictionary must be non-empty")
     x, z = _require_finite(x, "x"), _require_finite(z, "z")
+    _check_dims(x, z, ("x", "z"))
     cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
     xc, zc = x[:cutoff], z[:cutoff]
     rng = np.random.default_rng(cfg.seed)
 
-    dictionary = list(init)
+    src, trg = _pair_rows(init)
     keep_prob = cfg.keep_prob_initial
     best_objective = -np.inf
     stall = 0
@@ -199,17 +201,14 @@ def self_learning_align(x, z, init: BilingualDictionary, cfg: MappingConfig,
     w_x = w_z = np.eye(x.shape[1])
 
     for iterations in range(1, cfg.max_iterations + 1):
-        src = np.fromiter((p[0] for p in dictionary), dtype=np.int64)
-        trg = np.fromiter((p[1] for p in dictionary), dtype=np.int64)
         w_x, w_z, _ = _symmetric_solve(xc[src], zc[trg])
         xw, zw = xc @ w_x, zc @ w_z
 
-        dictionary = _induce_with_dropout(xw, zw, cfg, keep_prob, rng, block_size)
+        dictionary = _induce_with_dropout(xw, zw, cfg, keep_prob, rng)
         if not dictionary:
             raise AlignmentCollapseError(f"empty dictionary at iteration {iterations}")
-        src = np.fromiter((p[0] for p in dictionary), dtype=np.int64)
-        trg = np.fromiter((p[1] for p in dictionary), dtype=np.int64)
-        objective = float(np.mean(np.sum(xw[src] * zw[trg], axis=1)))
+        src, trg = _pair_rows(dictionary)
+        objective = _objective(xw, zw, src, trg)
         if not np.isfinite(objective):
             raise NumericalError(f"non-finite objective at iteration {iterations}")
 
@@ -230,22 +229,31 @@ def self_learning_align(x, z, init: BilingualDictionary, cfg: MappingConfig,
     # induction cost, not to restrict the final solve
     x_full, z_full = x @ w_x, z @ w_z
     dictionary = induce_dictionary(
-        x_full, z_full, method="csls", k=cfg.csls_k,
-        directions=cfg.direction, block_size=block_size,
+        x_full, z_full, method="csls", k=cfg.csls_k, directions=cfg.direction,
     )
-    src = np.fromiter((p[0] for p in dictionary), dtype=np.int64)
-    trg = np.fromiter((p[1] for p in dictionary), dtype=np.int64)
+    src, trg = _pair_rows(dictionary)
     w_x, w_z, s = _symmetric_solve(x[src], z[trg])
     scale = np.sqrt(s) if cfg.reweight else None
-    xw, zw = x @ w_x, z @ w_z
-    objective = float(np.mean(np.sum(xw[src] * zw[trg], axis=1)))
+    xw, zw = x @ w_x, z @ w_z  # rebinding frees the loop's mapped cutoff rows
     return MappingResult(
-        w_src=w_x, w_trg=w_z, dictionary=dictionary, objective=objective,
+        w_src=w_x, w_trg=w_z, dictionary=dictionary, objective=_objective(xw, zw, src, trg),
         iterations=iterations, converged=converged, reweight_scale=scale,
     )
 
 
-def _induce_with_dropout(xw, zw, cfg, keep_prob, rng, block_size):
+def _pair_rows(dictionary):
+    """Source and target row indices of ``dictionary``'s pairs."""
+    src = np.fromiter((p[0] for p in dictionary), dtype=np.int64)
+    trg = np.fromiter((p[1] for p in dictionary), dtype=np.int64)
+    return src, trg
+
+
+def _objective(xw, zw, src, trg):
+    """Mean dot product of the mapped pair rows ``xw[src]``, ``zw[trg]``."""
+    return float(np.mean(np.sum(xw[src] * zw[trg], axis=1)))
+
+
+def _induce_with_dropout(xw, zw, cfg, keep_prob, rng):
     """CSLS induction with each score retained with probability keep_prob.
 
     Each row takes the argmax of its retained scores, drawn exactly by rank
@@ -255,7 +263,7 @@ def _induce_with_dropout(xw, zw, cfg, keep_prob, rng, block_size):
     """
     k = min(cfg.csls_k, zw.shape[0] - 1, xw.shape[0])
     pick = (lambda sim: _dropout_argmax(sim, keep_prob, rng)) if keep_prob < 1.0 else None
-    return _induce(xw, zw, "csls", k, cfg.direction, block_size, pick=pick)
+    return _induce(xw, zw, "csls", k, cfg.direction, pick=pick)
 
 
 def _dropout_argmax(sim, keep_prob, rng):
@@ -274,7 +282,7 @@ def _dropout_argmax(sim, keep_prob, rng):
     return _nth_best(sim, g, top)
 
 
-def align(x, z, cfg: MappingConfig, block_size=DEFAULT_BLOCK_SIZE) -> MappingResult:
+def align(x, z, cfg: MappingConfig) -> MappingResult:
     """Full unsupervised alignment: heuristic init then self-learning.
 
     The configuration and the two spaces' dimensions are checked before the
@@ -283,5 +291,4 @@ def align(x, z, cfg: MappingConfig, block_size=DEFAULT_BLOCK_SIZE) -> MappingRes
     """
     cfg.validate()
     _check_dims(x, z, ("source", "target"))
-    init = unsupervised_init(x, z, cfg, block_size=block_size)
-    return self_learning_align(x, z, init, cfg, block_size=block_size)
+    return self_learning_align(x, z, unsupervised_init(x, z, cfg), cfg)

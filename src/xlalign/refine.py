@@ -19,9 +19,7 @@ from .normalize import (
     _deviations,
     iterative_normalize,
 )
-from .retrieval import (
-    DEFAULT_BLOCK_SIZE, _argmax, _check_dims, _require_finite, _score_blocks, _unit_rows,
-)
+from .retrieval import _argmax, _check_dims, _require_finite, _score_blocks, _unit_rows
 
 
 @dataclass
@@ -46,8 +44,8 @@ def _mutual_pairs(x, z, dictionary):
     ux, uz = _unit_rows(x), _unit_rows(z)
     src = np.unique(np.array([i for i, _ in dictionary], dtype=np.int64))
     trg = np.unique(np.array([j for _, j in dictionary], dtype=np.int64))
-    fwd = _argmax(_score_blocks(ux, uz, DEFAULT_BLOCK_SIZE, src), len(src))
-    bwd = _argmax(_score_blocks(uz, ux, DEFAULT_BLOCK_SIZE, trg), len(trg))
+    fwd = _argmax(_score_blocks(ux, uz, src), len(src))
+    bwd = _argmax(_score_blocks(uz, ux, trg), len(trg))
     fwd, bwd = dict(zip(src.tolist(), fwd.tolist())), dict(zip(trg.tolist(), bwd.tolist()))
     return {(i, j) for i, j in dictionary if fwd[i] == j and bwd[j] == i}
 
@@ -59,10 +57,13 @@ def average_vectors(x_aligned, z_aligned, dictionary: BilingualDictionary,
     first-pair: a word participates only in its first pair in dictionary
     order; later pairs touching it are skipped. mutual-only: only mutual
     nearest-neighbor pairs are retained. Rows outside the retained pairs are
-    unchanged. Returns (x_out, z_out, (averaged, skipped)).
+    unchanged. Returns (x_out, z_out, (averaged, skipped)). Non-finite input
+    raises ContractError naming its row, and spaces of different
+    dimensionality raise it naming both dimensions.
     """
-    x = np.array(x_aligned, dtype=np.float64)
-    z = np.array(z_aligned, dtype=np.float64)
+    # copies: the midpoints are written in place
+    x = np.array(_require_finite(x_aligned, "x_aligned"))
+    z = np.array(_require_finite(z_aligned, "z_aligned"))
     _check_dims(x, z, ("x_aligned", "z_aligned"))
     for i, j in dictionary:
         if not (0 <= i < x.shape[0] and 0 <= j < z.shape[0]):
@@ -104,10 +105,8 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
     cfg = cfg or RefinementConfig()
     if cfg.norm_iters < 0:
         raise ContractError("norm_iters must be >= 0")
-    x, z, (averaged, skipped) = average_vectors(
-        _require_finite(x_aligned, "x_aligned"), _require_finite(z_aligned, "z_aligned"),
-        dictionary, cfg.conflict_policy,
-    )
+    x, z, (averaged, skipped) = average_vectors(x_aligned, z_aligned, dictionary,
+                                                cfg.conflict_policy)
     if cfg.norm_iters == 0:
         return RefinedSpaces(
             x, z, averaged, skipped,

@@ -14,16 +14,16 @@ A consumer may edit a block in place, but every layer drops its reference
 (``del``) before the next block's product is computed, so one block is alive
 at a time.
 
-Blocks are ``DEFAULT_BLOCK_SIZE`` = 256 rows unless a caller passes
-``block_size``. Consumers hold two or three blocks at once (the init a
-float64 similarity block and its float32 sorted copy, then that copy and a
-score block; ``_nth_best`` a partition copy and a mask beside its block), so
-the height sets most of the memory above the init's n x n matrix.
-A sweep over 128, 256, 512 and 1024 rows on the three perfbench workloads
-(table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS by 30% on
-initheavy, 23% on selflearn and 16% on bigvocab, gave the same outputs, and
-moved no end-to-end time beyond the run-to-run spread. 128 saved 7% more on
-initheavy but ran the loop slower than 256 on selflearn and initheavy.
+Blocks are ``BLOCK_SIZE`` = 256 rows. Consumers hold two or three blocks at
+once (the init a float64 similarity block and its float32 sorted copy, then
+that copy and a score block; ``_nth_best`` a partition copy and a mask beside
+its block), so the height sets most of the memory above the init's n x n
+matrix. A sweep over 128, 256, 512 and 1024 rows on the three perfbench
+workloads (table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS
+by 30% on initheavy, 23% on selflearn and 16% on bigvocab, gave the same
+outputs, and moved no end-to-end time beyond the run-to-run spread. 128
+saved 7% more on initheavy but ran the loop slower than 256 on selflearn and
+initheavy.
 
 Induction and evaluation only rank the candidates of each query row, so they
 score rank-only: a query's own penalty is the same along its row and cannot
@@ -41,7 +41,7 @@ from .errors import ContractError
 from .io import BilingualDictionary
 
 DEFAULT_CSLS_K = 10
-DEFAULT_BLOCK_SIZE = 256
+BLOCK_SIZE = 256
 
 
 def _unit_rows(m):
@@ -51,9 +51,10 @@ def _unit_rows(m):
 
 
 def _require_finite(m, name):
-    """``m`` as a float64 array; ContractError naming the first row of ``m``
-    that holds a NaN or infinity."""
+    """``m`` as a float64 matrix; ContractError unless it is one, naming the
+    first row of ``m`` that holds a NaN or infinity."""
     m = np.asarray(m, dtype=np.float64)
+    _require_matrix(m, name)
     finite = np.isfinite(m)
     if not finite.all():
         row = int(np.argwhere(~finite)[0][0])
@@ -65,39 +66,47 @@ def _check_dims(x, z, names):
     """ContractError unless the spaces ``names`` are matrices of one
     dimensionality, naming both dimensions; called before any product."""
     for m, name in zip((x, z), names):
-        if np.ndim(m) != 2:
-            raise ContractError(f"{name} must be a matrix, got {np.ndim(m)} axes")
+        _require_matrix(m, name)
     dx, dz = np.shape(x)[1], np.shape(z)[1]
     if dx != dz:
         raise ContractError(f"dimension mismatch: {names[0]} d={dx}, {names[1]} d={dz}")
 
 
+def _require_matrix(m, name):
+    if np.ndim(m) != 2:
+        raise ContractError(f"{name} must be a matrix, got {np.ndim(m)} axes")
+
+
 def cosine_block(queries, candidates):
     """Cosine similarity matrix between query rows and candidate rows.
 
-    Zero-norm rows get similarity 0 against everything.
+    Zero-norm rows get similarity 0 against everything. Non-finite input
+    raises ContractError naming its row, and rows of different
+    dimensionality raise it naming both dimensions.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    candidates = np.asarray(candidates, dtype=np.float64)
+    queries = _require_finite(queries, "queries")
+    candidates = _require_finite(candidates, "candidates")
     _check_dims(queries, candidates, ("queries", "candidates"))
     return _unit_rows(queries) @ _unit_rows(candidates).T
 
 
 def nn_retrieve(sim):
-    """Argmax candidate per query row; ties go to the lowest index."""
-    sim = np.asarray(sim)
+    """Argmax candidate per query row of the score matrix ``sim``; ties go to
+    the lowest index. A non-finite score raises ContractError naming its row."""
+    sim = _require_finite(sim, "sim")
     if sim.shape[1] < 1:
         raise ContractError("need at least one candidate")
     return sim.argmax(axis=1).tolist()
 
 
-def _score_blocks(uq, uc, block_size, rows=None, shift=None):
+def _score_blocks(uq, uc, rows=None, shift=None):
     """Yield (start, block) of unit query rows ``uq[rows]`` (default: all)
     scored against all unit candidates ``uc``: cosines, less ``shift[j]`` in
-    candidate column j when ``shift`` is given."""
+    candidate column j when ``shift`` is given; ``BLOCK_SIZE`` rows a block."""
     n = uq.shape[0] if rows is None else len(rows)
-    for start in range(0, n, block_size):
-        sel = slice(start, start + block_size) if rows is None else rows[start : start + block_size]
+    height = BLOCK_SIZE
+    for start in range(0, n, height):
+        sel = slice(start, start + height) if rows is None else rows[start : start + height]
         # yielded unnamed, so a consumer's ``del`` frees the block at once
         yield start, _block_scores(uq, sel, uc, shift)
 
@@ -168,10 +177,10 @@ def _argmax_both(blocks, n, m):
     return rows, cols
 
 
-def _knn_means(unit_a, unit_b, k, block_size):
+def _knn_means(unit_a, unit_b, k):
     """For each row of unit_a, mean cosine to its k nearest rows of unit_b."""
     out = np.empty(unit_a.shape[0])
-    for start, sim in _score_blocks(unit_a, unit_b, block_size):
+    for start, sim in _score_blocks(unit_a, unit_b):
         # top-k values per row; order within the top-k does not matter
         sim.partition(sim.shape[1] - k, axis=1)
         out[start : start + sim.shape[0]] = sim[:, -k:].mean(axis=1)
@@ -190,8 +199,7 @@ def _check_csls(ux, uz, k, directions):
             )
 
 
-def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
-                block_size=DEFAULT_BLOCK_SIZE):
+def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     """CSLS score rows for the selected queries against all candidates.
 
     score(x, z) = 2 cos(x, z) - rT(x) - rS(z), where rT(x) is the mean cosine
@@ -207,10 +215,10 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
     ux, uz = _unit_rows(x), _unit_rows(z)
     _check_csls(ux, uz, k, "forward")
     rows = None if query_indices is None else _query_rows(query_indices, len(ux))
-    r_t, r_s = _knn_means(ux, uz, k, block_size), _knn_means(uz, ux, k, block_size)
+    r_t, r_s = _knn_means(ux, uz, k), _knn_means(uz, ux, k)
     if rows is not None:
         r_t = r_t[rows]
-    for start, sim in _score_blocks(ux, uz, block_size, rows):
+    for start, sim in _score_blocks(ux, uz, rows):
         sim *= 2.0
         sim -= r_t[start : start + sim.shape[0], None]
         sim -= r_s
@@ -232,15 +240,14 @@ def _query_rows(query_indices, n):
     return rows.astype(np.int64)
 
 
-def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None,
-                  block_size=DEFAULT_BLOCK_SIZE):
+def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     """CSLS argmax candidate per query; ties go to the lowest index."""
     n = np.asarray(x_mapped).shape[0] if query_indices is None else len(query_indices)
-    return _argmax(csls_scores(x_mapped, z_mapped, k, query_indices, block_size), n).tolist()
+    return _argmax(csls_scores(x_mapped, z_mapped, k, query_indices), n).tolist()
 
 
 def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
-                      directions="union", block_size=DEFAULT_BLOCK_SIZE) -> BilingualDictionary:
+                      directions="union") -> BilingualDictionary:
     """Induce translation pairs between two mapped spaces.
 
     forward: (i, retrieve(i)) for every source i. backward: (retrieve(j), j)
@@ -251,10 +258,10 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     x = _require_finite(x_mapped, "x_mapped")
     z = _require_finite(z_mapped, "z_mapped")
     _check_dims(x, z, ("x_mapped", "z_mapped"))
-    return _induce(x, z, method, k, directions, block_size)
+    return _induce(x, z, method, k, directions)
 
 
-def _induce(x, z, method, k, directions, block_size, pick=None):
+def _induce(x, z, method, k, directions, pick=None):
     """induce_dictionary, with ``pick(block)`` choosing each score row's
     candidate in place of its argmax: forward blocks in row order, then
     backward blocks. CSLS blocks hold rank-only scores (module docstring)."""
@@ -267,14 +274,14 @@ def _induce(x, z, method, k, directions, block_size, pick=None):
     if method == "csls":
         _check_csls(ux, uz, k, directions)
         if directions != "backward":
-            shift_z = _knn_means(uz, ux, k, block_size) / 2.0
+            shift_z = _knn_means(uz, ux, k) / 2.0
         if directions != "forward":
-            shift_x = _knn_means(ux, uz, k, block_size) / 2.0
+            shift_x = _knn_means(ux, uz, k) / 2.0
     pairs: list[tuple[int, int]] = []
     if directions != "backward":
-        best = _argmax(_score_blocks(ux, uz, block_size, shift=shift_z), len(ux), pick)
+        best = _argmax(_score_blocks(ux, uz, shift=shift_z), len(ux), pick)
         pairs += enumerate(best.tolist())
     if directions != "forward":
-        best = _argmax(_score_blocks(uz, ux, block_size, shift=shift_x), len(uz), pick)
+        best = _argmax(_score_blocks(uz, ux, shift=shift_x), len(uz), pick)
         pairs += [(i, j) for j, i in enumerate(best.tolist())]
     return sorted(set(pairs)) if directions == "union" else pairs

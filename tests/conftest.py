@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from xlalign import retrieval  # noqa: E402
 from xlalign.normalize import preprocess  # noqa: E402
 
 from oracles import random_orthogonal  # noqa: E402
@@ -46,6 +48,16 @@ def make_warped_pair(n=1200, d=50, seed=0, warp=0.3, noise=0.1):
     bend = rng.standard_normal((d, d)) / np.sqrt(d)
     z = (x + warp * np.tanh(10.0 * (x @ bend))) @ rot
     return x, preprocess(z + rng.normal(0.0, noise, size=z.shape))
+
+
+@contextmanager
+def tile_rows(n):
+    """Score tiles of ``n`` query rows (``retrieval.BLOCK_SIZE``) inside the
+    ``with`` statement. Not the ``monkeypatch`` fixture: it is not reset
+    between the examples of a ``@given`` test, which Hypothesis rejects."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "BLOCK_SIZE", n)
+        yield
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from xlalign import mapping
 from xlalign.errors import ContractError
 from xlalign.normalize import preprocess
 
-from conftest import make_rotated_pair, make_warped_pair
+from conftest import make_rotated_pair, make_warped_pair, tile_rows
 from oracles import dropout_argmax_literal, init_bruteforce, random_orthogonal, ranked_literal
 
 
@@ -87,12 +87,12 @@ class TestUnsupervisedInit:
             mapping.unsupervised_init(x, x, cfg)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("block_size", [1, 7, 1024])
-    def test_matches_bruteforce(self, seed, block_size):
+    @pytest.mark.parametrize("height", [1, 7, 1024])
+    def test_matches_bruteforce(self, seed, height):
         x, z, _ = make_rotated_pair(n=60, d=6, seed=seed, noise=0.05)
         cfg = mapping.MappingConfig(vocab_cutoff=50)
-        assert mapping.unsupervised_init(x, z, cfg, block_size=block_size) == \
-            init_bruteforce(x, z, 50)
+        with tile_rows(height):
+            assert mapping.unsupervised_init(x, z, cfg) == init_bruteforce(x, z, 50)
 
     def test_peak_memory_one_cutoff_squared_matrix(self):
         # the sorted target rows (8 n^2 bytes) plus a few row blocks; holding
@@ -100,12 +100,13 @@ class TestUnsupervisedInit:
         n, block = 1200, 128
         x, z, _ = make_rotated_pair(n=n, d=20, seed=7)
         cfg = mapping.MappingConfig(vocab_cutoff=n)
-        tracemalloc.start()
-        try:
-            mapping.unsupervised_init(x, z, cfg, block_size=block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with tile_rows(block):
+            tracemalloc.start()
+            try:
+                mapping.unsupervised_init(x, z, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 8 * n * n + 4 * 8 * block * n + 256 * 1024
 
     def test_peak_memory_at_the_default_block_size(self):
@@ -245,8 +246,8 @@ class TestSelfLearningAlign:
         objectives = []
         orig = mapping._induce_with_dropout
 
-        def spy(xw, zw, cfg, keep_prob, rng_, block_size):
-            pairs = orig(xw, zw, cfg, keep_prob, rng_, block_size)
+        def spy(xw, zw, cfg, keep_prob, rng_):
+            pairs = orig(xw, zw, cfg, keep_prob, rng_)
             src = [p[0] for p in pairs]
             trg = [p[1] for p in pairs]
             objectives.append(float(np.mean(np.sum(xw[src] * zw[trg], axis=1))))
@@ -262,6 +263,17 @@ class TestSelfLearningAlign:
             mapping._induce_with_dropout = orig
         diffs = np.diff(objectives)
         assert np.all(diffs >= -1e-9)
+
+    def test_dimension_mismatch(self):
+        # raised numpy's matmul error at the first induction; the init takes
+        # such spaces, as it compares each language only with itself
+        rng = np.random.default_rng(17)
+        x, z = rng.standard_normal((20, 4)), rng.standard_normal((20, 5))
+        cfg = self.fast_cfg(20)
+        init = mapping.unsupervised_init(x, z, cfg)
+        assert init
+        with pytest.raises(ContractError, match="dimension mismatch: x d=4, z d=5"):
+            mapping.self_learning_align(x, z, init, cfg)
 
     def test_empty_init_rejected(self):
         x, z, _ = make_rotated_pair(n=50, d=5, seed=13)
@@ -282,8 +294,10 @@ class TestSelfLearningAlign:
         x, z, _ = make_rotated_pair(n=120, d=8, seed=15)
         init = [(i, i) for i in range(120)]
         cfg = self.fast_cfg(120, keep_prob_initial=0.3, stall_patience=2)
-        results = [mapping.self_learning_align(x, z, init, cfg, block_size=bs)
-                   for bs in (1, 7, 1024)]
+        results = []
+        for height in (1, 7, 1024):
+            with tile_rows(height):
+                results.append(mapping.self_learning_align(x, z, init, cfg))
         for r in results[1:]:
             assert r.dictionary == results[0].dictionary
             assert r.iterations == results[0].iterations

@@ -163,10 +163,3 @@ class TestRefinePipeline:
         with pytest.raises(ContractError, match="x_aligned d=4, z_aligned d=3"):
             refine.refine_pipeline(np.eye(4), np.eye(4)[:, :3], [(0, 0), (1, 1)],
                                    refine.RefinementConfig(conflict_policy=policy))
-
-    def test_non_finite_input_names_row(self):
-        # a NaN outside every pair used to pass through to the output
-        x = np.random.default_rng(8).standard_normal((6, 3))
-        x[4, 0] = np.nan
-        with pytest.raises(ContractError, match="x_aligned row 4 "):
-            refine.refine_pipeline(x, np.eye(6, 3), [(0, 0)])
