@@ -18,6 +18,10 @@ import os
 import sys
 import time
 
+import numpy
+
+from . import __version__, evaluate, io, mapping, normalize, refine, retrieval
+
 log = logging.getLogger("xlalign")
 
 EXIT_OK = 0
@@ -144,18 +148,6 @@ def _config_from(cls, s):
                   if _FIELD_ALIASES.get(key, key) in names})
 
 
-def _mapping_config(s):
-    from .mapping import MappingConfig
-
-    return _config_from(MappingConfig, s)
-
-
-def _refine_config(s):
-    from .refine import RefinementConfig
-
-    return _config_from(RefinementConfig, s)
-
-
 def _require(settings, *keys):
     missing = [k for k in keys if not settings.get(k)]
     if missing:
@@ -163,19 +155,15 @@ def _require(settings, *keys):
 
 
 def _load_pair(settings):
-    from .io import load_embeddings
-
     max_vocab = settings.get("max_vocab")
-    src_vocab, x = load_embeddings(settings["src"], max_vocab)
-    trg_vocab, z = load_embeddings(settings["trg"], max_vocab)
+    src_vocab, x = io.load_embeddings(settings["src"], max_vocab)
+    trg_vocab, z = io.load_embeddings(settings["trg"], max_vocab)
     return src_vocab, x, trg_vocab, z
 
 
 def _run_align(settings, out_dir):
     """Shared by cmd_align and cmd_pipeline; returns mapped artifacts."""
-    from . import io, mapping, normalize
-
-    cfg = _mapping_config(settings)
+    cfg = _config_from(mapping.MappingConfig, settings)
     cfg.validate()  # a bad setting fails before the embeddings load
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     x = normalize.preprocess(x)
@@ -205,9 +193,7 @@ def cmd_align(args):
 
 def _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, out_dir):
     """Shared by cmd_refine and cmd_pipeline; saves and returns the refined spaces."""
-    from . import io, refine
-
-    refined = refine.refine_pipeline(x, z, pairs, _refine_config(settings))
+    refined = refine.refine_pipeline(x, z, pairs, _config_from(refine.RefinementConfig, settings))
     os.makedirs(out_dir, exist_ok=True)
     io.save_embeddings(src_vocab, refined.x_refined, os.path.join(out_dir, "src_refined.vec"))
     io.save_embeddings(trg_vocab, refined.z_refined, os.path.join(out_dir, "trg_refined.vec"))
@@ -215,8 +201,6 @@ def _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, out_dir):
 
 
 def cmd_refine(args):
-    from . import io
-
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "out", "dict_path")
     src_vocab, x, trg_vocab, z = _load_pair(settings)
@@ -232,8 +216,6 @@ def cmd_refine(args):
 
 
 def cmd_induce(args):
-    from . import io, retrieval
-
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "out")
     src_vocab, x, trg_vocab, z = _load_pair(settings)
@@ -251,14 +233,11 @@ def cmd_induce(args):
 
 
 def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
-    from . import evaluate, io
-    from .retrieval import DEFAULT_CSLS_K
-
     gold = io.load_gold_dictionary(settings["gold"], src_vocab, trg_vocab)
     report = evaluate.precision_at_k(
         x, z, gold, ks=settings["ks"],
         method=settings["retrieval"],
-        csls_k=settings.get("csls_k", DEFAULT_CSLS_K),
+        csls_k=settings.get("csls_k", retrieval.DEFAULT_CSLS_K),
     )
     name = settings["name"]
     for line in evaluate.report_lines(name, report):
@@ -277,11 +256,9 @@ def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
 
 
 def _load_saved_report(run_dir):
-    from .evaluate import EvalReport
-
     with open(os.path.join(run_dir, "eval.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    report = EvalReport(
+    report = evaluate.EvalReport(
         precision_at={int(k): v for k, v in payload["precision_at"].items()},
         evaluated_sources=payload["evaluated_sources"],
         oov_sources=payload["oov_sources"],
@@ -290,8 +267,6 @@ def _load_saved_report(run_dir):
 
 
 def cmd_evaluate(args):
-    from . import evaluate
-
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "gold")
     src_vocab, x, trg_vocab, z = _load_pair(settings)
@@ -350,10 +325,6 @@ def cmd_pipeline(args):
 
 
 def _versions():
-    import numpy
-
-    from . import __version__
-
     return {"python": sys.version.split()[0], "numpy": numpy.__version__,
             "xlalign": __version__}
 

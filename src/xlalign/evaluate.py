@@ -19,10 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .io import GoldDictionary
-from .retrieval import (
-    DEFAULT_CSLS_K, _check_csls, _check_dims, _knn_means, _require_finite, _score_blocks,
-    _unit_rows,
-)
+from .retrieval import DEFAULT_CSLS_K, _rank_shifts, _require_spaces, _score_blocks, _unit_rows
 
 DEFAULT_KS = (1, 5, 10)
 # score rows compared at a time: bounds the boolean temporaries of _ranks
@@ -52,21 +49,13 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
     """
     if not gold.entries:
         raise ContractError("gold dictionary is empty")
-    x = _require_finite(x_space, "x_space")
-    z = _require_finite(z_space, "z_space")
-    _check_dims(x, z, ("x_space", "z_space"))
+    x, z = _require_spaces(x_space, z_space, ("x_space", "z_space"))
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
     sources, targets, counts = _gold_arrays(gold, x.shape[0], z.shape[0])
     ux, uz = _unit_rows(x), _unit_rows(z)
-    if method == "nn":
-        shift = None
-    elif method == "csls":
-        _check_csls(ux, uz, csls_k, "forward")
-        shift = _knn_means(uz, ux, csls_k) / 2.0
-    else:
-        raise ContractError(f"unknown retrieval method {method!r}")
+    (shift,) = _rank_shifts([(ux, uz)], method, csls_k)
     best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
     for start, block in _score_blocks(ux, uz, sources, shift):
         rows = slice(start, start + block.shape[0])

@@ -22,7 +22,7 @@ from . import retrieval
 from .errors import AlignmentCollapseError, ContractError, NumericalError
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_CSLS_K, _argmax_both, _check_dims, _induce, _nth_best, _require_finite,
+    DEFAULT_CSLS_K, _argmax_both, _induce, _nth_best, _require_finite, _require_spaces,
     _score_blocks, induce_dictionary,
 )
 
@@ -180,15 +180,21 @@ def self_learning_align(x, z, init: BilingualDictionary,
     similarity dropout keep probability grows; once keep_prob reaches 1 a
     stalled objective terminates the loop. All randomness comes from
     ``cfg.seed``, so a run is reproducible bit for bit. Non-finite input
-    raises ContractError naming its row, and spaces of different
-    dimensionality raise it naming both dimensions.
+    raises ContractError naming its row, spaces of different dimensionality
+    raise it naming both dimensions, and an ``init`` pair that is not two
+    integer rows below the cutoff raises it naming the pair, before any solve.
     """
     cfg.validate()
     if not init:
         raise ContractError("initial dictionary must be non-empty")
-    x, z = _require_finite(x, "x"), _require_finite(z, "z")
-    _check_dims(x, z, ("x", "z"))
+    x, z = _require_spaces(x, z, ("x", "z"))
     cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
+    ints = (int, np.integer)
+    for i, j in init:
+        if not (isinstance(i, ints) and isinstance(j, ints)
+                and 0 <= i < cutoff and 0 <= j < cutoff):
+            raise ContractError(f"init pair ({i}, {j}) is not two rows in [0, {cutoff}), "
+                                "the vocabulary cutoff")
     xc, zc = x[:cutoff], z[:cutoff]
     rng = np.random.default_rng(cfg.seed)
 
@@ -285,10 +291,10 @@ def _dropout_argmax(sim, keep_prob, rng):
 def align(x, z, cfg: MappingConfig) -> MappingResult:
     """Full unsupervised alignment: heuristic init then self-learning.
 
-    The configuration and the two spaces' dimensions are checked before the
-    cutoff-squared init runs, and the init rejects non-finite values before
-    its first product.
+    The configuration is checked, and both spaces for finite values and one
+    dimensionality, before the cutoff-squared init runs; errors name the
+    spaces x and z.
     """
     cfg.validate()
-    _check_dims(x, z, ("source", "target"))
+    x, z = _require_spaces(x, z, ("x", "z"))
     return self_learning_align(x, z, unsupervised_init(x, z, cfg), cfg)

@@ -2,7 +2,8 @@
 
 ``iterative_normalize`` alternates the two single-pass transforms until both
 conditions (unit row norms, zero column means) hold simultaneously within a
-tolerance.
+tolerance. Every function rejects a NaN or infinity in its input with
+ContractError naming the first bad row, before it can spread over the matrix.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
+from .retrieval import _require_finite
 
 DEFAULT_NORM_ITERS = 5
 DEFAULT_NORM_TOL = 1e-6
@@ -26,7 +28,7 @@ class NormalizationReport:
 
 def length_normalize(emb):
     """Scale every row to unit L2 norm. Zero rows stay zero (warning)."""
-    emb = np.asarray(emb, dtype=np.float64)
+    emb = _require_finite(emb, "emb")
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     zero_rows = int(np.sum(norms[:, 0] == 0.0))
     if zero_rows:
@@ -37,7 +39,7 @@ def length_normalize(emb):
 
 def mean_center(emb):
     """Subtract the column mean from every row."""
-    emb = np.asarray(emb, dtype=np.float64)
+    emb = _require_finite(emb, "emb")
     if emb.shape[0] == 0:
         raise ContractError("mean_center requires at least one row")
     return emb - emb.mean(axis=0)
@@ -61,7 +63,7 @@ def iterative_normalize(emb, max_iters=DEFAULT_NORM_ITERS, tol=DEFAULT_NORM_TOL)
         raise ContractError("max_iters must be >= 1")
     if tol <= 0:
         raise ContractError("tol must be > 0")
-    x = np.asarray(emb, dtype=np.float64)
+    x = _require_finite(emb, "emb")
     if x.shape[0] == 0:
         raise ContractError("iterative_normalize requires at least one row")
     iterations = 0

@@ -19,7 +19,7 @@ from .normalize import (
     _deviations,
     iterative_normalize,
 )
-from .retrieval import _argmax, _check_dims, _require_finite, _score_blocks, _unit_rows
+from .retrieval import _argmax, _require_spaces, _score_blocks, _unit_rows
 
 
 @dataclass
@@ -62,9 +62,7 @@ def average_vectors(x_aligned, z_aligned, dictionary: BilingualDictionary,
     dimensionality raise it naming both dimensions.
     """
     # copies: the midpoints are written in place
-    x = np.array(_require_finite(x_aligned, "x_aligned"))
-    z = np.array(_require_finite(z_aligned, "z_aligned"))
-    _check_dims(x, z, ("x_aligned", "z_aligned"))
+    x, z = map(np.array, _require_spaces(x_aligned, z_aligned, ("x_aligned", "z_aligned")))
     for i, j in dictionary:
         if not (0 <= i < x.shape[0] and 0 <= j < z.shape[0]):
             raise ContractError(f"dictionary pair ({i}, {j}) out of range")

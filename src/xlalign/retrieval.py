@@ -30,8 +30,9 @@ score rank-only: a query's own penalty is the same along its row and cannot
 change the row's order, so forward rows score cos - rS/2 and backward rows
 cos - rT/2. Halving is exact in binary, so these order bit for bit like
 2 cos - r. Each penalty is computed once, and only the ones the directions
-rank by: evaluation is forward only and makes one ``_knn_means`` pass. The
-public ``csls_scores`` and ``csls_retrieve`` keep the full CSLS values.
+rank by (``_rank_shifts``): evaluation and ``csls_retrieve`` are forward only
+and make one ``_knn_means`` pass. Only the public ``csls_scores`` yields the
+full CSLS values.
 """
 from __future__ import annotations
 
@@ -54,7 +55,8 @@ def _require_finite(m, name):
     """``m`` as a float64 matrix; ContractError unless it is one, naming the
     first row of ``m`` that holds a NaN or infinity."""
     m = np.asarray(m, dtype=np.float64)
-    _require_matrix(m, name)
+    if m.ndim != 2:
+        raise ContractError(f"{name} must be a matrix, got {m.ndim} axes")
     finite = np.isfinite(m)
     if not finite.all():
         row = int(np.argwhere(~finite)[0][0])
@@ -62,19 +64,16 @@ def _require_finite(m, name):
     return m
 
 
-def _check_dims(x, z, names):
-    """ContractError unless the spaces ``names`` are matrices of one
-    dimensionality, naming both dimensions; called before any product."""
-    for m, name in zip((x, z), names):
-        _require_matrix(m, name)
-    dx, dz = np.shape(x)[1], np.shape(z)[1]
-    if dx != dz:
-        raise ContractError(f"dimension mismatch: {names[0]} d={dx}, {names[1]} d={dz}")
-
-
-def _require_matrix(m, name):
-    if np.ndim(m) != 2:
-        raise ContractError(f"{name} must be a matrix, got {np.ndim(m)} axes")
+def _require_spaces(x, z, names):
+    """``x`` and ``z`` as float64 matrices, each checked by ``_require_finite``
+    under its name in ``names``; ContractError naming both dimensions unless
+    they are equal. Called before any product."""
+    x, z = _require_finite(x, names[0]), _require_finite(z, names[1])
+    if x.shape[1] != z.shape[1]:
+        raise ContractError(
+            f"dimension mismatch: {names[0]} d={x.shape[1]}, {names[1]} d={z.shape[1]}"
+        )
+    return x, z
 
 
 def cosine_block(queries, candidates):
@@ -84,9 +83,7 @@ def cosine_block(queries, candidates):
     raises ContractError naming its row, and rows of different
     dimensionality raise it naming both dimensions.
     """
-    queries = _require_finite(queries, "queries")
-    candidates = _require_finite(candidates, "candidates")
-    _check_dims(queries, candidates, ("queries", "candidates"))
+    queries, candidates = _require_spaces(queries, candidates, ("queries", "candidates"))
     return _unit_rows(queries) @ _unit_rows(candidates).T
 
 
@@ -188,15 +185,32 @@ def _knn_means(unit_a, unit_b, k):
     return out
 
 
-def _check_csls(ux, uz, k, directions):
-    """ContractError unless every query side of ``directions`` has k nearest
-    neighbors to average; the caller checks dimensions (``_check_dims``)."""
-    checks = {"forward": [(ux, uz)], "backward": [(uz, ux)], "union": [(ux, uz), (uz, ux)]}
-    for q, c in checks[directions]:
+def _rank_shifts(sides, method, k):
+    """Rank-only shift of the candidate columns for each (unit query rows,
+    unit candidate rows) pair in ``sides`` (module docstring): None for nn,
+    and for csls half of each candidate's penalty, its mean cosine to its k
+    nearest queries. An unknown method or a k without k nearest neighbors on
+    every side raises ContractError before the first ``_knn_means`` pass."""
+    if method == "nn":
+        return [None] * len(sides)
+    if method != "csls":
+        raise ContractError(f"unknown retrieval method {method!r}")
+    for q, c in sides:
         if not 1 <= k <= len(c) - 1 or k > len(q):
             raise ContractError(
                 f"csls k={k} out of range for {len(q)} queries and {len(c)} candidates"
             )
+    return [_knn_means(c, q, k) / 2.0 for q, c in sides]
+
+
+def _forward_csls(x_mapped, z_mapped, k, query_indices):
+    """Checked unit rows of both spaces, the selected query rows (None: all)
+    and the forward rank-only CSLS shift rS/2."""
+    x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
+    ux, uz = _unit_rows(x), _unit_rows(z)
+    rows = None if query_indices is None else _query_rows(query_indices, len(ux))
+    (shift,) = _rank_shifts([(ux, uz)], "csls", k)
+    return ux, uz, rows, shift
 
 
 def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
@@ -209,13 +223,8 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     selected queries. Non-finite input and a query index outside the query
     rows raise ContractError naming the first one.
     """
-    x = _require_finite(x_mapped, "x_mapped")
-    z = _require_finite(z_mapped, "z_mapped")
-    _check_dims(x, z, ("x_mapped", "z_mapped"))
-    ux, uz = _unit_rows(x), _unit_rows(z)
-    _check_csls(ux, uz, k, "forward")
-    rows = None if query_indices is None else _query_rows(query_indices, len(ux))
-    r_t, r_s = _knn_means(ux, uz, k), _knn_means(uz, ux, k)
+    ux, uz, rows, shift = _forward_csls(x_mapped, z_mapped, k, query_indices)
+    r_t, r_s = _knn_means(ux, uz, k), 2.0 * shift  # doubling the halved rS is exact
     if rows is not None:
         r_t = r_t[rows]
     for start, sim in _score_blocks(ux, uz, rows):
@@ -241,9 +250,11 @@ def _query_rows(query_indices, n):
 
 
 def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
-    """CSLS argmax candidate per query; ties go to the lowest index."""
-    n = np.asarray(x_mapped).shape[0] if query_indices is None else len(query_indices)
-    return _argmax(csls_scores(x_mapped, z_mapped, k, query_indices), n).tolist()
+    """CSLS argmax candidate per query; ties go to the lowest index. Ranks by
+    the rank-only score cos - rS/2, as induction does; input is checked as
+    by ``csls_scores``."""
+    ux, uz, rows, shift = _forward_csls(x_mapped, z_mapped, k, query_indices)
+    return _argmax(_score_blocks(ux, uz, rows, shift), len(ux if rows is None else rows)).tolist()
 
 
 def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
@@ -255,9 +266,7 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     target index. Non-finite input raises ContractError naming its row, and
     spaces of different dimensionality raise it naming both dimensions.
     """
-    x = _require_finite(x_mapped, "x_mapped")
-    z = _require_finite(z_mapped, "z_mapped")
-    _check_dims(x, z, ("x_mapped", "z_mapped"))
+    x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
     return _induce(x, z, method, k, directions)
 
 
@@ -267,21 +276,10 @@ def _induce(x, z, method, k, directions, pick=None):
     backward blocks. CSLS blocks hold rank-only scores (module docstring)."""
     if directions not in ("forward", "backward", "union"):
         raise ContractError(f"unknown directions {directions!r}")
-    if method not in ("nn", "csls"):
-        raise ContractError(f"unknown retrieval method {method!r}")
     ux, uz = _unit_rows(x), _unit_rows(z)
-    shift_x = shift_z = None
-    if method == "csls":
-        _check_csls(ux, uz, k, directions)
-        if directions != "backward":
-            shift_z = _knn_means(uz, ux, k) / 2.0
-        if directions != "forward":
-            shift_x = _knn_means(ux, uz, k) / 2.0
+    sides = [(ux, uz)] * (directions != "backward") + [(uz, ux)] * (directions != "forward")
     pairs: list[tuple[int, int]] = []
-    if directions != "backward":
-        best = _argmax(_score_blocks(ux, uz, shift=shift_z), len(ux), pick)
-        pairs += enumerate(best.tolist())
-    if directions != "forward":
-        best = _argmax(_score_blocks(uz, ux, shift=shift_x), len(uz), pick)
-        pairs += [(i, j) for j, i in enumerate(best.tolist())]
+    for (uq, uc), shift in zip(sides, _rank_shifts(sides, method, k)):
+        best = _argmax(_score_blocks(uq, uc, shift=shift), len(uq), pick).tolist()
+        pairs += enumerate(best) if uq is ux else [(i, j) for j, i in enumerate(best)]
     return sorted(set(pairs)) if directions == "union" else pairs

@@ -1,7 +1,9 @@
 """Public entry points that take an embedding space reject non-finite input at
-the boundary, and none of them takes a score tile height."""
+the boundary, and none of them takes a score tile height. The self-learning
+loop rejects init pairs outside its cutoff rows."""
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ PAIRS = [(0, 0), (1, 1)]  # the bad row is in none: refinement used to copy its 
 BAD_ROW = 7
 
 # call on the (source, target) spaces, and the names its errors give them;
-# nn_retrieve takes one score matrix
+# nn_retrieve takes one score matrix, and the normalize functions one space
 BOUNDARY = {
     "align": (lambda x, z: xlalign.align(x, z, CFG), "x", "z"),
     "unsupervised_init": (lambda x, z: xlalign.unsupervised_init(x, z, CFG), "x", "z"),
@@ -40,6 +42,10 @@ BOUNDARY = {
                         "x_aligned", "z_aligned"),
     "average_vectors": (lambda x, z: xlalign.average_vectors(x, z, PAIRS),
                         "x_aligned", "z_aligned"),
+    "length_normalize": (lambda x, z: xlalign.length_normalize(x), "emb", None),
+    "mean_center": (lambda x, z: xlalign.mean_center(x), "emb", None),
+    "iterative_normalize": (lambda x, z: xlalign.iterative_normalize(x), "emb", None),
+    "preprocess": (lambda x, z: xlalign.preprocess(x), "emb", None),
 }
 CASES = [(call, side) for call, (_, *names) in BOUNDARY.items()
          for side, name in zip("xz", names) if name is not None]
@@ -69,3 +75,16 @@ def test_nn_retrieve_rejects_a_non_matrix(sim):
     # a vector raised a raw IndexError
     with pytest.raises(ContractError, match="sim must be a matrix"):
         xlalign.nn_retrieve(sim)
+
+
+@pytest.mark.parametrize("init, bad", [
+    ([(1, 1), (-1, 0)], "(-1, 0)"),  # read the last cutoff row
+    ([(N, 0), (1, 1)], f"({N}, 0)"),  # raised numpy's IndexError
+    ([(0, 0), (2, N + 5)], f"(2, {N + 5})"),
+    ([(0.5, 0), (1, 1)], "(0.5, 0)"),  # truncated to row 0
+], ids=["negative", "at-cutoff", "past-cutoff", "float"])
+def test_init_pair_outside_the_cutoff_rows(init, bad):
+    x, z, _ = make_rotated_pair(n=N + 10, d=4, seed=19)
+    message = f"init pair {bad} is not two rows in [0, {N}), the vocabulary cutoff"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        xlalign.self_learning_align(x, z, init, CFG)

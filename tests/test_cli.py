@@ -238,7 +238,8 @@ class TestConfigFile:
             f"{key.replace('_', '-')} = {value}\n" for key, value in values.items()))
         settings = cli.resolve_settings(
             cli.build_parser().parse_args(["pipeline", "--config", str(config)]))
-        mapping_cfg, refine_cfg = cli._mapping_config(settings), cli._refine_config(settings)
+        mapping_cfg = cli._config_from(MappingConfig, settings)
+        refine_cfg = cli._config_from(RefinementConfig, settings)
         for key, value in values.items():
             name = cli._FIELD_ALIASES.get(key, key)
             cfg = mapping_cfg if hasattr(mapping_cfg, name) else refine_cfg

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from xlalign import retrieval
 from xlalign.errors import ContractError
+from xlalign.evaluate import precision_at_k
+from xlalign.io import GoldDictionary
 
 from conftest import make_rotated_pair, tile_rows
 from oracles import csls_bruteforce, ranked_literal
@@ -214,17 +216,45 @@ def test_csls_induction_matches_bruteforce(case):
     with tile_rows(rows):
         assert retrieval.induce_dictionary(x, z, method="csls", k=k,
                                            directions=directions) == expected
+        if directions == "forward":
+            # csls_retrieve ranks by the same rank-only scores
+            assert retrieval.csls_retrieve(x, z, k) == [j for _, j in forward]
 
 
-def test_union_csls_computes_penalties_once(monkeypatch):
+@pytest.mark.parametrize("call, passes", [
+    (lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=3, directions="union"), 2),
+    (lambda x, z: retrieval.csls_retrieve(x, z, k=3), 1),
+    (lambda x, z: precision_at_k(x, z, GoldDictionary({0: {0}}, 0), method="csls", csls_k=3), 1),
+], ids=["induce_dictionary-union", "csls_retrieve", "precision_at_k-csls"])
+def test_union_csls_computes_penalties_once(knn_calls, call, passes):
+    # each penalty the call ranks by is one _knn_means pass, and no other
+    rng = np.random.default_rng(9)
+    with tile_rows(7):
+        call(rng.standard_normal((30, 5)), rng.standard_normal((25, 5)))
+    assert len(knn_calls) == passes
+
+
+@pytest.mark.parametrize("call", [
+    # k=25 has 25 neighbors forward but only 24 backward
+    lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=25, directions="union"),
+    lambda x, z: retrieval.csls_retrieve(x, z, k=0),
+    lambda x, z: list(retrieval.csls_scores(x, z, k=3, query_indices=[25])),
+    lambda x, z: precision_at_k(x, z, GoldDictionary({0: {0}}, 0), method="csls", csls_k=30),
+], ids=["induce_dictionary-union", "csls_retrieve", "csls_scores", "precision_at_k-csls"])
+def test_bad_csls_input_raises_before_any_penalty_pass(knn_calls, call):
+    rng = np.random.default_rng(9)
+    with pytest.raises(ContractError):
+        call(rng.standard_normal((25, 5)), rng.standard_normal((30, 5)))
+    assert knn_calls == []
+
+
+@pytest.fixture
+def knn_calls(monkeypatch):
+    """The arguments of every ``_knn_means`` pass made while the test runs."""
     calls = []
     knn_means = retrieval._knn_means
     monkeypatch.setattr(retrieval, "_knn_means", lambda *a: calls.append(a) or knn_means(*a))
-    rng = np.random.default_rng(9)
-    with tile_rows(7):
-        retrieval.induce_dictionary(rng.standard_normal((30, 5)), rng.standard_normal((25, 5)),
-                                    method="csls", k=3, directions="union")
-    assert len(calls) == 2
+    return calls
 
 
 @pytest.mark.parametrize("height", [1, 3, 7, 64])
