@@ -9,7 +9,10 @@ keeps the search from locking in early. That argmax is sampled exactly by
 rank, with no mask: it is the row's g-th best candidate (equal scores ranked
 by index) with g ~ Geometric(keep_prob), and candidate 0 when g exceeds the
 row, as when every score is dropped. Rows rank by the rank-only CSLS scores
-of ``retrieval``.
+of ``retrieval``, in its three score products per union induction. The loop
+induces in float32, VecMap's precision, from unit rows normalised in
+float64; its solve and objective, the final full-vocabulary refit and every
+public function stay float64.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .errors import AlignmentCollapseError, ContractError, NumericalError
 from .io import BilingualDictionary
 from .retrieval import (
     DEFAULT_CSLS_K, _argmax_both, _induce, _nth_best, _require_finite, _require_spaces,
-    _score_blocks, induce_dictionary,
+    _score_blocks, _unit_rows, induce_dictionary,
 )
 
 
@@ -115,8 +118,8 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
     union, gives the initial dictionary over the cutoff vocabulary.
 
     The cutoff^3 product of the sorted rows runs in float32, VecMap's
-    default precision: the init only seeds the float64 self-learning loop,
-    which re-derives every pair. The similarities and their sort stay
+    default precision: the init only seeds the self-learning loop, which
+    re-derives every pair. The similarities and their sort stay
     float64 (cutoff^2 d and cutoff^2 log cutoff work), so no input scale
     overflows float32, and the sorted unit rows are then rounded to float32.
     Those rows are nearly parallel (their cosines lie near 1), so a float32
@@ -190,10 +193,15 @@ def self_learning_align(x, z, init: BilingualDictionary,
     x, z = _require_spaces(x, z, ("x", "z"))
     cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
     ints = (int, np.integer)
-    for i, j in init:
+    for pair in init:
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            i = j = None  # not a pair: named as given
         if not (isinstance(i, ints) and isinstance(j, ints)
                 and 0 <= i < cutoff and 0 <= j < cutoff):
-            raise ContractError(f"init pair ({i}, {j}) is not two rows in [0, {cutoff}), "
+            shown = f"({i}, {j})" if i is not None else repr(pair)
+            raise ContractError(f"init pair {shown} is not two rows in [0, {cutoff}), "
                                 "the vocabulary cutoff")
     xc, zc = x[:cutoff], z[:cutoff]
     rng = np.random.default_rng(cfg.seed)
@@ -210,10 +218,10 @@ def self_learning_align(x, z, init: BilingualDictionary,
         w_x, w_z, _ = _symmetric_solve(xc[src], zc[trg])
         xw, zw = xc @ w_x, zc @ w_z
 
-        dictionary = _induce_with_dropout(xw, zw, cfg, keep_prob, rng)
-        if not dictionary:
+        pairs = _induce_with_dropout(xw, zw, cfg, keep_prob, rng)
+        if not len(pairs):
             raise AlignmentCollapseError(f"empty dictionary at iteration {iterations}")
-        src, trg = _pair_rows(dictionary)
+        src, trg = pairs.T
         objective = _objective(xw, zw, src, trg)
         if not np.isfinite(objective):
             raise NumericalError(f"non-finite objective at iteration {iterations}")
@@ -260,16 +268,25 @@ def _objective(xw, zw, src, trg):
 
 
 def _induce_with_dropout(xw, zw, cfg, keep_prob, rng):
-    """CSLS induction with each score retained with probability keep_prob.
+    """CSLS induction with each score retained with probability keep_prob,
+    as rows of an n x 2 array of (source, target) indices.
 
-    Each row takes the argmax of its retained scores, drawn exactly by rank
-    (``_dropout_argmax``): one geometric draw per query row, in row order,
-    forward rows before backward rows, so the draws do not depend on the
-    block partitioning. At keep_prob 1 nothing is drawn.
+    The mapped rows are scaled to unit length in float64 and then rounded to
+    float32, so every score tile, penalty and pick is float32, VecMap's
+    precision: induction only picks pairs, and the solve and objective stay
+    float64. Each row takes the argmax of its retained scores, drawn exactly
+    by rank (``_dropout_argmax``): one geometric draw per query row, drawn
+    up front, forward rows before backward rows, so the draws depend on
+    neither the tile height nor the order of the score passes. At keep_prob 1
+    nothing is drawn.
     """
-    k = min(cfg.csls_k, zw.shape[0] - 1, xw.shape[0])
-    pick = (lambda sim: _dropout_argmax(sim, keep_prob, rng)) if keep_prob < 1.0 else None
-    return _induce(xw, zw, "csls", k, cfg.direction, pick=pick)
+    ux, uz = (_unit_rows(m).astype(np.float32) for m in (xw, zw))
+    k = min(cfg.csls_k, len(uz) - 1, len(ux))
+    picker = None
+    if keep_prob < 1.0:
+        def picker(n):
+            return _dropout_chooser(rng.geometric(keep_prob, size=n), keep_prob)
+    return _induce(ux, uz, "csls", k, cfg.direction, picker)
 
 
 def _dropout_argmax(sim, keep_prob, rng):
@@ -277,15 +294,25 @@ def _dropout_argmax(sim, keep_prob, rng):
     1 - keep_prob (all dropped: index 0), without drawing the b x m mask.
 
     The first kept score in the row's best-first order (equal scores by
-    index) is the argmax, and its rank g is Geometric(keep_prob). Ranking the
-    best ``top`` scores of a row serves every g up to ``top``, the smallest
-    value with (1 - keep_prob)^top <= 2^-10, so fewer than one row in 1024
-    is sorted in full.
+    index) is the argmax, and its rank g is Geometric(keep_prob), drawn here
+    for each row in order; ``_dropout_chooser`` picks it.
     """
-    g = rng.geometric(keep_prob, size=sim.shape[0])
-    # infinite for a subnormal keep_prob, so capped before rounding up
-    top = math.ceil(min(10 * math.log(2) / -math.log1p(-keep_prob), sim.shape[1]))
-    return _nth_best(sim, g, top)
+    return _dropout_chooser(rng.geometric(keep_prob, size=sim.shape[0]), keep_prob)(sim, 0)
+
+
+def _dropout_chooser(g, keep_prob):
+    """``choose(sim, start)``: for score row r of ``sim``, its
+    ``g[start + r]``-th best candidate, equal scores ranked by index.
+
+    Ranking the best ``top`` scores of a row serves every g up to ``top``,
+    the smallest value with (1 - keep_prob)^top <= 2^-10, so fewer than one
+    row in 1024 is sorted in full.
+    """
+    def choose(sim, start):
+        # infinite for a subnormal keep_prob, so capped before rounding up
+        top = math.ceil(min(10 * math.log(2) / -math.log1p(-keep_prob), sim.shape[1]))
+        return _nth_best(sim, g[start : start + sim.shape[0]], top)
+    return choose
 
 
 def align(x, z, cfg: MappingConfig) -> MappingResult:

@@ -7,17 +7,19 @@ induction, evaluation, mutual-neighbor refinement, the unsupervised init's
 similarities) comes from one loop over fixed-size query row blocks,
 ``_score_blocks``, so no n x n score matrix is ever built; the init keeps one
 n x n float32 matrix, the sorted target similarities, as its candidates.
-``_score_blocks`` and the argmax helpers keep their input's dtype: the init
-scores in float32, every other layer in float64. Block size changes scores
+``_score_blocks``, ``_unit_rows``, ``_knn_means`` and the argmax helpers keep
+their input's dtype; only the public functions cast, to float64
+(``_require_finite``). The init and the self-learning loop's induction score
+in float32, every other layer in float64. Block size changes scores
 only in the last bits (BLAS rounds blocks of different heights differently).
 A consumer may edit a block in place, but every layer drops its reference
 (``del``) before the next block's product is computed, so one block is alive
 at a time.
 
-Blocks are ``BLOCK_SIZE`` = 256 rows. Consumers hold two or three blocks at
-once (the init a float64 similarity block and its float32 sorted copy, then
-that copy and a score block; ``_nth_best`` a partition copy and a mask beside
-its block), so the height sets most of the memory above the init's n x n
+Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
+float64 similarity block and its float32 sorted copy, then that copy and a
+score block), and induction picks from shifted copies of at most 32 rows of
+its block, so the height sets most of the memory above the init's n x n
 matrix. A sweep over 128, 256, 512 and 1024 rows on the three perfbench
 workloads (table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS
 by 30% on initheavy, 23% on selflearn and 16% on bigvocab, gave the same
@@ -30,9 +32,12 @@ score rank-only: a query's own penalty is the same along its row and cannot
 change the row's order, so forward rows score cos - rS/2 and backward rows
 cos - rT/2. Halving is exact in binary, so these order bit for bit like
 2 cos - r. Each penalty is computed once, and only the ones the directions
-rank by (``_rank_shifts``): evaluation and ``csls_retrieve`` are forward only
-and make one ``_knn_means`` pass. Only the public ``csls_scores`` yields the
-full CSLS values.
+rank by: evaluation and ``csls_retrieve`` are forward only and make one
+``_knn_means`` pass (``_rank_shifts``) before their scoring pass. Induction
+(``_induce``) shares one product between the two directions: the uz·uxᵀ
+tile that gives the backward picks also gives the target penalties rS the
+forward picks need, so a union CSLS induction makes three score products,
+not four. Only the public ``csls_scores`` yields the full CSLS values.
 """
 from __future__ import annotations
 
@@ -46,7 +51,8 @@ BLOCK_SIZE = 256
 
 
 def _unit_rows(m):
-    m = np.asarray(m, dtype=np.float64)
+    """Rows of ``m`` scaled to unit length, in ``m``'s dtype; zero rows stay 0."""
+    m = np.asarray(m)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     return np.divide(m, norms, out=np.zeros_like(m), where=norms != 0.0)
 
@@ -119,12 +125,11 @@ def _block_scores(uq, sel, uc, shift):
     return sim
 
 
-def _argmax(blocks, n, pick=None):
-    """Chosen candidate per query row of ``n`` score rows arriving in blocks:
-    the row argmax, or ``pick(block)`` when given."""
+def _argmax(blocks, n):
+    """Argmax candidate per query row of ``n`` score rows arriving in blocks."""
     out = np.empty(n, dtype=np.int64)
     for start, sim in blocks:
-        out[start : start + sim.shape[0]] = sim.argmax(axis=1) if pick is None else pick(sim)
+        out[start : start + sim.shape[0]] = sim.argmax(axis=1)
         del sim
     return out
 
@@ -175,31 +180,42 @@ def _argmax_both(blocks, n, m):
 
 
 def _knn_means(unit_a, unit_b, k):
-    """For each row of unit_a, mean cosine to its k nearest rows of unit_b."""
-    out = np.empty(unit_a.shape[0])
+    """For each row of unit_a, mean cosine to its k nearest rows of unit_b,
+    in unit_a's dtype."""
+    out = np.empty(unit_a.shape[0], dtype=unit_a.dtype)
     for start, sim in _score_blocks(unit_a, unit_b):
-        # top-k values per row; order within the top-k does not matter
-        sim.partition(sim.shape[1] - k, axis=1)
-        out[start : start + sim.shape[0]] = sim[:, -k:].mean(axis=1)
+        out[start : start + sim.shape[0]] = _top_k_means(sim, k)
         del sim
     return out
 
 
-def _rank_shifts(sides, method, k):
-    """Rank-only shift of the candidate columns for each (unit query rows,
-    unit candidate rows) pair in ``sides`` (module docstring): None for nn,
-    and for csls half of each candidate's penalty, its mean cosine to its k
-    nearest queries. An unknown method or a k without k nearest neighbors on
-    every side raises ContractError before the first ``_knn_means`` pass."""
-    if method == "nn":
-        return [None] * len(sides)
-    if method != "csls":
+def _top_k_means(sim, k):
+    """Mean of the k largest values of each row of ``sim``, which is
+    partitioned in place: order within the top k does not matter."""
+    sim.partition(sim.shape[1] - k, axis=1)
+    return sim[:, -k:].mean(axis=1)
+
+
+def _check_method(sides, method, k):
+    """ContractError for an unknown method, or for csls, a k without k
+    nearest neighbors on every (unit query rows, unit candidate rows) side."""
+    if method not in ("nn", "csls"):
         raise ContractError(f"unknown retrieval method {method!r}")
-    for q, c in sides:
+    for q, c in sides if method == "csls" else ():
         if not 1 <= k <= len(c) - 1 or k > len(q):
             raise ContractError(
                 f"csls k={k} out of range for {len(q)} queries and {len(c)} candidates"
             )
+
+
+def _rank_shifts(sides, method, k):
+    """Rank-only shift of the candidate columns for each side in ``sides``
+    (module docstring): None for nn, and for csls half of each candidate's
+    penalty, its mean cosine to its k nearest queries. Checked by
+    ``_check_method`` before the first ``_knn_means`` pass."""
+    _check_method(sides, method, k)
+    if method == "nn":
+        return [None] * len(sides)
     return [_knn_means(c, q, k) / 2.0 for q, c in sides]
 
 
@@ -219,14 +235,19 @@ def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     score(x, z) = 2 cos(x, z) - rT(x) - rS(z), where rT(x) is the mean cosine
     of x to its k nearest candidates and rS(z) the mean cosine of z to its k
     nearest queries. Both penalties are computed over the full sets passed in,
-    regardless of ``query_indices``. Yields (start, block) pairs over the
-    selected queries. Non-finite input and a query index outside the query
-    rows raise ContractError naming the first one.
+    regardless of ``query_indices``. Returns an iterator of (start, block)
+    pairs over the selected queries. Non-finite input and a query index
+    outside the query rows raise ContractError naming the first one, at the
+    call, before the first block is requested.
     """
     ux, uz, rows, shift = _forward_csls(x_mapped, z_mapped, k, query_indices)
     r_t, r_s = _knn_means(ux, uz, k), 2.0 * shift  # doubling the halved rS is exact
-    if rows is not None:
-        r_t = r_t[rows]
+    # checked and penalised here; the score blocks come from a generator
+    return _csls_blocks(ux, uz, rows, r_t if rows is None else r_t[rows], r_s)
+
+
+def _csls_blocks(ux, uz, rows, r_t, r_s):
+    """Yield (start, block) of full CSLS scores of ``csls_scores``."""
     for start, sim in _score_blocks(ux, uz, rows):
         sim *= 2.0
         sim -= r_t[start : start + sim.shape[0], None]
@@ -267,19 +288,68 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     spaces of different dimensionality raise it naming both dimensions.
     """
     x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
-    return _induce(x, z, method, k, directions)
+    pairs = _induce(_unit_rows(x), _unit_rows(z), method, k, directions)
+    return list(zip(*pairs.T.tolist()))
 
 
-def _induce(x, z, method, k, directions, pick=None):
-    """induce_dictionary, with ``pick(block)`` choosing each score row's
-    candidate in place of its argmax: forward blocks in row order, then
-    backward blocks. CSLS blocks hold rank-only scores (module docstring)."""
+def _induce(ux, uz, method, k, directions, picker=None):
+    """``induce_dictionary`` of unit rows ``ux``, ``uz`` in their dtype, as
+    rows of an n x 2 int64 array, in three passes (module docstring):
+
+    1. ux·uzᵀ gives rT (csls with backward);
+    2. uz·uxᵀ gives, tile by tile, the backward picks at shift rT/2 and then
+       the tile's rS (backward, or csls with forward);
+    3. ux·uzᵀ gives the forward picks at shift rS/2 (forward).
+
+    ``picker(n)`` is called once per picking direction before any product,
+    forward first, and returns ``choose(sim, start)``: the candidate of each
+    score row of ``sim``, rows ``start`` on of that direction. By default
+    each row takes its argmax.
+    """
     if directions not in ("forward", "backward", "union"):
         raise ContractError(f"unknown directions {directions!r}")
-    ux, uz = _unit_rows(x), _unit_rows(z)
-    sides = [(ux, uz)] * (directions != "backward") + [(uz, ux)] * (directions != "forward")
-    pairs: list[tuple[int, int]] = []
-    for (uq, uc), shift in zip(sides, _rank_shifts(sides, method, k)):
-        best = _argmax(_score_blocks(uq, uc, shift=shift), len(uq), pick).tolist()
-        pairs += enumerate(best) if uq is ux else [(i, j) for j, i in enumerate(best)]
-    return sorted(set(pairs)) if directions == "union" else pairs
+    forward, backward = directions != "backward", directions != "forward"
+    sides = [(ux, uz)] * forward + [(uz, ux)] * backward
+    _check_method(sides, method, k)
+    choose = [picker(len(q)) if picker else lambda sim, start: sim.argmax(axis=1)
+              for q, _ in sides]
+    csls = method == "csls"
+    r_s = None
+    if backward or (csls and forward):
+        bwd_shift = _knn_means(ux, uz, k) / 2.0 if csls and backward else None
+        bwd = np.empty(len(uz), dtype=np.int64) if backward else None
+        r_s = np.empty(len(uz), dtype=uz.dtype) if csls and forward else None
+        for start, sim in _score_blocks(uz, ux):
+            if backward:
+                _pick_rows(sim, bwd_shift, choose[-1], bwd, start)
+            if r_s is not None:
+                r_s[start : start + sim.shape[0]] = _top_k_means(sim, k)
+            del sim
+    if forward:
+        fwd = np.empty(len(ux), dtype=np.int64)
+        fwd_shift = None if r_s is None else r_s / 2.0
+        for start, sim in _score_blocks(ux, uz):
+            _pick_rows(sim, fwd_shift, choose[0], fwd, start)
+            del sim
+    if forward and backward:
+        m = len(uz)
+        # i m + j sorts as (i, j) does, since j < m
+        keys = np.unique(np.concatenate([np.arange(len(ux)) * m + fwd, bwd * m + np.arange(m)]))
+        return np.column_stack([keys // m, keys % m])
+    return np.column_stack([np.arange(len(ux)), fwd] if forward else [bwd, np.arange(len(uz))])
+
+
+# rows of a score tile shifted at a time: the shifted copy a pick ranks
+# stays far below a second tile
+_PICK_ROWS = 32
+
+
+def _pick_rows(sim, shift, choose, out, start):
+    """``out[start + r]`` = ``choose`` of score row r of ``sim`` less
+    ``shift``, from shifted copies of at most ``_PICK_ROWS`` rows; ``sim`` is
+    left unchanged."""
+    for lo in range(0, sim.shape[0], _PICK_ROWS):
+        rows = sim[lo : lo + _PICK_ROWS]
+        if shift is not None:
+            rows = rows - shift
+        out[start + lo : start + lo + rows.shape[0]] = choose(rows, start + lo)

@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. The full-scale benchmark check is optional and only runs when the
 XLALIGN_FULLSCALE_DIR environment variable points at a directory with the
-original embeddings and test dictionaries.
+original embeddings and test dictionaries. The warped stall study runs only
+when the XLALIGN_STALL_STUDY environment variable is set.
 """
 import json
 import os
@@ -201,6 +202,28 @@ def test_pipeline_determinism(tmp_path, capsys):
     with capsys.disabled():
         check("pipeline determinism (identical config+seed -> bitwise identical "
               "metrics and artifacts)", ok)
+
+
+@pytest.mark.skipif("XLALIGN_STALL_STUDY" not in os.environ,
+                    reason="stall study not requested (about a minute)")
+def test_warped_stall_count(capsys):
+    """Optional: the loop stalls on partial alignments (CSLS P@1 < 0.9) on
+    at most 6 of 30 warped pairs at 1000x50, seeds 1-30, stall_patience 3,
+    the count the float64 loop gave before the loop scored in float32."""
+    n = 1000
+    gold = GoldDictionary({i: {i} for i in range(n)}, 0)
+    stalled = []
+    for seed in range(1, 31):
+        x, z = make_warped_pair(n=n, seed=seed)
+        cfg = mapping.MappingConfig(vocab_cutoff=n, stall_patience=3, seed=seed)
+        result = mapping.align(x, z, cfg)
+        p1 = evaluate.precision_at_k(result.map_src(x), result.map_trg(z), gold, ks=(1,),
+                                     method="csls").precision_at[1]
+        if p1 < 0.9:
+            stalled.append(seed)
+    with capsys.disabled():
+        check(f"warped stall count ({len(stalled)} of 30 below CSLS P@1 0.9, seeds "
+              f"{stalled}, <= 6)", len(stalled) <= 6)
 
 
 @pytest.mark.skipif("XLALIGN_FULLSCALE_DIR" not in os.environ,

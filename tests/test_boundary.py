@@ -82,7 +82,8 @@ def test_nn_retrieve_rejects_a_non_matrix(sim):
     ([(N, 0), (1, 1)], f"({N}, 0)"),  # raised numpy's IndexError
     ([(0, 0), (2, N + 5)], f"(2, {N + 5})"),
     ([(0.5, 0), (1, 1)], "(0.5, 0)"),  # truncated to row 0
-], ids=["negative", "at-cutoff", "past-cutoff", "float"])
+    ([(1, 1), (0, 0, 0)], "(0, 0, 0)"),  # raised numpy's unpacking ValueError
+], ids=["negative", "at-cutoff", "past-cutoff", "float", "three-entries"])
 def test_init_pair_outside_the_cutoff_rows(init, bad):
     x, z, _ = make_rotated_pair(n=N + 10, d=4, seed=19)
     message = f"init pair {bad} is not two rows in [0, {N}), the vocabulary cutoff"

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from xlalign import mapping
+from xlalign import mapping, retrieval
 from xlalign.errors import ContractError
 from xlalign.normalize import preprocess
 
@@ -318,6 +318,23 @@ class TestSelfLearningAlign:
         assert result.iterations > 1
         assert len(calls) == 1
 
+    def test_loop_induction_peak_memory_in_float32(self):
+        # the float32 unit copies (8 n d bytes, and 8 n d for the float64
+        # unit rows each is rounded from) and one float32 256-row tile with
+        # its 32-row pick slices: 4.36 MB; a float64 tile alone is 6.1 MB
+        # here, against this bound of 4.6 MB
+        n, d = 3000, 10
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+        cfg = self.fast_cfg(n)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            mapping._induce_with_dropout(x, z, cfg, 0.1, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * d + 4 * 256 * n + 1024 * 1024
+
     def test_reweight_scale_stored(self):
         x, z, _ = make_rotated_pair(n=120, d=6, seed=14)
         result = mapping.align(x, z, self.fast_cfg(120, reweight=True))
@@ -405,6 +422,32 @@ class TestDropoutSampler:
         for counts in (sampled, masked):
             assert (counts == 1).sum() > 1.5 * (counts == 3).sum()
         assert _chi2_two_sample(sampled, masked, [[1], [3], [2]]) < 16.27  # df 3, 99.9%
+
+
+def test_union_dropout_is_both_directions_drawn_forward_first():
+    # one uz.ux^T product gives the backward picks and the forward penalties,
+    # so backward rows are picked before forward rows; drawn up front, forward
+    # first, union is the forward-only picks plus the backward-only picks
+    # from the same stream, at every tile height
+    rng = np.random.default_rng(25)
+    x = rng.integers(-1, 2, size=(40, 4)).astype(np.float64)
+    z = rng.integers(-1, 2, size=(35, 4)).astype(np.float64)
+    x[10:20], z[5:15] = x[:10], z[20:30]  # duplicated rows: exact ties both ways
+    ux, uz = retrieval._unit_rows(x), retrieval._unit_rows(z)
+
+    def picker(draws):
+        return lambda n: mapping._dropout_chooser(draws.geometric(0.3, size=n), 0.3)
+
+    unions = []
+    for height in (1, 7, 1024):
+        with tile_rows(height):
+            unions.append(retrieval._induce(ux, uz, "csls", 3, "union",
+                                            picker(np.random.default_rng(26))).tolist())
+            draws = np.random.default_rng(26)
+            fwd = retrieval._induce(ux, uz, "csls", 3, "forward", picker(draws)).tolist()
+            bwd = retrieval._induce(ux, uz, "csls", 3, "backward", picker(draws)).tolist()
+        assert unions[-1] == sorted(map(list, set(map(tuple, fwd + bwd))))
+    assert unions[0] == unions[1] == unions[2]
 
 
 class TestAlignContracts:

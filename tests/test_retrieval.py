@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlalign import retrieval
+from xlalign import evaluate, retrieval
 from xlalign.errors import ContractError
 from xlalign.evaluate import precision_at_k
 from xlalign.io import GoldDictionary
@@ -222,16 +222,18 @@ def test_csls_induction_matches_bruteforce(case):
 
 
 @pytest.mark.parametrize("call, passes", [
-    (lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=3, directions="union"), 2),
-    (lambda x, z: retrieval.csls_retrieve(x, z, k=3), 1),
-    (lambda x, z: precision_at_k(x, z, GoldDictionary({0: {0}}, 0), method="csls", csls_k=3), 1),
+    # rT, then rS with the backward picks, then the forward picks
+    (lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=3, directions="union"), 3),
+    (lambda x, z: retrieval.csls_retrieve(x, z, k=3), 2),
+    (lambda x, z: precision_at_k(x, z, GoldDictionary({0: {0}}, 0), method="csls", csls_k=3), 2),
 ], ids=["induce_dictionary-union", "csls_retrieve", "precision_at_k-csls"])
-def test_union_csls_computes_penalties_once(knn_calls, call, passes):
-    # each penalty the call ranks by is one _knn_means pass, and no other
+def test_union_csls_computes_penalties_once(score_passes, call, passes):
+    # each penalty the call ranks by comes from one score product, and the
+    # backward penalty pass and backward pick pass are one product
     rng = np.random.default_rng(9)
     with tile_rows(7):
         call(rng.standard_normal((30, 5)), rng.standard_normal((25, 5)))
-    assert len(knn_calls) == passes
+    assert len(score_passes) == passes
 
 
 @pytest.mark.parametrize("call", [
@@ -239,21 +241,27 @@ def test_union_csls_computes_penalties_once(knn_calls, call, passes):
     lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=25, directions="union"),
     lambda x, z: retrieval.csls_retrieve(x, z, k=0),
     lambda x, z: list(retrieval.csls_scores(x, z, k=3, query_indices=[25])),
+    # checked at the call, not at the first block a caller asks for
+    lambda x, z: retrieval.csls_scores(x, z, k=3, query_indices=[25]),
     lambda x, z: precision_at_k(x, z, GoldDictionary({0: {0}}, 0), method="csls", csls_k=30),
-], ids=["induce_dictionary-union", "csls_retrieve", "csls_scores", "precision_at_k-csls"])
-def test_bad_csls_input_raises_before_any_penalty_pass(knn_calls, call):
+], ids=["induce_dictionary-union", "csls_retrieve", "csls_scores", "csls_scores-uniterated",
+        "precision_at_k-csls"])
+def test_bad_csls_input_raises_before_any_penalty_pass(score_passes, call):
     rng = np.random.default_rng(9)
     with pytest.raises(ContractError):
         call(rng.standard_normal((25, 5)), rng.standard_normal((30, 5)))
-    assert knn_calls == []
+    assert score_passes == []
 
 
 @pytest.fixture
-def knn_calls(monkeypatch):
-    """The arguments of every ``_knn_means`` pass made while the test runs."""
+def score_passes(monkeypatch):
+    """The query rows of every score product (``_score_blocks`` pass) made
+    while the test runs, in retrieval and in evaluation."""
     calls = []
-    knn_means = retrieval._knn_means
-    monkeypatch.setattr(retrieval, "_knn_means", lambda *a: calls.append(a) or knn_means(*a))
+    score_blocks = retrieval._score_blocks
+    for module in (retrieval, evaluate):
+        monkeypatch.setattr(module, "_score_blocks",
+                            lambda uq, *a, **kw: calls.append(uq) or score_blocks(uq, *a, **kw))
     return calls
 
 
