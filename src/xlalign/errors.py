@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that every
+public function taking a matrix runs at the boundary."""
+
+import numpy as np
 
 
 class XlalignError(Exception):
@@ -29,3 +32,16 @@ class AlignmentCollapseError(XlalignError):
 
 class NumericalError(XlalignError):
     """A numerical routine failed or produced non-finite values."""
+
+
+def _require_finite(m, name):
+    """``m`` as a float64 matrix; ContractError unless it is one, naming the
+    first row of ``m`` that holds a NaN or infinity."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ContractError(f"{name} must be a matrix, got {m.ndim} axes")
+    finite = np.isfinite(m)
+    if not finite.all():
+        row = int(np.argwhere(~finite)[0][0])
+        raise ContractError(f"{name} row {row} holds a non-finite value")
+    return m

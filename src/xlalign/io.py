@@ -12,12 +12,13 @@ from __future__ import annotations
 import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cache
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, _require_finite
 
 # A bilingual dictionary is an ordered list of (source-index, target-index)
 # pairs; modules pass it around as plain tuples.
@@ -126,21 +127,114 @@ def load_embeddings(path, max_vocab=None):
 def save_embeddings(vocab, emb, path):
     """Write vocabulary and matrix in the text format ``load_embeddings`` reads.
 
-    Values are written with 9 significant digits, so a reload is within 1e-6
-    of the original element-wise.
+    Every value is written exactly as C's ``%.9g`` writes it (9 significant
+    digits, so a reload is within 1e-6 of the original element-wise), and
+    lines end as text mode ends them on the platform. Rows are formatted
+    ``_TILE_ROWS`` at a time with numpy (``_format_tile``), which falls back
+    to Python's ``%`` for each value it cannot be sure of. A matrix that is
+    not two-dimensional or holds a NaN or infinity, which ``load_embeddings``
+    would reject, raises ContractError naming the first bad row before the
+    file is opened.
     """
-    emb = np.asarray(emb)
+    emb = _require_finite(emb, "emb")
     if len(vocab) != emb.shape[0]:
         raise ContractError(
             f"vocabulary size {len(vocab)} does not match matrix rows {emb.shape[0]}"
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{emb.shape[0]} {emb.shape[1]}\n")
-        # one % per row; rows convert one at a time, as a whole-matrix
-        # tolist() would hold every value as a Python float at once
-        fmt = "%s " + " ".join(["%.9g"] * emb.shape[1]) + "\n"
-        for word, row in zip(vocab.words, emb):
-            fh.write(fmt % (word, *row.tolist()))
+        for start in range(0, emb.shape[0], _TILE_ROWS):
+            # unnamed, so one tile's lines are freed before the next is formatted
+            fh.write("".join(chain.from_iterable(zip(
+                vocab.words[start : start + _TILE_ROWS], repeat(" "),
+                _format_tile(emb[start : start + _TILE_ROWS]), repeat("\n")))))
+
+
+# rows of a matrix formatted at a time; the tile's buffer is 24 bytes a value
+_TILE_ROWS = 256
+
+
+@cache
+def _digit_tables():
+    """Byte tables of the fast path of ``_format_tile`` as little-endian
+    integers, built on the first save rather than at import. Heads, 8 bytes
+    each: "[-]0." + x - 1 zeros + first digit d, NUL-padded, at
+    sign * 36 + (x - 1) * 9 + d - 1 for x in 1-4 and d in 1-9. Groups, 4
+    bytes each: every group of 4 digits 0000-9999 with its trailing zeros as
+    NUL, then every one in full at 10000 + the group."""
+    heads = b"".join(f"{sign}0.{'0' * (x - 1)}{d}".encode().ljust(8, b"\0")
+                     for sign in ("", "-") for x in range(1, 5) for d in range(1, 10))
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+    trailing_zero = np.stack([g % 10000, g % 1000, g % 100, g % 10], axis=1) == 0
+    groups = np.concatenate([np.where(trailing_zero, 0, digits), digits]).astype(np.uint8)
+    groups.flags.writeable = False  # shared by every save, as the heads' bytes are
+    return np.frombuffer(heads, "<u8"), groups.view("<u4")[:, 0]
+
+
+# 10^(8+x) at x - 1: scales a value with x leading zeros to a 9-digit mantissa
+_SCALES = np.array([1e9, 1e10, 1e11, 1e12])
+
+
+def _format_tile(tile):
+    """The values of each row of the float64 matrix ``tile`` as ``"%.9g"``
+    writes them, joined by spaces: one string per row.
+
+    Each value gets a 24-byte slot of a buffer, which holds its field, NUL
+    padding, and a space in the last byte unless the value ends its row; a
+    last slot per row holds a newline. A value v with 1e-4 <= |v| < 1 and
+    x leading zeros (x in 1-4) is written "[-]0." + x - 1 zeros + the 9
+    digits of m = rint(|v| 10^(8+x)), less trailing zeros. The power is
+    exact and the product within half an ulp (6e-8) of the exact one, so m
+    is the correctly rounded mantissa unless the product is within 1e-6 of a
+    tie. The field is put together from ``_digit_tables`` by the sign, x,
+    m's first digit and its two 4-digit groups. Near ties, values that round
+    up into the next decade (m = 10^9) and every value outside the range
+    (0, |v| >= 1, |v| < 1e-4) are formatted by ``"%.9g" %`` one at a time.
+    Deleting the NULs leaves the lines, which are split at the newlines.
+    """
+    heads, groups = _digit_tables()
+    rows, d = tile.shape
+    a = np.abs(tile)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a[~fast] = 0.5  # any value of the range: the product below cannot overflow
+    x = (a < 0.1).view(np.int8) + (a < 0.01).view(np.int8) + (a < 0.001).view(np.int8)
+    a *= _SCALES[x]
+    m = np.rint(a)
+    a -= m  # exact: the product's distance to its nearest integer, at most 1/2
+    fast &= (np.abs(a) < 0.5 - 1e-6) & (m < 1e9)
+    m[~fast] = 1e8  # any 9-digit mantissa: it only indexes the tables
+    # the groups of m split in float64: each quotient lies at least 1e-4
+    # from the next integer, far beyond its rounding error
+    np.floor(np.multiply(m, 1e-4, out=a), out=a)
+    m -= a * 1e4  # the last group
+    first = np.floor(a * 1e-4)
+    a -= first * 1e4  # the middle group
+    # table indices in the narrowest integers: they outlive the floats
+    head = (tile < 0).view(np.int8) * 36 + x * 9 + first.astype(np.int8) - 1
+    mid, last = a.astype(np.int16), m.astype(np.int16)
+    del x, first, a, m
+    mid[last != 0] += 10000  # the middle group keeps its trailing zeros
+    # numpy fills the slots in place in a bytearray, whose translate then
+    # leaves one copy of the lines, NUL-free
+    raw = bytearray(24 * rows * (d + 1))
+    buf = np.frombuffer(raw, "<u4").reshape(rows, d + 1, 6)
+    buf.view("<u8")[:, :d, 0] = heads[head]
+    del head
+    buf[:, :d, 2] = groups[mid]
+    buf[:, :d, 3] = groups[last]
+    del mid, last
+    buf[:, : d - 1, 5] = ord(" ") << 24
+    buf[:, d, 0] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # a field is at most 16 characters, as in "-1.23456789e-308"
+        fields = np.array(["%.9g" % v for v in tile.ravel()[slow].tolist()], dtype="S16")
+        row, col = np.divmod(slow, d)
+        buf.view(np.uint8)[row, col, :16] = fields.view(np.uint8).reshape(-1, 16)
+    text = raw.translate(None, b"\0")
+    del buf, raw
+    return text.decode("ascii").split("\n")[:-1]  # the text ends in a newline
 
 
 def _word_pairs(path):

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import retrieval
-from .errors import AlignmentCollapseError, ContractError, NumericalError
+from .errors import AlignmentCollapseError, ContractError, NumericalError, _require_finite
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_CSLS_K, _argmax_both, _induce, _nth_best, _require_finite, _require_spaces,
-    _score_blocks, _unit_rows, induce_dictionary,
+    DEFAULT_CSLS_K, _argmax_both, _induce, _nth_best, _require_spaces, _score_blocks,
+    _unit_rows, induce_dictionary,
 )
 
 
@@ -275,10 +275,11 @@ def _induce_with_dropout(xw, zw, cfg, keep_prob, rng):
     float32, so every score tile, penalty and pick is float32, VecMap's
     precision: induction only picks pairs, and the solve and objective stay
     float64. Each row takes the argmax of its retained scores, drawn exactly
-    by rank (``_dropout_argmax``): one geometric draw per query row, drawn
-    up front, forward rows before backward rows, so the draws depend on
-    neither the tile height nor the order of the score passes. At keep_prob 1
-    nothing is drawn.
+    by rank (``_dropout_chooser``): the first kept score in the row's
+    best-first order is the argmax, and its rank g is Geometric(keep_prob),
+    one draw per query row, drawn up front, forward rows before backward
+    rows, so the draws depend on neither the tile height nor the order of
+    the score passes. At keep_prob 1 nothing is drawn.
     """
     ux, uz = (_unit_rows(m).astype(np.float32) for m in (xw, zw))
     k = min(cfg.csls_k, len(uz) - 1, len(ux))
@@ -287,17 +288,6 @@ def _induce_with_dropout(xw, zw, cfg, keep_prob, rng):
         def picker(n):
             return _dropout_chooser(rng.geometric(keep_prob, size=n), keep_prob)
     return _induce(ux, uz, "csls", k, cfg.direction, picker)
-
-
-def _dropout_argmax(sim, keep_prob, rng):
-    """Row argmax of ``sim`` after each score is dropped with probability
-    1 - keep_prob (all dropped: index 0), without drawing the b x m mask.
-
-    The first kept score in the row's best-first order (equal scores by
-    index) is the argmax, and its rank g is Geometric(keep_prob), drawn here
-    for each row in order; ``_dropout_chooser`` picks it.
-    """
-    return _dropout_chooser(rng.geometric(keep_prob, size=sim.shape[0]), keep_prob)(sim, 0)
 
 
 def _dropout_chooser(g, keep_prob):

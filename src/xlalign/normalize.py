@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
-from .retrieval import _require_finite
+from .errors import ContractError, DegenerateInputError, _require_finite
 
 DEFAULT_NORM_ITERS = 5
 DEFAULT_NORM_TOL = 1e-6

@@ -18,9 +18,10 @@ at a time.
 
 Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
-score block), and induction picks from shifted copies of at most 32 rows of
-its block, so the height sets most of the memory above the init's n x n
-matrix. A sweep over 128, 256, 512 and 1024 rows on the three perfbench
+score block). Induction shifts its forward tiles in place; its backward
+tiles also give penalties, so their picks rank shifted copies of 8 rows (32
+for a dropout picker). The height thus sets most of the memory above the
+init's n x n matrix. A sweep over 128, 256, 512 and 1024 rows on the three perfbench
 workloads (table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS
 by 30% on initheavy, 23% on selflearn and 16% on bigvocab, gave the same
 outputs, and moved no end-to-end time beyond the run-to-run spread. 128
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _require_finite
 from .io import BilingualDictionary
 
 DEFAULT_CSLS_K = 10
@@ -55,19 +56,6 @@ def _unit_rows(m):
     m = np.asarray(m)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     return np.divide(m, norms, out=np.zeros_like(m), where=norms != 0.0)
-
-
-def _require_finite(m, name):
-    """``m`` as a float64 matrix; ContractError unless it is one, naming the
-    first row of ``m`` that holds a NaN or infinity."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ContractError(f"{name} must be a matrix, got {m.ndim} axes")
-    finite = np.isfinite(m)
-    if not finite.all():
-        row = int(np.argwhere(~finite)[0][0])
-        raise ContractError(f"{name} row {row} holds a non-finite value")
-    return m
 
 
 def _require_spaces(x, z, names):
@@ -313,6 +301,7 @@ def _induce(ux, uz, method, k, directions, picker=None):
     _check_method(sides, method, k)
     choose = [picker(len(q)) if picker else lambda sim, start: sim.argmax(axis=1)
               for q, _ in sides]
+    height = _PICK_ROWS if picker else _ARGMAX_ROWS
     csls = method == "csls"
     r_s = None
     if backward or (csls and forward):
@@ -321,15 +310,16 @@ def _induce(ux, uz, method, k, directions, picker=None):
         r_s = np.empty(len(uz), dtype=uz.dtype) if csls and forward else None
         for start, sim in _score_blocks(uz, ux):
             if backward:
-                _pick_rows(sim, bwd_shift, choose[-1], bwd, start)
+                _pick_rows(sim, bwd_shift, choose[-1], bwd, start, height)
             if r_s is not None:
                 r_s[start : start + sim.shape[0]] = _top_k_means(sim, k)
             del sim
     if forward:
         fwd = np.empty(len(ux), dtype=np.int64)
         fwd_shift = None if r_s is None else r_s / 2.0
-        for start, sim in _score_blocks(ux, uz):
-            _pick_rows(sim, fwd_shift, choose[0], fwd, start)
+        # shifted in place: the tile is dropped after its picks
+        for start, sim in _score_blocks(ux, uz, shift=fwd_shift):
+            _pick_rows(sim, None, choose[0], fwd, start, _PICK_ROWS)
             del sim
     if forward and backward:
         m = len(uz)
@@ -339,17 +329,19 @@ def _induce(ux, uz, method, k, directions, picker=None):
     return np.column_stack([np.arange(len(ux)), fwd] if forward else [bwd, np.arange(len(uz))])
 
 
-# rows of a score tile shifted at a time: the shifted copy a pick ranks
-# stays far below a second tile
+# rows of a score tile a pick takes at a time: a dropout picker partitions
+# a copy of them, and an argmax pick at a shift ranks a shifted copy of them,
+# each far below a second tile
 _PICK_ROWS = 32
+_ARGMAX_ROWS = 8
 
 
-def _pick_rows(sim, shift, choose, out, start):
+def _pick_rows(sim, shift, choose, out, start, height):
     """``out[start + r]`` = ``choose`` of score row r of ``sim`` less
-    ``shift``, from shifted copies of at most ``_PICK_ROWS`` rows; ``sim`` is
-    left unchanged."""
-    for lo in range(0, sim.shape[0], _PICK_ROWS):
-        rows = sim[lo : lo + _PICK_ROWS]
+    ``shift``, ``height`` rows at a time, from shifted copies of them when
+    ``shift`` is given; ``sim`` is left unchanged."""
+    for lo in range(0, sim.shape[0], height):
+        rows = sim[lo : lo + height]
         if shift is not None:
             rows = rows - shift
         out[start + lo : start + lo + rows.shape[0]] = choose(rows, start + lo)

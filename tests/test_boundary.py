@@ -3,6 +3,7 @@ the boundary, and none of them takes a score tile height. The self-learning
 loop rejects init pairs outside its cutoff rows."""
 import dataclasses
 import inspect
+import os
 import re
 
 import numpy as np
@@ -19,9 +20,11 @@ CFG = xlalign.MappingConfig(vocab_cutoff=N)
 GOLD = GoldDictionary({i: {i} for i in range(N)}, 0)
 PAIRS = [(0, 0), (1, 1)]  # the bad row is in none: refinement used to copy its NaN out
 BAD_ROW = 7
+WORDS = xlalign.Vocabulary([f"w{i}" for i in range(N)])
 
 # call on the (source, target) spaces, and the names its errors give them;
-# nn_retrieve takes one score matrix, and the normalize functions one space
+# nn_retrieve takes one score matrix, and the normalize functions and
+# save_embeddings one space
 BOUNDARY = {
     "align": (lambda x, z: xlalign.align(x, z, CFG), "x", "z"),
     "unsupervised_init": (lambda x, z: xlalign.unsupervised_init(x, z, CFG), "x", "z"),
@@ -46,6 +49,8 @@ BOUNDARY = {
     "mean_center": (lambda x, z: xlalign.mean_center(x), "emb", None),
     "iterative_normalize": (lambda x, z: xlalign.iterative_normalize(x), "emb", None),
     "preprocess": (lambda x, z: xlalign.preprocess(x), "emb", None),
+    # checked before the file is opened, so nothing is written
+    "save_embeddings": (lambda x, z: xlalign.save_embeddings(WORDS, x, os.devnull), "emb", None),
 }
 CASES = [(call, side) for call, (_, *names) in BOUNDARY.items()
          for side, name in zip("xz", names) if name is not None]

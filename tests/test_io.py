@@ -1,7 +1,11 @@
 import errno
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xlalign import io
 from xlalign.errors import ContractError, FormatError
@@ -109,6 +113,17 @@ class TestSaveEmbeddings:
         with pytest.raises(ContractError):
             io.save_embeddings(io.Vocabulary(["a"]), np.zeros((2, 3)), tmp_path / "x.vec")
 
+    @pytest.mark.parametrize("emb, message", [
+        (np.zeros(2), "emb must be a matrix, got 1 axes"),  # raised numpy's IndexError
+        ([[0.5, 1.0], [np.inf, 0.0]], "emb row 1 holds a non-finite value"),  # wrote "inf"
+        ([[0.5, np.nan], [1.0, 0.0]], "emb row 0 holds a non-finite value"),  # wrote "nan"
+    ], ids=["vector", "inf", "nan"])
+    def test_unloadable_matrix_rejected_before_the_file_opens(self, tmp_path, emb, message):
+        out = tmp_path / "bad.vec"
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            io.save_embeddings(io.Vocabulary(["a", "b"]), emb, out)
+        assert not out.exists()
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bytes_match_per_value_formatting(self, tmp_path, dtype):
         emb = np.array([[-1.5, -0.0, 0.0, 1e-12, 1e+20],
@@ -136,6 +151,115 @@ class TestSaveEmbeddings:
             vocab2, emb2 = io.load_embeddings(out)
             assert vocab2.words == vocab.words
             np.testing.assert_allclose(emb2, emb, atol=1e-6)
+
+
+def percent_g_file(emb):
+    """The bytes of an embedding file of ``emb`` with words w0, w1, ... and
+    every value written as ``"%.9g" % float(v)``."""
+    emb = np.asarray(emb)
+    return (f"{emb.shape[0]} {emb.shape[1]}\n" + "".join(
+        f"w{i} " + " ".join("%.9g" % float(v) for v in row) + "\n"
+        for i, row in enumerate(emb))).encode("utf-8")
+
+
+def saved_file(path, emb):
+    """The bytes ``save_embeddings`` writes for ``emb`` with words w0, w1, ..."""
+    io.save_embeddings(io.Vocabulary([f"w{i}" for i in range(len(emb))]), emb, path)
+    return path.read_bytes()
+
+
+def edge_values():
+    """Values where a numpy formatter of "%.9g" can go wrong."""
+    powers = 10.0 ** np.arange(-6, 11)
+    # the midpoints between 9-digit decimals, where rounding is decided, and
+    # their neighbours: near ties, then values just clear of the tie window
+    mantissas = np.array([100000000, 123456789, 500000000, 999999998])
+    mids = np.concatenate([(mantissas + 0.5) / 10.0 ** (8 + x) for x in range(-3, 6)])
+    near = [np.nextafter(mids, 0), np.nextafter(mids, 1), mids * (1 - 3e-15), mids * (1 + 3e-15)]
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), mids, *near,
+        # round up across a decade
+        [0.99999999996, 9.9999999996e-5, 0.099999999951, 0.0099999999951, 9.99999999951e8],
+        # exact ties at the 10th digit: half to even
+        [2.0**-13, 3 * 2.0**-13, 2.0**-14, 1234567885.0, 1234567875.0],
+        # zeros, subnormals and the ends of the float64 range
+        [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e308,
+         np.finfo(np.float64).max, 1e-4, 1 - 2.0**-53, 0.5, 1.0],
+    ])
+    return np.concatenate([values, -values])
+
+
+class TestWriterMatchesPercentG:
+    """``save_embeddings`` writes every value as ``"%.9g" % float(v)`` does."""
+
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_edge_table(self, tmp_path, d):
+        values = edge_values()
+        emb = np.resize(values, (-(-len(values) // d), d))
+        assert saved_file(tmp_path / "edge.vec", emb) == percent_g_file(emb)
+
+    def test_float32_input(self, tmp_path):
+        rng = np.random.default_rng(31)
+        emb = np.concatenate([rng.standard_normal((20, 16)), rng.uniform(-1, 1, (20, 16))])
+        emb = emb.astype(np.float32)
+        emb[0, :4] = [np.float32(0.1), np.float32(-1e-4), np.finfo(np.float32).max, 1e-45]
+        assert saved_file(tmp_path / "f32.vec", emb) == percent_g_file(emb)
+
+    def test_integer_input(self, tmp_path):
+        emb = np.array([[0, 1, -7, 123456789], [1234567885, 2**53 + 1, -(2**62), 10**18]])
+        assert saved_file(tmp_path / "int.vec", emb) == percent_g_file(emb)
+
+    @pytest.mark.parametrize("d", [1, 3, 50, 300])
+    def test_unit_rows_with_zeros(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        emb = rng.standard_normal((300, d))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        emb[rng.random(emb.shape) < 0.05] = 0.0
+        emb[7] = 0.0
+        assert saved_file(tmp_path / "unit.vec", emb) == percent_g_file(emb)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24),
+           st.integers(1, 4))
+    def test_any_finite_float(self, tmp_path, values, d):
+        emb = np.resize(values, (-(-len(values) // d), d))
+        assert saved_file(tmp_path / "any.vec", emb) == percent_g_file(emb)
+
+    def test_holds_one_tile_not_a_matrix_copy(self, tmp_path):
+        # a tile's buffer is 24 bytes a value, plus a 24-byte slot per row
+        # (1.2 MB here); it peaks beside the tile's table indices and one
+        # gathered column of heads (2.56 MB). A float64 copy of emb is 6.4 MB
+        n, d = 4000, 200
+        emb = np.random.default_rng(5).standard_normal((n, d))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        vocab = io.Vocabulary([f"w{i}" for i in range(n)])
+        tracemalloc.start()
+        try:
+            io.save_embeddings(vocab, emb, tmp_path / "big.vec")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 24 * 256 * (d + 1)
+
+
+@pytest.mark.skipif("XLALIGN_WRITER_SWEEP" not in os.environ,
+                    reason="writer sweep not requested (about 20 s)")
+def test_writer_sweep(tmp_path):
+    """Optional: the writer's bytes equal "%.9g" on 10^7 random values of
+    both signs: 5000 random mantissas at each of the 2047 finite binary
+    exponents (subnormals included), and 200000 more at each exponent of
+    [2^-14, 1), the writer's fast range."""
+    rng = np.random.default_rng(13)
+    biased = np.arange(2047, dtype=np.uint64)
+    counts = np.where((biased >= 1023 - 14) & (biased < 1023), 205000, 5000)
+    exponents = np.repeat(biased, counts)  # 13035000, 100 values a row
+    for start in range(0, len(exponents), 100000):
+        chunk = exponents[start : start + 100000]
+        mantissa = rng.integers(0, 2**52, size=len(chunk), dtype=np.uint64)
+        sign = rng.integers(0, 2, size=len(chunk), dtype=np.uint64) << np.uint64(63)
+        emb = (sign | chunk << np.uint64(52) | mantissa).view(np.float64).reshape(-1, 100)
+        assert saved_file(tmp_path / "sweep.vec", emb) == percent_g_file(emb)
 
 
 class TestDictionaryPairs:

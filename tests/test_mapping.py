@@ -364,8 +364,9 @@ def _draw_counts(row, keep_prob, draws=20000, chunk=2000):
     under the literal mask (independent streams), drawn ``chunk`` rows at a time."""
     sim = np.tile(row, (chunk, 1))
     sampler_rng, mask_rng = np.random.default_rng(20), np.random.default_rng(21)
-    sampled = np.concatenate([mapping._dropout_argmax(sim, keep_prob, sampler_rng)
-                              for _ in range(draws // chunk)])
+    sampled = np.concatenate([
+        mapping._dropout_chooser(sampler_rng.geometric(keep_prob, size=len(sim)), keep_prob)(sim, 0)
+        for _ in range(draws // chunk)])
     masked = np.concatenate([dropout_argmax_literal(sim, keep_prob, mask_rng)
                              for _ in range(draws // chunk)])
     return sampled, masked
@@ -413,7 +414,8 @@ class TestDropoutSampler:
         sim = np.tile([1.0, 3.0, 2.0], (50, 1))
         rng = np.random.default_rng(24)
         for keep_prob in (1e-12, 1e-320):
-            np.testing.assert_array_equal(mapping._dropout_argmax(sim, keep_prob, rng), 0)
+            g = rng.geometric(keep_prob, size=len(sim))
+            np.testing.assert_array_equal(mapping._dropout_chooser(g, keep_prob)(sim, 0), 0)
         np.testing.assert_array_equal(dropout_argmax_literal(sim, 1e-12, rng), 0)
 
     def test_tie_goes_to_lower_index(self):
