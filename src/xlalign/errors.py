@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one check that every
-public function taking a matrix runs at the boundary."""
+"""Exception types shared across the package, and the checks that every
+public function taking a matrix or a dictionary runs at the boundary."""
+
+from itertools import chain
 
 import numpy as np
 
@@ -45,3 +47,24 @@ def _require_finite(m, name):
         row = int(np.argwhere(~finite)[0][0])
         raise ContractError(f"{name} row {row} holds a non-finite value")
     return m
+
+
+def _require_pairs(pairs, n_src, n_trg, message):
+    """``pairs`` as an n x 2 int64 array of integer pairs (bools are not) in
+    [0, ``n_src``) x [0, ``n_trg``); an empty sequence is no pairs. Otherwise
+    ContractError with ``message`` formatted with the first bad pair."""
+    try:
+        a = np.asarray(pairs)
+    except ValueError:  # pairs of different lengths
+        a = np.empty(0)
+    if not (a.ndim == 2 and a.shape[1] == 2 and a.dtype.kind in "iu"
+            and (a >= 0).all() and (a < (n_src, n_trg)).all()
+            # numpy reads True as 1, so a bool is found by its type
+            and (isinstance(pairs, np.ndarray)
+                 or not {bool, np.bool_} & set(map(type, chain.from_iterable(pairs))))):
+        for pair in pairs:
+            two = isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+            if not two or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                                  and 0 <= v < n for v, n in zip(pair, (n_src, n_trg))):
+                raise ContractError(message.format("({}, {})".format(*pair) if two else repr(pair)))
+    return a.astype(np.int64).reshape(-1, 2)  # also no pairs, or integers promoted to floats

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .io import GoldDictionary
-from .retrieval import DEFAULT_CSLS_K, _rank_shifts, _require_spaces, _score_blocks, _unit_rows
+from .retrieval import DEFAULT_CSLS_K, _rank_shift, _require_spaces, _score_blocks, _unit_rows
 
 DEFAULT_KS = (1, 5, 10)
 # score rows compared at a time: bounds the boolean temporaries of _ranks
@@ -55,7 +55,7 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
     sources, targets, counts = _gold_arrays(gold, x.shape[0], z.shape[0])
     ux, uz = _unit_rows(x), _unit_rows(z)
-    (shift,) = _rank_shifts([(ux, uz)], method, csls_k)
+    shift = _rank_shift(ux, uz, method, csls_k)
     best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
     for start, block in _score_blocks(ux, uz, sources, shift):
         rows = slice(start, start + block.shape[0])

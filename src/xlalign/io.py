@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FormatError, _require_finite
+from .errors import ContractError, FormatError, _require_finite, _require_pairs
 
 # A bilingual dictionary is an ordered list of (source-index, target-index)
 # pairs; modules pass it around as plain tuples.
@@ -132,11 +132,13 @@ def save_embeddings(vocab, emb, path):
     lines end as text mode ends them on the platform. Rows are formatted
     ``_TILE_ROWS`` at a time with numpy (``_format_tile``), which falls back
     to Python's ``%`` for each value it cannot be sure of. A matrix that is
-    not two-dimensional or holds a NaN or infinity, which ``load_embeddings``
-    would reject, raises ContractError naming the first bad row before the
-    file is opened.
+    not two-dimensional, has no columns or holds a NaN or infinity, which
+    ``load_embeddings`` would reject, raises ContractError before the file is
+    opened, naming the first bad row.
     """
     emb = _require_finite(emb, "emb")
+    if emb.shape[1] == 0:
+        raise ContractError("emb has no columns, which load_embeddings rejects")
     if len(vocab) != emb.shape[0]:
         raise ContractError(
             f"vocabulary size {len(vocab)} does not match matrix rows {emb.shape[0]}"
@@ -269,7 +271,10 @@ def load_dictionary_pairs(path, src, trg):
 
 
 def save_dictionary_pairs(pairs, src, trg, path):
-    """Write (source-index, target-index) pairs as a word-pair file."""
+    """Write (source-index, target-index) pairs as a word-pair file; a pair
+    not indexing ``src`` and ``trg`` raises ContractError before the file opens."""
+    _require_pairs(pairs, len(src), len(trg), "dictionary pair {} is not two word "
+                   f"indices in [0, {len(src)}) and [0, {len(trg)})")
     with open(path, "w", encoding="utf-8") as fh:
         for i, j in pairs:
             fh.write(f"{src.words[i]} {trg.words[j]}\n")

@@ -4,12 +4,8 @@ Seeds a dictionary from intra-language similarity distributions, then
 alternates orthogonal Procrustes solves with CSLS dictionary induction until
 the mean-cosine objective stops improving. Induction is stochastic, as in
 VecMap (Artetxe, Labaka & Agirre, 2018): each similarity is kept with
-probability keep_prob and every row takes the argmax of the kept ones, which
-keeps the search from locking in early. That argmax is sampled exactly by
-rank, with no mask: it is the row's g-th best candidate (equal scores ranked
-by index) with g ~ Geometric(keep_prob), and candidate 0 when g exceeds the
-row, as when every score is dropped. Rows rank by the rank-only CSLS scores
-of ``retrieval``, in its three score products per union induction. The loop
+probability keep_prob, sampled exactly by rank in ``retrieval._induce``
+(its docstring), which keeps the search from locking in early. The loop
 induces in float32, VecMap's precision, from unit rows normalised in
 float64; its solve and objective, the final full-vocabulary refit and every
 public function stay float64.
@@ -22,11 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import retrieval
-from .errors import AlignmentCollapseError, ContractError, NumericalError, _require_finite
+from .errors import (
+    AlignmentCollapseError, ContractError, NumericalError, _require_finite, _require_pairs,
+)
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_CSLS_K, _argmax_both, _induce, _nth_best, _require_spaces, _score_blocks,
-    _unit_rows, induce_dictionary,
+    DEFAULT_CSLS_K, _argmax_both, _induce, _require_spaces, _score_blocks, _unit_rows,
+    induce_dictionary,
 )
 
 
@@ -188,25 +186,15 @@ def self_learning_align(x, z, init: BilingualDictionary,
     integer rows below the cutoff raises it naming the pair, before any solve.
     """
     cfg.validate()
-    if not init:
+    if len(init) == 0:
         raise ContractError("initial dictionary must be non-empty")
     x, z = _require_spaces(x, z, ("x", "z"))
     cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
-    ints = (int, np.integer)
-    for pair in init:
-        try:
-            i, j = pair
-        except (TypeError, ValueError):
-            i = j = None  # not a pair: named as given
-        if not (isinstance(i, ints) and isinstance(j, ints)
-                and 0 <= i < cutoff and 0 <= j < cutoff):
-            shown = f"({i}, {j})" if i is not None else repr(pair)
-            raise ContractError(f"init pair {shown} is not two rows in [0, {cutoff}), "
-                                "the vocabulary cutoff")
+    src, trg = _require_pairs(init, cutoff, cutoff, "init pair {} is not two rows in "
+                              f"[0, {cutoff}), the vocabulary cutoff").T
     xc, zc = x[:cutoff], z[:cutoff]
     rng = np.random.default_rng(cfg.seed)
 
-    src, trg = _pair_rows(init)
     keep_prob = cfg.keep_prob_initial
     best_objective = -np.inf
     stall = 0
@@ -245,7 +233,7 @@ def self_learning_align(x, z, init: BilingualDictionary,
     dictionary = induce_dictionary(
         x_full, z_full, method="csls", k=cfg.csls_k, directions=cfg.direction,
     )
-    src, trg = _pair_rows(dictionary)
+    src, trg = np.array(dictionary, dtype=np.int64).T
     w_x, w_z, s = _symmetric_solve(x[src], z[trg])
     scale = np.sqrt(s) if cfg.reweight else None
     xw, zw = x @ w_x, z @ w_z  # rebinding frees the loop's mapped cutoff rows
@@ -255,54 +243,19 @@ def self_learning_align(x, z, init: BilingualDictionary,
     )
 
 
-def _pair_rows(dictionary):
-    """Source and target row indices of ``dictionary``'s pairs."""
-    src = np.fromiter((p[0] for p in dictionary), dtype=np.int64)
-    trg = np.fromiter((p[1] for p in dictionary), dtype=np.int64)
-    return src, trg
-
-
 def _objective(xw, zw, src, trg):
     """Mean dot product of the mapped pair rows ``xw[src]``, ``zw[trg]``."""
     return float(np.mean(np.sum(xw[src] * zw[trg], axis=1)))
 
 
 def _induce_with_dropout(xw, zw, cfg, keep_prob, rng):
-    """CSLS induction with each score retained with probability keep_prob,
-    as rows of an n x 2 array of (source, target) indices.
-
-    The mapped rows are scaled to unit length in float64 and then rounded to
-    float32, so every score tile, penalty and pick is float32, VecMap's
-    precision: induction only picks pairs, and the solve and objective stay
-    float64. Each row takes the argmax of its retained scores, drawn exactly
-    by rank (``_dropout_chooser``): the first kept score in the row's
-    best-first order is the argmax, and its rank g is Geometric(keep_prob),
-    one draw per query row, drawn up front, forward rows before backward
-    rows, so the draws depend on neither the tile height nor the order of
-    the score passes. At keep_prob 1 nothing is drawn.
-    """
+    """CSLS induction with similarity dropout (``retrieval._induce``) of the
+    mapped rows scaled to unit length in float64 and rounded to float32,
+    VecMap's precision: induction only picks pairs, and the solve and
+    objective stay float64. Returns (source, target) rows of an n x 2 array."""
     ux, uz = (_unit_rows(m).astype(np.float32) for m in (xw, zw))
     k = min(cfg.csls_k, len(uz) - 1, len(ux))
-    picker = None
-    if keep_prob < 1.0:
-        def picker(n):
-            return _dropout_chooser(rng.geometric(keep_prob, size=n), keep_prob)
-    return _induce(ux, uz, "csls", k, cfg.direction, picker)
-
-
-def _dropout_chooser(g, keep_prob):
-    """``choose(sim, start)``: for score row r of ``sim``, its
-    ``g[start + r]``-th best candidate, equal scores ranked by index.
-
-    Ranking the best ``top`` scores of a row serves every g up to ``top``,
-    the smallest value with (1 - keep_prob)^top <= 2^-10, so fewer than one
-    row in 1024 is sorted in full.
-    """
-    def choose(sim, start):
-        # infinite for a subnormal keep_prob, so capped before rounding up
-        top = math.ceil(min(10 * math.log(2) / -math.log1p(-keep_prob), sim.shape[1]))
-        return _nth_best(sim, g[start : start + sim.shape[0]], top)
-    return choose
+    return _induce(ux, uz, "csls", k, cfg.direction, keep_prob, rng)
 
 
 def align(x, z, cfg: MappingConfig) -> MappingResult:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError, DegenerateInputError, _require_pairs
 from .io import BilingualDictionary
 from .normalize import (
     DEFAULT_NORM_ITERS,
@@ -58,14 +58,14 @@ def average_vectors(x_aligned, z_aligned, dictionary: BilingualDictionary,
     order; later pairs touching it are skipped. mutual-only: only mutual
     nearest-neighbor pairs are retained. Rows outside the retained pairs are
     unchanged. Returns (x_out, z_out, (averaged, skipped)). Non-finite input
-    raises ContractError naming its row, and spaces of different
-    dimensionality raise it naming both dimensions.
+    raises ContractError naming its row, spaces of different dimensionality
+    raise it naming both dimensions, and a pair that is not two integer rows
+    raises it naming the pair.
     """
     # copies: the midpoints are written in place
     x, z = map(np.array, _require_spaces(x_aligned, z_aligned, ("x_aligned", "z_aligned")))
-    for i, j in dictionary:
-        if not (0 <= i < x.shape[0] and 0 <= j < z.shape[0]):
-            raise ContractError(f"dictionary pair ({i}, {j}) out of range")
+    _require_pairs(dictionary, len(x), len(z), "dictionary pair {} is not two "
+                   f"rows in [0, {len(x)}) and [0, {len(z)})")
     if policy == "mutual-only":
         keep = _mutual_pairs(x, z, dictionary)
     elif policy == "first-pair":
@@ -77,9 +77,7 @@ def average_vectors(x_aligned, z_aligned, dictionary: BilingualDictionary,
     used_trg: set[int] = set()
     averaged = 0
     for i, j in dictionary:
-        if keep is not None and (i, j) not in keep:
-            continue
-        if i in used_src or j in used_trg:
+        if (keep is not None and (i, j) not in keep) or i in used_src or j in used_trg:
             continue
         mid = (x[i] + z[j]) / 2.0
         x[i] = mid

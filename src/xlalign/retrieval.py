@@ -20,7 +20,7 @@ Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
 score block). Induction shifts its forward tiles in place; its backward
 tiles also give penalties, so their picks rank shifted copies of 8 rows (32
-for a dropout picker). The height thus sets most of the memory above the
+under dropout). The height thus sets most of the memory above the
 init's n x n matrix. A sweep over 128, 256, 512 and 1024 rows on the three perfbench
 workloads (table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS
 by 30% on initheavy, 23% on selflearn and 16% on bigvocab, gave the same
@@ -34,13 +34,16 @@ change the row's order, so forward rows score cos - rS/2 and backward rows
 cos - rT/2. Halving is exact in binary, so these order bit for bit like
 2 cos - r. Each penalty is computed once, and only the ones the directions
 rank by: evaluation and ``csls_retrieve`` are forward only and make one
-``_knn_means`` pass (``_rank_shifts``) before their scoring pass. Induction
+``_knn_means`` pass (``_rank_shift``) before their scoring pass. Induction
 (``_induce``) shares one product between the two directions: the uz·uxᵀ
 tile that gives the backward picks also gives the target penalties rS the
 forward picks need, so a union CSLS induction makes three score products,
-not four. Only the public ``csls_scores`` yields the full CSLS values.
+not four. Induction also owns the self-learning loop's similarity dropout
+(its docstring).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -196,52 +199,12 @@ def _check_method(sides, method, k):
             )
 
 
-def _rank_shifts(sides, method, k):
-    """Rank-only shift of the candidate columns for each side in ``sides``
-    (module docstring): None for nn, and for csls half of each candidate's
-    penalty, its mean cosine to its k nearest queries. Checked by
-    ``_check_method`` before the first ``_knn_means`` pass."""
-    _check_method(sides, method, k)
-    if method == "nn":
-        return [None] * len(sides)
-    return [_knn_means(c, q, k) / 2.0 for q, c in sides]
-
-
-def _forward_csls(x_mapped, z_mapped, k, query_indices):
-    """Checked unit rows of both spaces, the selected query rows (None: all)
-    and the forward rank-only CSLS shift rS/2."""
-    x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
-    ux, uz = _unit_rows(x), _unit_rows(z)
-    rows = None if query_indices is None else _query_rows(query_indices, len(ux))
-    (shift,) = _rank_shifts([(ux, uz)], "csls", k)
-    return ux, uz, rows, shift
-
-
-def csls_scores(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
-    """CSLS score rows for the selected queries against all candidates.
-
-    score(x, z) = 2 cos(x, z) - rT(x) - rS(z), where rT(x) is the mean cosine
-    of x to its k nearest candidates and rS(z) the mean cosine of z to its k
-    nearest queries. Both penalties are computed over the full sets passed in,
-    regardless of ``query_indices``. Returns an iterator of (start, block)
-    pairs over the selected queries. Non-finite input and a query index
-    outside the query rows raise ContractError naming the first one, at the
-    call, before the first block is requested.
-    """
-    ux, uz, rows, shift = _forward_csls(x_mapped, z_mapped, k, query_indices)
-    r_t, r_s = _knn_means(ux, uz, k), 2.0 * shift  # doubling the halved rS is exact
-    # checked and penalised here; the score blocks come from a generator
-    return _csls_blocks(ux, uz, rows, r_t if rows is None else r_t[rows], r_s)
-
-
-def _csls_blocks(ux, uz, rows, r_t, r_s):
-    """Yield (start, block) of full CSLS scores of ``csls_scores``."""
-    for start, sim in _score_blocks(ux, uz, rows):
-        sim *= 2.0
-        sim -= r_t[start : start + sim.shape[0], None]
-        sim -= r_s
-        yield start, sim
-        del sim
+def _rank_shift(uq, uc, method, k):
+    """Rank-only shift of unit candidates ``uc`` for unit queries ``uq``
+    (module docstring), checked first: None for nn, and for csls half of each
+    candidate's penalty, its mean cosine to its k nearest queries."""
+    _check_method([(uq, uc)], method, k)
+    return None if method == "nn" else _knn_means(uc, uq, k) / 2.0
 
 
 def _query_rows(query_indices, n):
@@ -260,9 +223,13 @@ def _query_rows(query_indices, n):
 
 def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     """CSLS argmax candidate per query; ties go to the lowest index. Ranks by
-    the rank-only score cos - rS/2, as induction does; input is checked as
-    by ``csls_scores``."""
-    ux, uz, rows, shift = _forward_csls(x_mapped, z_mapped, k, query_indices)
+    the rank-only score cos - rS/2 as induction does, with rS over all query
+    rows. Non-finite input, a dimension mismatch, a bad k and a query index
+    out of range raise ContractError before any score product."""
+    x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
+    ux, uz = _unit_rows(x), _unit_rows(z)
+    rows = None if query_indices is None else _query_rows(query_indices, len(ux))
+    shift = _rank_shift(ux, uz, "csls", k)
     return _argmax(_score_blocks(ux, uz, rows, shift), len(ux if rows is None else rows)).tolist()
 
 
@@ -280,7 +247,7 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     return list(zip(*pairs.T.tolist()))
 
 
-def _induce(ux, uz, method, k, directions, picker=None):
+def _induce(ux, uz, method, k, directions, keep_prob=1.0, rng=None):
     """``induce_dictionary`` of unit rows ``ux``, ``uz`` in their dtype, as
     rows of an n x 2 int64 array, in three passes (module docstring):
 
@@ -289,19 +256,23 @@ def _induce(ux, uz, method, k, directions, picker=None):
        the tile's rS (backward, or csls with forward);
     3. ux·uzᵀ gives the forward picks at shift rS/2 (forward).
 
-    ``picker(n)`` is called once per picking direction before any product,
-    forward first, and returns ``choose(sim, start)``: the candidate of each
-    score row of ``sim``, rows ``start`` on of that direction. By default
-    each row takes its argmax.
+    Below ``keep_prob`` 1, as in VecMap's stochastic induction (Artetxe,
+    Labaka & Agirre, 2018), each score is kept with probability keep_prob
+    and a row takes the argmax of its kept scores. That is sampled exactly,
+    with no mask: it is the row's g-th best candidate (``_dropout_pick``;
+    equal scores ranked by index, 0 when g exceeds the row, as when all are
+    dropped), g ~ Geometric(keep_prob) drawn from ``rng`` for every query
+    row of each picking direction before any product, forward first, so the
+    draws depend on neither the tile height nor the pass order. At
+    keep_prob 1 nothing is drawn and a row takes its argmax.
     """
     if directions not in ("forward", "backward", "union"):
         raise ContractError(f"unknown directions {directions!r}")
     forward, backward = directions != "backward", directions != "forward"
     sides = [(ux, uz)] * forward + [(uz, ux)] * backward
     _check_method(sides, method, k)
-    choose = [picker(len(q)) if picker else lambda sim, start: sim.argmax(axis=1)
-              for q, _ in sides]
-    height = _PICK_ROWS if picker else _ARGMAX_ROWS
+    draws = [rng.geometric(keep_prob, size=len(q)) if keep_prob < 1.0 else None
+             for q, _ in sides]
     csls = method == "csls"
     r_s = None
     if backward or (csls and forward):
@@ -310,7 +281,7 @@ def _induce(ux, uz, method, k, directions, picker=None):
         r_s = np.empty(len(uz), dtype=uz.dtype) if csls and forward else None
         for start, sim in _score_blocks(uz, ux):
             if backward:
-                _pick_rows(sim, bwd_shift, choose[-1], bwd, start, height)
+                _pick_rows(sim, bwd_shift, draws[-1], keep_prob, bwd, start)
             if r_s is not None:
                 r_s[start : start + sim.shape[0]] = _top_k_means(sim, k)
             del sim
@@ -319,7 +290,7 @@ def _induce(ux, uz, method, k, directions, picker=None):
         fwd_shift = None if r_s is None else r_s / 2.0
         # shifted in place: the tile is dropped after its picks
         for start, sim in _score_blocks(ux, uz, shift=fwd_shift):
-            _pick_rows(sim, None, choose[0], fwd, start, _PICK_ROWS)
+            _pick_rows(sim, None, draws[0], keep_prob, fwd, start)
             del sim
     if forward and backward:
         m = len(uz)
@@ -329,19 +300,31 @@ def _induce(ux, uz, method, k, directions, picker=None):
     return np.column_stack([np.arange(len(ux)), fwd] if forward else [bwd, np.arange(len(uz))])
 
 
-# rows of a score tile a pick takes at a time: a dropout picker partitions
-# a copy of them, and an argmax pick at a shift ranks a shifted copy of them,
-# each far below a second tile
+# rows of a score tile picked at a time: a dropout pick partitions a copy of
+# them and an argmax pick at a shift ranks a shifted copy, far below a tile
 _PICK_ROWS = 32
 _ARGMAX_ROWS = 8
 
 
-def _pick_rows(sim, shift, choose, out, start, height):
-    """``out[start + r]`` = ``choose`` of score row r of ``sim`` less
-    ``shift``, ``height`` rows at a time, from shifted copies of them when
-    ``shift`` is given; ``sim`` is left unchanged."""
+def _pick_rows(sim, shift, g, keep_prob, out, start):
+    """``out[start + r]`` = the argmax of score row r of ``sim`` less ``shift``,
+    or with draws ``g`` its ``g[start + r]``-th best (``_dropout_pick``), from
+    ``_ARGMAX_ROWS`` or ``_PICK_ROWS`` rows at a time, shifted copies of them
+    when ``shift`` is given; ``sim`` is left unchanged."""
+    height = _ARGMAX_ROWS if g is None else _PICK_ROWS
     for lo in range(0, sim.shape[0], height):
         rows = sim[lo : lo + height]
         if shift is not None:
             rows = rows - shift
-        out[start + lo : start + lo + rows.shape[0]] = choose(rows, start + lo)
+        span = slice(start + lo, start + lo + rows.shape[0])
+        out[span] = rows.argmax(axis=1) if g is None else _dropout_pick(rows, g[span], keep_prob)
+
+
+def _dropout_pick(sim, g, keep_prob):
+    """Per row r of ``sim``, its ``g[r]``-th best candidate (``_nth_best``),
+    ranking the best ``top`` scores of each row: the smallest top with
+    (1 - keep_prob)^top <= 2^-10, capped at the row length, so fewer than
+    one row in 1024 is sorted in full."""
+    # infinite for a subnormal keep_prob, so capped before rounding up
+    top = math.ceil(min(10 * math.log(2) / -math.log1p(-keep_prob), sim.shape[1]))
+    return _nth_best(sim, g, top)

@@ -1,6 +1,7 @@
 """Public entry points that take an embedding space reject non-finite input at
-the boundary, and none of them takes a score tile height. The self-learning
-loop rejects init pairs outside its cutoff rows."""
+the boundary, and none of them takes a score tile height. Every function that
+takes a dictionary rejects a pair that is not two integer rows of its spaces,
+and the self-learning loop one outside its cutoff rows."""
 import dataclasses
 import inspect
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import xlalign
 from xlalign.errors import ContractError
-from xlalign.io import GoldDictionary
+from xlalign.io import GoldDictionary, save_dictionary_pairs
 
 from conftest import make_rotated_pair
 
@@ -88,9 +89,82 @@ def test_nn_retrieve_rejects_a_non_matrix(sim):
     ([(0, 0), (2, N + 5)], f"(2, {N + 5})"),
     ([(0.5, 0), (1, 1)], "(0.5, 0)"),  # truncated to row 0
     ([(1, 1), (0, 0, 0)], "(0, 0, 0)"),  # raised numpy's unpacking ValueError
-], ids=["negative", "at-cutoff", "past-cutoff", "float", "three-entries"])
+    ([(1, 1), (True, 0)], "(True, 0)"),
+], ids=["negative", "at-cutoff", "past-cutoff", "float", "three-entries", "bool"])
 def test_init_pair_outside_the_cutoff_rows(init, bad):
     x, z, _ = make_rotated_pair(n=N + 10, d=4, seed=19)
     message = f"init pair {bad} is not two rows in [0, {N}), the vocabulary cutoff"
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         xlalign.self_learning_align(x, z, init, CFG)
+
+
+def test_init_pairs_as_an_array():
+    # an array init raised numpy's "truth value of an array is ambiguous"
+    x, z, _ = make_rotated_pair(n=N, d=4, seed=19)
+    want = xlalign.self_learning_align(x, z, PAIRS, CFG)
+    got = xlalign.self_learning_align(x, z, np.array(PAIRS, dtype=np.int32), CFG)
+    assert (got.dictionary, got.objective) == (want.dictionary, want.objective)
+    with pytest.raises(ContractError, match="^initial dictionary must be non-empty$"):
+        xlalign.self_learning_align(x, z, np.zeros((0, 2), dtype=np.int64), CFG)
+
+
+# the calls that take a dictionary of N x N rows, given the file to write
+DICTIONARY_CALLS = {
+    "refine_pipeline": lambda x, z, pairs, out: xlalign.refine_pipeline(x, z, pairs),
+    "average_vectors": lambda x, z, pairs, out: xlalign.average_vectors(x, z, pairs),
+    "save_dictionary_pairs": lambda x, z, pairs, out: save_dictionary_pairs(pairs, WORDS,
+                                                                            WORDS, out),
+}
+
+
+@pytest.mark.parametrize("pair, bad", [
+    ((-1, 0), "(-1, 0)"),  # save_dictionary_pairs wrote the last word
+    ((0, N), f"(0, {N})"),
+    ((0.5, 0), "(0.5, 0)"),  # raised numpy's IndexError
+    ((0, 0, 0), "(0, 0, 0)"),  # raised numpy's unpacking ValueError
+    (("a", 1), "(a, 1)"),  # raised a TypeError
+    ((True, 1), "(True, 1)"),  # raised numpy's broadcast ValueError
+    (0, "0"),
+], ids=["negative", "past-end", "float", "three-entries", "word", "bool", "not-a-pair"])
+@pytest.mark.parametrize("call", DICTIONARY_CALLS)
+def test_dictionary_pair_outside_the_rows(call, pair, bad, tmp_path):
+    x, z, _ = make_rotated_pair(n=N, d=4, seed=19)
+    out = tmp_path / "dict.txt"
+    rows = "word indices" if call == "save_dictionary_pairs" else "rows"
+    message = f"dictionary pair {bad} is not two {rows} in [0, {N}) and [0, {N})"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        DICTIONARY_CALLS[call](x, z, [(1, 1), pair, (N, N)], out)
+    assert not out.exists()  # checked before the file is opened
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (2, 3)],
+    [[0, 1], [2, 3]],
+    [(np.int32(0), np.uint8(1)), (np.int64(2), 3)],
+    np.array([[0, 1], [2, 3]], dtype=np.int16),
+], ids=["tuples", "lists", "numpy-scalars", "array"])
+@pytest.mark.parametrize("call", DICTIONARY_CALLS)
+def test_integer_pairs_of_any_kind_are_taken_alike(call, pairs, tmp_path):
+    x, z, _ = make_rotated_pair(n=N, d=4, seed=19)
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    a = DICTIONARY_CALLS[call](x, z, pairs, got)
+    b = DICTIONARY_CALLS[call](x, z, [(0, 1), (2, 3)], want)
+    if call == "save_dictionary_pairs":
+        assert got.read_bytes() == want.read_bytes() == b"w0 w1\nw2 w3\n"
+    else:
+        np.testing.assert_array_equal(a[0] if call == "average_vectors" else a.x_refined,
+                                      b[0] if call == "average_vectors" else b.x_refined)
+
+
+@pytest.mark.parametrize("call", DICTIONARY_CALLS)
+def test_empty_dictionary_is_no_pairs(call, tmp_path):
+    x, z, _ = make_rotated_pair(n=N, d=4, seed=19)
+    out = tmp_path / "dict.txt"
+    result = DICTIONARY_CALLS[call](x, z, [], out)
+    if call == "save_dictionary_pairs":
+        assert out.read_bytes() == b""
+    elif call == "average_vectors":
+        np.testing.assert_array_equal(result[0], x)
+        assert result[2] == (0, 0)
+    else:
+        assert (result.pairs_averaged, result.pairs_skipped) == (0, 0)

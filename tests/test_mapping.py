@@ -9,7 +9,9 @@ from xlalign.errors import ContractError
 from xlalign.normalize import preprocess
 
 from conftest import make_rotated_pair, make_warped_pair, tile_rows
-from oracles import dropout_argmax_literal, init_bruteforce, random_orthogonal, ranked_literal
+from oracles import (
+    csls_bruteforce, dropout_argmax_literal, init_bruteforce, random_orthogonal, ranked_literal,
+)
 
 
 class TestProcrustesSolve:
@@ -365,7 +367,7 @@ def _draw_counts(row, keep_prob, draws=20000, chunk=2000):
     sim = np.tile(row, (chunk, 1))
     sampler_rng, mask_rng = np.random.default_rng(20), np.random.default_rng(21)
     sampled = np.concatenate([
-        mapping._dropout_chooser(sampler_rng.geometric(keep_prob, size=len(sim)), keep_prob)(sim, 0)
+        retrieval._dropout_pick(sim, sampler_rng.geometric(keep_prob, size=len(sim)), keep_prob)
         for _ in range(draws // chunk)])
     masked = np.concatenate([dropout_argmax_literal(sim, keep_prob, mask_rng)
                              for _ in range(draws // chunk)])
@@ -415,7 +417,7 @@ class TestDropoutSampler:
         rng = np.random.default_rng(24)
         for keep_prob in (1e-12, 1e-320):
             g = rng.geometric(keep_prob, size=len(sim))
-            np.testing.assert_array_equal(mapping._dropout_chooser(g, keep_prob)(sim, 0), 0)
+            np.testing.assert_array_equal(retrieval._dropout_pick(sim, g, keep_prob), 0)
         np.testing.assert_array_equal(dropout_argmax_literal(sim, 1e-12, rng), 0)
 
     def test_tie_goes_to_lower_index(self):
@@ -436,20 +438,35 @@ def test_union_dropout_is_both_directions_drawn_forward_first():
     z = rng.integers(-1, 2, size=(35, 4)).astype(np.float64)
     x[10:20], z[5:15] = x[:10], z[20:30]  # duplicated rows: exact ties both ways
     ux, uz = retrieval._unit_rows(x), retrieval._unit_rows(z)
-
-    def picker(draws):
-        return lambda n: mapping._dropout_chooser(draws.geometric(0.3, size=n), 0.3)
-
     unions = []
     for height in (1, 7, 1024):
         with tile_rows(height):
-            unions.append(retrieval._induce(ux, uz, "csls", 3, "union",
-                                            picker(np.random.default_rng(26))).tolist())
+            unions.append(retrieval._induce(ux, uz, "csls", 3, "union", 0.3,
+                                            np.random.default_rng(26)).tolist())
             draws = np.random.default_rng(26)
-            fwd = retrieval._induce(ux, uz, "csls", 3, "forward", picker(draws)).tolist()
-            bwd = retrieval._induce(ux, uz, "csls", 3, "backward", picker(draws)).tolist()
+            fwd = retrieval._induce(ux, uz, "csls", 3, "forward", 0.3, draws).tolist()
+            bwd = retrieval._induce(ux, uz, "csls", 3, "backward", 0.3, draws).tolist()
         assert unions[-1] == sorted(map(list, set(map(tuple, fwd + bwd))))
     assert unions[0] == unions[1] == unions[2]
+
+
+def test_induce_draws_one_geometric_per_picked_row():
+    rng = np.random.default_rng(27)
+    ux, uz = (retrieval._unit_rows(rng.standard_normal((n, 4))) for n in (40, 35))
+    # at keep_prob 1 every row takes its argmax and no generator is needed
+    forward = list(enumerate(csls_bruteforce(ux, uz, 3)[0]))
+    backward = [(i, j) for j, i in enumerate(csls_bruteforce(uz, ux, 3)[0])]
+    assert list(map(tuple, retrieval._induce(ux, uz, "csls", 3, "union", 1.0, None).tolist())) \
+        == sorted(set(forward + backward))
+    untouched = np.random.default_rng(28)
+    retrieval._induce(ux, uz, "csls", 3, "union", 1.0, untouched)
+    assert untouched.bit_generator.state == np.random.default_rng(28).bit_generator.state
+    # below 1, a union draws one geometric per source row, then one per target row
+    draws, twin = np.random.default_rng(29), np.random.default_rng(29)
+    retrieval._induce(ux, uz, "csls", 3, "union", 0.3, draws)
+    twin.geometric(0.3, size=len(ux))
+    twin.geometric(0.3, size=len(uz))
+    assert draws.bit_generator.state == twin.bit_generator.state
 
 
 class TestAlignContracts:

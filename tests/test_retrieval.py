@@ -71,9 +71,8 @@ class TestNnRetrieve:
 class TestCslsRetrieve:
     def test_two_by_two_hand_computed(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        _, scores = next(retrieval.csls_scores(x, x, k=1))
         # 2*1 - 1 - 1 = 0 on the diagonal, 2*0 - 1 - 1 = -2 off it
-        np.testing.assert_allclose(scores, [[0, -2], [-2, 0]], atol=1e-12)
+        np.testing.assert_allclose(csls_bruteforce(x, x, 1)[1], [[0, -2], [-2, 0]], atol=1e-12)
         assert retrieval.csls_retrieve(x, x, k=1) == [0, 1]
 
     def test_uniform_penalties_match_nn(self):
@@ -94,14 +93,14 @@ class TestCslsRetrieve:
                                np.array([0.9, 0.1]) / np.linalg.norm([0.9, 0.1]),
                                [0.0, 1.0]])
         queries = np.array([[1.0, 0.0], [0.0, 1.0]])
-        _, scores = next(retrieval.csls_scores(queries, candidates, k=1))
         # frozen from the brute-force script: the hub (candidate 1) is pushed
         # below zero for both queries
         expected = np.array([
             [0.0, -0.0061162653263811, -2.0],
             [-2.0, -1.7730206825239259, 0.0],
         ])
-        np.testing.assert_allclose(scores, expected, atol=1e-12)
+        np.testing.assert_allclose(csls_bruteforce(queries, candidates, 1)[1], expected,
+                                   atol=1e-12)
         assert retrieval.csls_retrieve(queries, candidates, k=1) == [0, 2]
 
     def test_k_out_of_range(self):
@@ -134,9 +133,6 @@ class TestCslsRetrieve:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 5))
         z = rng.standard_normal((15, 5))
-        _, s1 = next(retrieval.csls_scores(x, z, k=3))
-        _, s2 = next(retrieval.csls_scores(7.5 * x, 7.5 * z, k=3))
-        np.testing.assert_allclose(s1, s2, atol=1e-9)
         assert retrieval.csls_retrieve(x, z, k=3) == retrieval.csls_retrieve(7.5 * x, 7.5 * z, k=3)
 
     def test_block_size_independence(self):
@@ -240,11 +236,9 @@ def test_union_csls_computes_penalties_once(score_passes, call, passes):
     # k=25 has 25 neighbors forward but only 24 backward
     lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=25, directions="union"),
     lambda x, z: retrieval.csls_retrieve(x, z, k=0),
-    lambda x, z: list(retrieval.csls_scores(x, z, k=3, query_indices=[25])),
-    # checked at the call, not at the first block a caller asks for
-    lambda x, z: retrieval.csls_scores(x, z, k=3, query_indices=[25]),
+    lambda x, z: retrieval.csls_retrieve(x, z, k=3, query_indices=[25]),
     lambda x, z: precision_at_k(x, z, GoldDictionary({0: {0}}, 0), method="csls", csls_k=30),
-], ids=["induce_dictionary-union", "csls_retrieve", "csls_scores", "csls_scores-uniterated",
+], ids=["induce_dictionary-union", "csls_retrieve", "csls_retrieve-query-index",
         "precision_at_k-csls"])
 def test_bad_csls_input_raises_before_any_penalty_pass(score_passes, call):
     rng = np.random.default_rng(9)
@@ -290,22 +284,22 @@ def test_argmax_both_compares_float32_blocks_exactly(height):
 
 
 @pytest.mark.parametrize("side", ["x", "z"])
-@pytest.mark.parametrize("call", ["csls_scores", "csls_retrieve"])
+@pytest.mark.parametrize("call", ["csls_retrieve"])
 def test_csls_rejects_non_finite_input(call, side):
     # a NaN row scores NaN everywhere, and its argmax would silently be candidate 0
     x, z = np.eye(4), np.eye(4)
     (x if side == "x" else z)[2, 1] = np.nan
     with pytest.raises(ContractError, match=f"{side}_mapped row 2 "):
-        list(getattr(retrieval, call)(x, z, k=1))
+        getattr(retrieval, call)(x, z, k=1)
 
 
 @pytest.mark.parametrize("indices, first", [([-1], "-1 (entry 0)"), ([7], "7 (entry 0)"),
                                             ([0, 4, -2], "4 (entry 1)")])
-@pytest.mark.parametrize("call", ["csls_scores", "csls_retrieve"])
+@pytest.mark.parametrize("call", ["csls_retrieve"])
 def test_csls_rejects_query_index_out_of_range(call, indices, first):
     # numpy would silently read a negative index from the end of the rows
     with pytest.raises(ContractError, match=re.escape(f"query index {first} out of range")):
-        list(getattr(retrieval, call)(np.eye(4), np.eye(4), k=1, query_indices=indices))
+        getattr(retrieval, call)(np.eye(4), np.eye(4), k=1, query_indices=indices)
 
 
 @pytest.mark.parametrize("method", ["nn", "csls"])
