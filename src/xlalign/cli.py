@@ -299,6 +299,7 @@ def cmd_pipeline(args):
         timings["refine_s"] = time.perf_counter() - t0
         log.info("refined: %d pairs averaged, %d skipped",
                  refined.pairs_averaged, refined.pairs_skipped)
+    del xw, zw  # saved; evaluation reads only the final spaces
 
     t0 = time.perf_counter()
     report = _run_evaluate(settings, x_final, z_final, src_vocab, trg_vocab, out_dir)

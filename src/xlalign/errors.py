@@ -36,15 +36,19 @@ class NumericalError(XlalignError):
     """A numerical routine failed or produced non-finite values."""
 
 
-def _require_finite(m, name):
-    """``m`` as a float64 matrix; ContractError unless it is one, naming the
-    first row of ``m`` that holds a NaN or infinity."""
-    m = np.asarray(m, dtype=np.float64)
+def _require_finite(m, name, cast=True):
+    """``m`` as a float64 matrix, or without ``cast`` in its own float dtype if
+    float64 holds that exactly; ContractError unless it is one, naming the
+    first row of ``m`` that holds a NaN or infinity. The check reads ``m``'s
+    least and greatest values, which are NaN if any value is, so it makes no
+    temporary of ``m``'s size unless it fails."""
+    m = np.asarray(m)
+    if cast or m.dtype.kind != "f" or m.dtype.itemsize > 8:
+        m = m.astype(np.float64, copy=False)
     if m.ndim != 2:
         raise ContractError(f"{name} must be a matrix, got {m.ndim} axes")
-    finite = np.isfinite(m)
-    if not finite.all():
-        row = int(np.argwhere(~finite)[0][0])
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
+        row = int(np.argwhere(~np.isfinite(m))[0][0])
         raise ContractError(f"{name} row {row} holds a non-finite value")
     return m
 

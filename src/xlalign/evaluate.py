@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .io import GoldDictionary
-from .retrieval import DEFAULT_CSLS_K, _rank_shift, _require_spaces, _score_blocks, _unit_rows
+from .retrieval import DEFAULT_CSLS_K, _norms, _rank_shift, _require_spaces, _score_blocks, _unit
 
 DEFAULT_KS = (1, 5, 10)
 # score rows compared at a time: bounds the boolean temporaries of _ranks
@@ -54,10 +54,10 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
     if not ks or ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
     sources, targets, counts = _gold_arrays(gold, x.shape[0], z.shape[0])
-    ux, uz = _unit_rows(x), _unit_rows(z)
-    shift = _rank_shift(ux, uz, method, csls_k)
+    norms = _norms(x), _norms(z)
+    shift = _rank_shift(x, z, norms, method, csls_k)
     best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
-    for start, block in _score_blocks(ux, uz, sources, shift):
+    for start, block in _score_blocks(x, _unit(z, norms[1]), sources, shift, norms[0]):
         rows = slice(start, start + block.shape[0])
         rank, count, target = best[rows], counts[rows], targets[rows]
         np.minimum(rank, _ranks(block, target[:, 0]), out=rank, where=count > 0)

@@ -96,7 +96,13 @@ def load_embeddings(path, max_vocab=None):
             raise FormatError(f"{path}: invalid header counts n={n} d={dim}", line=1)
 
         limit = n if max_vocab is None else min(n, max_vocab)
-        vectors: dict[str, np.ndarray] = {}
+        # a row's line holds a word, d values each after a separator and a
+        # line end, at least 2 d + 2 bytes (the header's line makes up for a
+        # last line without its end): a header that overstates n allocates
+        # no more rows than the file could hold
+        rows = min(limit, path.stat().st_size // (2 * dim + 2)) if path.is_file() else limit
+        matrix = np.empty((rows, dim))
+        words: dict[str, None] = {}
         duplicates = 0
         for lineno, tokens in islice(lines, n):
             if len(tokens) != dim + 1:
@@ -104,24 +110,25 @@ def load_embeddings(path, max_vocab=None):
                     f"{path}: expected a word and {dim} values, got {len(tokens)} tokens",
                     line=lineno,
                 )
+            # parsed into the next free row, kept there unless the word is a duplicate
+            vec = matrix[len(words)]
             try:
-                vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+                vec[:] = [float(t) for t in tokens[1:]]
             except ValueError:
                 raise FormatError(f"{path}: unparseable number", line=lineno) from None
-            if not np.all(np.isfinite(vec)):
+            if not np.isfinite(vec).all():
                 raise FormatError(f"{path}: non-finite value", line=lineno)
-            if tokens[0] in vectors:
+            if tokens[0] in words:
                 duplicates += 1
             else:
-                vectors[tokens[0]] = vec
-                if len(vectors) == limit:
+                words[tokens[0]] = None
+                if len(words) == limit:
                     break
-    if len(vectors) < limit and lineno <= n:
+    if len(words) < limit and lineno <= n:
         raise FormatError(f"{path}: file ends after {lineno - 1} rows, header declared {n}")
     if duplicates:
         warnings.warn(f"{path}: dropped {duplicates} duplicate word(s), first occurrence kept")
-    matrix = np.array(list(vectors.values()), dtype=np.float64) if vectors else np.zeros((0, dim))
-    return Vocabulary(list(vectors)), matrix
+    return Vocabulary(list(words)), matrix[: len(words)]
 
 
 def save_embeddings(vocab, emb, path):
@@ -134,9 +141,11 @@ def save_embeddings(vocab, emb, path):
     to Python's ``%`` for each value it cannot be sure of. A matrix that is
     not two-dimensional, has no columns or holds a NaN or infinity, which
     ``load_embeddings`` would reject, raises ContractError before the file is
-    opened, naming the first bad row.
+    opened, naming the first bad row. A float32 matrix is checked as it is
+    and cast to float64 one tile at a time, so it writes the bytes of its
+    float64 cast without a float64 copy.
     """
-    emb = _require_finite(emb, "emb")
+    emb = _require_finite(emb, "emb", cast=False)
     if emb.shape[1] == 0:
         raise ContractError("emb has no columns, which load_embeddings rejects")
     if len(vocab) != emb.shape[0]:
@@ -149,7 +158,8 @@ def save_embeddings(vocab, emb, path):
             # unnamed, so one tile's lines are freed before the next is formatted
             fh.write("".join(chain.from_iterable(zip(
                 vocab.words[start : start + _TILE_ROWS], repeat(" "),
-                _format_tile(emb[start : start + _TILE_ROWS]), repeat("\n")))))
+                _format_tile(emb[start : start + _TILE_ROWS].astype(np.float64, copy=False)),
+                repeat("\n")))))
 
 
 # rows of a matrix formatted at a time; the tile's buffer is 24 bytes a value

@@ -23,8 +23,7 @@ from .errors import (
 )
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_CSLS_K, _argmax_both, _induce, _require_spaces, _score_blocks, _unit_rows,
-    induce_dictionary,
+    DEFAULT_CSLS_K, _argmax_both, _induce, _require_spaces, _score_blocks, induce_dictionary,
 )
 
 
@@ -167,7 +166,8 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
 def _sorted_unit_rows(sim):
     """Sort each row of ``sim`` ascending and scale it to unit length, in place."""
     sim.sort(axis=1)
-    # einsum sums the squares without a temporary the size of ``sim``
+    # einsum sums the squares without a temporary the size of ``sim``, which
+    # retrieval._row_norms would square whole, as it is one block
     norms = np.sqrt(np.einsum("ij,ij->i", sim, sim))[:, None]
     return np.divide(sim, norms, out=sim, where=norms != 0.0)
 
@@ -228,15 +228,19 @@ def self_learning_align(x, z, init: BilingualDictionary,
                 stall = 0
 
     # re-fit once over the full vocabulary: the cutoff exists to bound
-    # induction cost, not to restrict the final solve
+    # induction cost, not to restrict the final solve. Each full mapped copy
+    # is dropped once it is read, so the refit holds two of them, one unit
+    # copy and one score tile
+    del xw, zw
     x_full, z_full = x @ w_x, z @ w_z
     dictionary = induce_dictionary(
         x_full, z_full, method="csls", k=cfg.csls_k, directions=cfg.direction,
     )
+    del x_full, z_full
     src, trg = np.array(dictionary, dtype=np.int64).T
     w_x, w_z, s = _symmetric_solve(x[src], z[trg])
     scale = np.sqrt(s) if cfg.reweight else None
-    xw, zw = x @ w_x, z @ w_z  # rebinding frees the loop's mapped cutoff rows
+    xw, zw = x @ w_x, z @ w_z
     return MappingResult(
         w_src=w_x, w_trg=w_z, dictionary=dictionary, objective=_objective(xw, zw, src, trg),
         iterations=iterations, converged=converged, reweight_scale=scale,
@@ -244,18 +248,23 @@ def self_learning_align(x, z, init: BilingualDictionary,
 
 
 def _objective(xw, zw, src, trg):
-    """Mean dot product of the mapped pair rows ``xw[src]``, ``zw[trg]``."""
-    return float(np.mean(np.sum(xw[src] * zw[trg], axis=1)))
+    """Mean dot product of the mapped pair rows ``xw[src]``, ``zw[trg]``,
+    gathered ``BLOCK_SIZE`` pairs at a time: each dot product sums one row,
+    so the tiles give the bits of one n x d product."""
+    dots = np.empty(len(src))
+    for start in range(0, len(src), retrieval.BLOCK_SIZE):
+        span = slice(start, start + retrieval.BLOCK_SIZE)
+        dots[span] = np.sum(xw[src[span]] * zw[trg[span]], axis=1)
+    return float(np.mean(dots))
 
 
 def _induce_with_dropout(xw, zw, cfg, keep_prob, rng):
     """CSLS induction with similarity dropout (``retrieval._induce``) of the
-    mapped rows scaled to unit length in float64 and rounded to float32,
-    VecMap's precision: induction only picks pairs, and the solve and
+    mapped rows, scored in float32, VecMap's precision, from unit rows
+    normalised in float64: induction only picks pairs, and the solve and
     objective stay float64. Returns (source, target) rows of an n x 2 array."""
-    ux, uz = (_unit_rows(m).astype(np.float32) for m in (xw, zw))
-    k = min(cfg.csls_k, len(uz) - 1, len(ux))
-    return _induce(ux, uz, "csls", k, cfg.direction, keep_prob, rng)
+    k = min(cfg.csls_k, len(zw) - 1, len(xw))
+    return _induce(xw, zw, "csls", k, cfg.direction, keep_prob, rng, np.float32)
 
 
 def align(x, z, cfg: MappingConfig) -> MappingResult:

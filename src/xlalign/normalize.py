@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, _require_finite
+from .retrieval import _row_norms
 
 DEFAULT_NORM_ITERS = 5
 DEFAULT_NORM_TOL = 1e-6
@@ -25,27 +26,44 @@ class NormalizationReport:
     max_center_magnitude: float  # L2 norm of the column-mean vector
 
 
-def length_normalize(emb):
-    """Scale every row to unit L2 norm. Zero rows stay zero (warning)."""
-    emb = _require_finite(emb, "emb")
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    zero_rows = int(np.sum(norms[:, 0] == 0.0))
+def _own_copy(emb):
+    """A float64 copy of ``emb`` that the in-place transforms may change,
+    checked by ``_require_finite``: the only copy each public function makes."""
+    return _require_finite(np.array(emb, dtype=np.float64), "emb")
+
+
+def _length_normalize_in_place(x):
+    """Scale every row of ``x`` to unit L2 norm in place. Zero rows stay zero (warning)."""
+    norms = _row_norms(x)
+    zero = norms == 0.0
+    zero_rows = int(np.count_nonzero(zero))
     if zero_rows:
         warnings.warn(f"length_normalize: {zero_rows} zero row(s) left unchanged")
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return emb / safe
+        norms[zero] = 1.0
+    x /= norms[:, None]
+    return x
+
+
+def _mean_center_in_place(x):
+    """Subtract the column mean from every row of ``x``, in place."""
+    if x.shape[0] == 0:
+        raise ContractError("mean_center requires at least one row")
+    x -= x.mean(axis=0)
+    return x
+
+
+def length_normalize(emb):
+    """Scale every row to unit L2 norm. Zero rows stay zero (warning)."""
+    return _length_normalize_in_place(_own_copy(emb))
 
 
 def mean_center(emb):
     """Subtract the column mean from every row."""
-    emb = _require_finite(emb, "emb")
-    if emb.shape[0] == 0:
-        raise ContractError("mean_center requires at least one row")
-    return emb - emb.mean(axis=0)
+    return _mean_center_in_place(_own_copy(emb))
 
 
 def _deviations(emb):
-    row_dev = float(np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)))
+    row_dev = float(np.max(np.abs(_row_norms(emb) - 1.0)))
     center_mag = float(np.linalg.norm(emb.mean(axis=0)))
     return row_dev, center_mag
 
@@ -58,34 +76,47 @@ def iterative_normalize(emb, max_iters=DEFAULT_NORM_ITERS, tol=DEFAULT_NORM_TOL)
     iterate, so row norms hold within tol rather than exactly. A zero row at
     the start of any alternation is an error (its direction is undefined).
     """
+    _check_iterations(max_iters, tol)
+    x = _own_copy(emb)
+    return x, _iterative_normalize_in_place(x, max_iters, tol)
+
+
+def _check_iterations(max_iters, tol):
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
     if tol <= 0:
         raise ContractError("tol must be > 0")
-    x = _require_finite(emb, "emb")
+
+
+def _iterative_normalize_in_place(x, max_iters, tol):
+    """``iterative_normalize`` of the float64 matrix ``x``, in place, with
+    arguments already checked (``_check_iterations``); returns the report.
+    Dividing and centering in place gives the bits of the quotient and
+    difference copies."""
     if x.shape[0] == 0:
         raise ContractError("iterative_normalize requires at least one row")
     iterations = 0
     for _ in range(max_iters):
-        norms = np.linalg.norm(x, axis=1)
+        norms = _row_norms(x)
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise DegenerateInputError(
                 f"zero vector at row {zero[0]} makes length normalization undefined"
             )
-        y = x / norms[:, None]
-        x = y - y.mean(axis=0)
+        x /= norms[:, None]
+        x -= x.mean(axis=0)
         iterations += 1
         row_dev, center_mag = _deviations(x)
         if max(row_dev, center_mag) < tol:
             break
-    return x, NormalizationReport(iterations, row_dev, center_mag)
+    return NormalizationReport(iterations, row_dev, center_mag)
 
 
 def preprocess(emb):
     """Pre-mapping pipeline: unit rows, centered columns, unit rows again.
 
     The trailing re-normalization keeps the unit-norm property the mapping
-    stage relies on.
+    stage relies on. One copy of ``emb`` is made, and transformed in place.
     """
-    return length_normalize(mean_center(length_normalize(emb)))
+    x = _own_copy(emb)
+    return _length_normalize_in_place(_mean_center_in_place(_length_normalize_in_place(x)))

@@ -10,16 +10,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import retrieval
 from .errors import ContractError, DegenerateInputError, _require_pairs
 from .io import BilingualDictionary
 from .normalize import (
     DEFAULT_NORM_ITERS,
     DEFAULT_NORM_TOL,
     NormalizationReport,
+    _check_iterations,
     _deviations,
-    iterative_normalize,
+    _iterative_normalize_in_place,
 )
-from .retrieval import _argmax, _require_spaces, _score_blocks, _unit_rows
+from .retrieval import _argmax, _norms, _require_spaces, _score_blocks, _unit
 
 
 @dataclass
@@ -40,12 +42,13 @@ class RefinedSpaces:
 
 
 def _mutual_pairs(x, z, dictionary):
-    """Subset of pairs (i, j) where i and j are each other's nearest neighbor."""
-    ux, uz = _unit_rows(x), _unit_rows(z)
+    """Subset of pairs (i, j) where i and j are each other's nearest neighbor.
+    Each pass holds the unit rows of its candidates alone."""
+    nx, nz = _norms(x), _norms(z)
     src = np.unique(np.array([i for i, _ in dictionary], dtype=np.int64))
     trg = np.unique(np.array([j for _, j in dictionary], dtype=np.int64))
-    fwd = _argmax(_score_blocks(ux, uz, src), len(src))
-    bwd = _argmax(_score_blocks(uz, ux, trg), len(trg))
+    fwd = _argmax(_score_blocks(x, _unit(z, nz), src, norms=nx), len(src))
+    bwd = _argmax(_score_blocks(z, _unit(x, nx), trg, norms=nz), len(trg))
     fwd, bwd = dict(zip(src.tolist(), fwd.tolist())), dict(zip(trg.tolist(), bwd.tolist()))
     return {(i, j) for i, j in dictionary if fwd[i] == j and bwd[j] == i}
 
@@ -64,8 +67,8 @@ def average_vectors(x_aligned, z_aligned, dictionary: BilingualDictionary,
     """
     # copies: the midpoints are written in place
     x, z = map(np.array, _require_spaces(x_aligned, z_aligned, ("x_aligned", "z_aligned")))
-    _require_pairs(dictionary, len(x), len(z), "dictionary pair {} is not two "
-                   f"rows in [0, {len(x)}) and [0, {len(z)})")
+    pairs = _require_pairs(dictionary, len(x), len(z), "dictionary pair {} is not two "
+                           f"rows in [0, {len(x)}) and [0, {len(z)})")
     if policy == "mutual-only":
         keep = _mutual_pairs(x, z, dictionary)
     elif policy == "first-pair":
@@ -73,19 +76,25 @@ def average_vectors(x_aligned, z_aligned, dictionary: BilingualDictionary,
     else:
         raise ContractError(f"unknown conflict policy {policy!r}")
 
-    used_src: set[int] = set()
-    used_trg: set[int] = set()
-    averaged = 0
-    for i, j in dictionary:
-        if (keep is not None and (i, j) not in keep) or i in used_src or j in used_trg:
-            continue
-        mid = (x[i] + z[j]) / 2.0
+    # a walk in dictionary order, not a first-occurrence rule: of (0, 0),
+    # (0, 1), (1, 1) it keeps (0, 0) and (1, 1). A byte per row and per pair
+    # marks them, not a Python int
+    used_src, used_trg, kept = bytearray(len(x)), bytearray(len(z)), bytearray(len(pairs))
+    for row, (i, j) in enumerate(dictionary):
+        if (keep is None or (i, j) in keep) and not (used_src[i] or used_trg[j]):
+            used_src[i] = used_trg[j] = kept[row] = 1
+    src, trg = pairs[np.frombuffer(kept, dtype=bool)].T
+    # the kept rows are distinct on each side, so every midpoint reads the
+    # unchanged rows the walk above would have read; a tile of pairs at a time
+    height = retrieval.BLOCK_SIZE
+    for start in range(0, len(src), height):
+        i, j = src[start : start + height], trg[start : start + height]
+        mid = x[i]
+        mid += z[j]
+        mid /= 2.0
         x[i] = mid
         z[j] = mid
-        used_src.add(i)
-        used_trg.add(j)
-        averaged += 1
-    return x, z, (averaged, len(dictionary) - averaged)
+    return x, z, (len(src), len(pairs) - len(src))
 
 
 def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
@@ -109,12 +118,15 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
             NormalizationReport(0, *_deviations(x)),
             NormalizationReport(0, *_deviations(z)),
         )
-    for i, j in dictionary:
-        if np.all(x[i] == 0.0) and np.all(z[j] == 0.0):
-            raise DegenerateInputError(
-                f"pair ({i}, {j}) averaged to the zero vector; "
-                "length normalization is undefined"
-            )
-    x_out, x_report = iterative_normalize(x, cfg.norm_iters, cfg.norm_tol)
-    z_out, z_report = iterative_normalize(z, cfg.norm_iters, cfg.norm_tol)
-    return RefinedSpaces(x_out, z_out, averaged, skipped, x_report, z_report)
+    pairs = np.asarray(dictionary, dtype=np.int64).reshape(-1, 2)
+    both_zero = ~x.any(axis=1)[pairs[:, 0]] & ~z.any(axis=1)[pairs[:, 1]]
+    if both_zero.any():
+        i, j = dictionary[int(both_zero.argmax())]
+        raise DegenerateInputError(
+            f"pair ({i}, {j}) averaged to the zero vector; length normalization is undefined"
+        )
+    # the averaged spaces are copies of the inputs, so normalised in place
+    _check_iterations(cfg.norm_iters, cfg.norm_tol)
+    x_report = _iterative_normalize_in_place(x, cfg.norm_iters, cfg.norm_tol)
+    z_report = _iterative_normalize_in_place(z, cfg.norm_iters, cfg.norm_tol)
+    return RefinedSpaces(x, z, averaged, skipped, x_report, z_report)

@@ -7,14 +7,24 @@ induction, evaluation, mutual-neighbor refinement, the unsupervised init's
 similarities) comes from one loop over fixed-size query row blocks,
 ``_score_blocks``, so no n x n score matrix is ever built; the init keeps one
 n x n float32 matrix, the sorted target similarities, as its candidates.
-``_score_blocks``, ``_unit_rows``, ``_knn_means`` and the argmax helpers keep
-their input's dtype; only the public functions cast, to float64
+``_score_blocks``, ``_knn_means`` and the argmax helpers score in their
+candidates' dtype; only the public functions cast, to float64
 (``_require_finite``). The init and the self-learning loop's induction score
 in float32, every other layer in float64. Block size changes scores
 only in the last bits (BLAS rounds blocks of different heights differently).
 A consumer may edit a block in place, but every layer drops its reference
 (``del``) before the next block's product is computed, so one block is alive
 at a time.
+
+Cosines are products of unit rows. Each side's row norms are taken once
+(``_norms``, over ``_row_norms``, which squares a block of rows at a time).
+A scoring pass then holds the unit rows of its candidates alone, in the
+scoring dtype, and ``_score_blocks`` scales its query rows one block at a
+time: induction, evaluation, ``csls_retrieve`` and mutual-neighbor
+refinement thus hold one unit copy of one space, not of both. Each unit row
+is the float64 quotient of the row by its norm rounded once to the scoring
+dtype, zero rows +0.0 (``_unit``), so a block of them has the bits of the
+same rows of a whole unit copy. The init scores its raw rows.
 
 Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
@@ -54,11 +64,48 @@ DEFAULT_CSLS_K = 10
 BLOCK_SIZE = 256
 
 
+def _row_norms(m):
+    """Euclidean norm of each row of the float matrix ``m``, in its dtype: bit
+    for bit ``np.linalg.norm(m, axis=1)``, which squares all of ``m`` at once,
+    while this squares ``BLOCK_SIZE`` rows at a time. A matrix that is not
+    C-contiguous goes to ``np.linalg.norm``, whose order of summation
+    follows the layout."""
+    if not m.flags.c_contiguous:
+        return np.linalg.norm(m, axis=1)
+    out = np.empty(len(m), dtype=m.dtype)
+    for start in range(0, len(m), BLOCK_SIZE):
+        rows = m[start : start + BLOCK_SIZE]
+        np.sqrt(np.add.reduce(rows * rows, axis=1), out=out[start : start + BLOCK_SIZE])
+    return out
+
+
+def _norms(m):
+    """The divisors that scale the rows of ``m`` to unit length, its row norms
+    with 1 for a zero row, and a mask of the zero rows (None if there is none)."""
+    norms = _row_norms(m)
+    zero = norms == 0.0
+    if not zero.any():
+        return norms, None
+    norms[zero] = 1.0
+    return norms, zero
+
+
+def _unit(m, norms, sel=slice(None), dtype=np.float64):
+    """Rows ``m[sel]`` scaled to unit length by their ``norms`` (``_norms``),
+    in ``dtype``, zero rows +0.0: bit for bit ``_unit_rows(m)[sel].astype(dtype)``,
+    as each quotient is taken in ``m``'s dtype and rounded once."""
+    divisors, zero = norms
+    rows = m[sel]
+    out = np.divide(rows, divisors[sel, None], out=np.empty(rows.shape, dtype=dtype))
+    if zero is not None:
+        out[zero[sel]] = 0.0  # a zero row divided by 1 keeps the signs of its zeros
+    return out
+
+
 def _unit_rows(m):
     """Rows of ``m`` scaled to unit length, in ``m``'s dtype; zero rows stay 0."""
     m = np.asarray(m)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return np.divide(m, norms, out=np.zeros_like(m), where=norms != 0.0)
+    return _unit(m, _norms(m), dtype=m.dtype)
 
 
 def _require_spaces(x, z, names):
@@ -93,24 +140,27 @@ def nn_retrieve(sim):
     return sim.argmax(axis=1).tolist()
 
 
-def _score_blocks(uq, uc, rows=None, shift=None):
-    """Yield (start, block) of unit query rows ``uq[rows]`` (default: all)
-    scored against all unit candidates ``uc``: cosines, less ``shift[j]`` in
-    candidate column j when ``shift`` is given; ``BLOCK_SIZE`` rows a block."""
-    n = uq.shape[0] if rows is None else len(rows)
+def _score_blocks(q, uc, rows=None, shift=None, norms=None):
+    """Yield (start, block) of query rows ``q[rows]`` (default: all) scored
+    against all unit candidates ``uc``: cosines, less ``shift[j]`` in
+    candidate column j when ``shift`` is given; ``BLOCK_SIZE`` rows a block.
+    With ``norms`` (``_norms`` of ``q``) each block's query rows are scaled
+    to unit length in ``uc``'s dtype first (``_unit``); without, ``q`` holds
+    unit rows already, or the raw rows of the init."""
+    n = q.shape[0] if rows is None else len(rows)
     height = BLOCK_SIZE
     for start in range(0, n, height):
         sel = slice(start, start + height) if rows is None else rows[start : start + height]
         # yielded unnamed, so a consumer's ``del`` frees the block at once
-        yield start, _block_scores(uq, sel, uc, shift)
+        yield start, _block_scores(q, sel, uc, shift, norms)
 
 
-def _block_scores(uq, sel, uc, shift):
-    q = uq[sel]
+def _block_scores(q, sel, uc, shift, norms):
+    q = q[sel] if norms is None else _unit(q, norms, sel, uc.dtype)
     # numpy computes a one-row product as a matrix-vector product, which
     # rounds differently from the matrix-matrix product of taller blocks
     sim = q @ uc.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ uc.T)[:1]
-    del q  # with ``rows``, a copy: not held while the consumer uses the block
+    del q  # a copy (scaled, or with ``rows``): not held while the consumer uses the block
     if shift is not None:
         sim -= shift
     return sim
@@ -170,11 +220,11 @@ def _argmax_both(blocks, n, m):
     return rows, cols
 
 
-def _knn_means(unit_a, unit_b, k):
-    """For each row of unit_a, mean cosine to its k nearest rows of unit_b,
-    in unit_a's dtype."""
-    out = np.empty(unit_a.shape[0], dtype=unit_a.dtype)
-    for start, sim in _score_blocks(unit_a, unit_b):
+def _knn_means(a, norms, ub, k):
+    """For each row of ``a``, scaled by its ``norms`` (``_norms``), mean
+    cosine to its k nearest rows of unit ``ub``, in ``ub``'s dtype."""
+    out = np.empty(a.shape[0], dtype=ub.dtype)
+    for start, sim in _score_blocks(a, ub, norms=norms):
         out[start : start + sim.shape[0]] = _top_k_means(sim, k)
         del sim
     return out
@@ -199,12 +249,15 @@ def _check_method(sides, method, k):
             )
 
 
-def _rank_shift(uq, uc, method, k):
-    """Rank-only shift of unit candidates ``uc`` for unit queries ``uq``
-    (module docstring), checked first: None for nn, and for csls half of each
-    candidate's penalty, its mean cosine to its k nearest queries."""
-    _check_method([(uq, uc)], method, k)
-    return None if method == "nn" else _knn_means(uc, uq, k) / 2.0
+def _rank_shift(q, c, norms, method, k):
+    """Rank-only shift of candidates ``c`` for queries ``q`` (module
+    docstring), given both sides' ``norms`` (``_norms``), checked first: None
+    for nn, and for csls half of each candidate's penalty, its mean cosine to
+    its k nearest queries, from the unit rows of ``q`` alone."""
+    _check_method([(q, c)], method, k)
+    if method == "nn":
+        return None
+    return _knn_means(c, norms[1], _unit(q, norms[0]), k) / 2.0
 
 
 def _query_rows(query_indices, n):
@@ -227,10 +280,11 @@ def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     rows. Non-finite input, a dimension mismatch, a bad k and a query index
     out of range raise ContractError before any score product."""
     x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
-    ux, uz = _unit_rows(x), _unit_rows(z)
-    rows = None if query_indices is None else _query_rows(query_indices, len(ux))
-    shift = _rank_shift(ux, uz, "csls", k)
-    return _argmax(_score_blocks(ux, uz, rows, shift), len(ux if rows is None else rows)).tolist()
+    rows = None if query_indices is None else _query_rows(query_indices, len(x))
+    norms = _norms(x), _norms(z)
+    shift = _rank_shift(x, z, norms, "csls", k)
+    blocks = _score_blocks(x, _unit(z, norms[1]), rows, shift, norms[0])
+    return _argmax(blocks, len(x if rows is None else rows)).tolist()
 
 
 def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
@@ -243,18 +297,23 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     spaces of different dimensionality raise it naming both dimensions.
     """
     x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
-    pairs = _induce(_unit_rows(x), _unit_rows(z), method, k, directions)
+    pairs = _induce(x, z, method, k, directions)
     return list(zip(*pairs.T.tolist()))
 
 
-def _induce(ux, uz, method, k, directions, keep_prob=1.0, rng=None):
-    """``induce_dictionary`` of unit rows ``ux``, ``uz`` in their dtype, as
+def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float64):
+    """``induce_dictionary`` of rows ``x``, ``z`` scored in ``dtype``, as
     rows of an n x 2 int64 array, in three passes (module docstring):
 
-    1. ux·uzᵀ gives rT (csls with backward);
-    2. uz·uxᵀ gives, tile by tile, the backward picks at shift rT/2 and then
+    1. x·zᵀ gives rT (csls with backward);
+    2. z·xᵀ gives, tile by tile, the backward picks at shift rT/2 and then
        the tile's rS (backward, or csls with forward);
-    3. ux·uzᵀ gives the forward picks at shift rS/2 (forward).
+    3. x·zᵀ gives the forward picks at shift rS/2 (forward).
+
+    Each side's row norms are taken once. A pass holds the unit rows of its
+    candidates alone, z, x, then z again, and scales its query rows one
+    tile at a time (``_score_blocks``), both rounded to ``dtype`` from
+    float64 quotients, as ``_unit_rows(m).astype(dtype)`` would round them.
 
     Below ``keep_prob`` 1, as in VecMap's stochastic induction (Artetxe,
     Labaka & Agirre, 2018), each score is kept with probability keep_prob
@@ -269,35 +328,37 @@ def _induce(ux, uz, method, k, directions, keep_prob=1.0, rng=None):
     if directions not in ("forward", "backward", "union"):
         raise ContractError(f"unknown directions {directions!r}")
     forward, backward = directions != "backward", directions != "forward"
-    sides = [(ux, uz)] * forward + [(uz, ux)] * backward
+    sides = [(x, z)] * forward + [(z, x)] * backward
     _check_method(sides, method, k)
     draws = [rng.geometric(keep_prob, size=len(q)) if keep_prob < 1.0 else None
              for q, _ in sides]
     csls = method == "csls"
+    nx, nz = _norms(x), _norms(z)
     r_s = None
     if backward or (csls and forward):
-        bwd_shift = _knn_means(ux, uz, k) / 2.0 if csls and backward else None
-        bwd = np.empty(len(uz), dtype=np.int64) if backward else None
-        r_s = np.empty(len(uz), dtype=uz.dtype) if csls and forward else None
-        for start, sim in _score_blocks(uz, ux):
+        bwd_shift = (_knn_means(x, nx, _unit(z, nz, dtype=dtype), k) / 2.0
+                     if csls and backward else None)
+        bwd = np.empty(len(z), dtype=np.int64) if backward else None
+        r_s = np.empty(len(z), dtype=dtype) if csls and forward else None
+        for start, sim in _score_blocks(z, _unit(x, nx, dtype=dtype), norms=nz):
             if backward:
                 _pick_rows(sim, bwd_shift, draws[-1], keep_prob, bwd, start)
             if r_s is not None:
                 r_s[start : start + sim.shape[0]] = _top_k_means(sim, k)
             del sim
     if forward:
-        fwd = np.empty(len(ux), dtype=np.int64)
+        fwd = np.empty(len(x), dtype=np.int64)
         fwd_shift = None if r_s is None else r_s / 2.0
         # shifted in place: the tile is dropped after its picks
-        for start, sim in _score_blocks(ux, uz, shift=fwd_shift):
+        for start, sim in _score_blocks(x, _unit(z, nz, dtype=dtype), shift=fwd_shift, norms=nx):
             _pick_rows(sim, None, draws[0], keep_prob, fwd, start)
             del sim
     if forward and backward:
-        m = len(uz)
+        m = len(z)
         # i m + j sorts as (i, j) does, since j < m
-        keys = np.unique(np.concatenate([np.arange(len(ux)) * m + fwd, bwd * m + np.arange(m)]))
+        keys = np.unique(np.concatenate([np.arange(len(x)) * m + fwd, bwd * m + np.arange(m)]))
         return np.column_stack([keys // m, keys % m])
-    return np.column_stack([np.arange(len(ux)), fwd] if forward else [bwd, np.arange(len(uz))])
+    return np.column_stack([np.arange(len(x)), fwd] if forward else [bwd, np.arange(len(z))])
 
 
 # rows of a score tile picked at a time: a dropout pick partitions a copy of

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -58,6 +59,17 @@ def tile_rows(n):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(retrieval, "BLOCK_SIZE", n)
         yield
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes that ``fn(*args, **kwargs)`` allocates above what is held
+    when it starts, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import xlalign
-from xlalign.errors import ContractError
+from xlalign.errors import ContractError, _require_finite
 from xlalign.io import GoldDictionary, save_dictionary_pairs
 
-from conftest import make_rotated_pair
+from conftest import make_rotated_pair, traced_peak
 
 N = 30
 CFG = xlalign.MappingConfig(vocab_cutoff=N)
@@ -66,6 +66,24 @@ def test_non_finite_row_is_named(call, side, value):
     name = names["xz".index(side)]
     with pytest.raises(ContractError, match=f"^{name} row {BAD_ROW} holds a non-finite value$"):
         run(x, z)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("call", BOUNDARY)
+def test_finite_inputs_are_left_unchanged(call, dtype):
+    # the package copies a space before it edits one in place
+    run, *_ = BOUNDARY[call]
+    x, z, _ = (m.astype(dtype) for m in make_rotated_pair(n=N, d=4, seed=19))
+    before = x.tobytes(), z.tobytes()
+    run(x, z)
+    assert (x.tobytes(), z.tobytes()) == before
+
+
+def test_finite_check_makes_no_copy_of_the_matrix():
+    # least and greatest values: np.isfinite of the matrix was n d bytes (200 KB)
+    m = np.random.default_rng(20).standard_normal((2000, 100))
+    assert _require_finite(m, "m") is m
+    assert traced_peak(_require_finite, m, "m") < 4 * 1024
 
 
 def test_no_block_size_parameter():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from xlalign.errors import ContractError
 from xlalign.io import GoldDictionary
 from xlalign.retrieval import BLOCK_SIZE, cosine_block
 
-from conftest import make_rotated_pair, tile_rows
+from conftest import make_rotated_pair, tile_rows, traced_peak
 from oracles import topk_hits
 
 
@@ -134,20 +132,17 @@ class TestPrecisionAtK:
 
     @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_peak_memory_one_score_block(self, method):
-        # the unit copies of both spaces (16 n d bytes) and one n-wide block
+        # the unit rows of one space (8 n d bytes) and one n-wide block
         # (8 b n): a score block or a _knn_means block, never both; a copy of
-        # a block, such as np.partition of it, is 8 b n more
+        # a block, such as np.partition of it, is 8 b n more, and unit copies
+        # of both spaces 8 n d more
         n, d, block = 1200, 20, 128
         x, z, gold_rows = make_rotated_pair(n=n, d=d, seed=3)
         gold = GoldDictionary({i: {int(gold_rows[i])} for i in range(n)}, 0)
         with tile_rows(block):
-            tracemalloc.start()
-            try:
-                evaluate.precision_at_k(x, z, gold, ks=(1, 10), method=method, csls_k=10)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 16 * n * d + 8 * block * n + 256 * 1024
+            peak = traced_peak(evaluate.precision_at_k, x, z, gold, ks=(1, 10), method=method,
+                               csls_k=10)
+        assert peak < 8 * n * d + 8 * block * n + 256 * 1024
 
     @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_dimension_mismatch(self, method):

@@ -1,6 +1,5 @@
 import errno
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ from hypothesis import strategies as st
 
 from xlalign import io
 from xlalign.errors import ContractError, FormatError
+
+from conftest import traced_peak
 
 
 def write(tmp_path, text, name="emb.vec"):
@@ -79,6 +80,30 @@ class TestLoadEmbeddings:
         path = write(tmp_path, "2 2\napple 1 0\n\nbanana 0 1\n")
         with pytest.raises(FormatError, match="line 3: .*got 0 tokens"):
             io.load_embeddings(path)
+
+    def test_non_finite_duplicate_row_names_line(self, tmp_path):
+        # a duplicate is parsed and checked before it is dropped
+        path = write(tmp_path, "3 2\napple 1 0\napple inf 0\nbanana 0 1\n")
+        with pytest.raises(FormatError, match="line 3: .*non-finite value"):
+            io.load_embeddings(path)
+
+    def test_header_overstating_n_allocates_what_the_file_holds(self, tmp_path):
+        # 10^12 rows of 300 values would be 2.4 PB; the rows are allocated
+        # for the file's size, and the missing ones are reported
+        path = write(tmp_path, "1000000000000 300\n" + "w" + " 0.5" * 300 + "\n")
+        with pytest.raises(FormatError, match="file ends after 1 rows, header declared"):
+            io.load_embeddings(path)
+
+    def test_peak_memory_one_matrix(self, tmp_path):
+        # rows are parsed into one preallocated float64 matrix (8 n d bytes);
+        # the slack holds the vocabulary, under 200 bytes a word here. A
+        # float64 array per row and a final copy of them all were 7.4 MB more
+        n, d = 4000, 200
+        emb = np.random.default_rng(5).standard_normal((n, d))
+        path = tmp_path / "big.vec"
+        io.save_embeddings(io.Vocabulary([f"w{i}" for i in range(n)]), emb, path)
+        io.load_embeddings(path)  # lazy imports are not the load's
+        assert traced_peak(io.load_embeddings, path) < 8 * n * d + 256 * n + 64 * 1024
 
     def test_max_vocab_counts_distinct_words(self, tmp_path):
         path = write(tmp_path, "4 2\napple 1 0\napple 9 9\nbanana 0 1\ncherry 1 1\n")
@@ -235,13 +260,22 @@ class TestWriterMatchesPercentG:
         emb = np.random.default_rng(5).standard_normal((n, d))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         vocab = io.Vocabulary([f"w{i}" for i in range(n)])
-        tracemalloc.start()
-        try:
-            io.save_embeddings(vocab, emb, tmp_path / "big.vec")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(io.save_embeddings, vocab, emb, tmp_path / "big.vec")
         assert peak < 2.25 * 24 * 256 * (d + 1)
+
+    def test_float32_checked_and_cast_a_tile_at_a_time(self, tmp_path):
+        # the bytes of its float64 cast, without a float64 copy (6.4 MB here):
+        # the writer's tile buffers and a float64 cast of one tile (8 . 256 d
+        # bytes, 0.4 MB), with as much again to spare
+        n, d = 4000, 200
+        emb = np.random.default_rng(5).standard_normal((n, d))
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        emb = emb.astype(np.float32)
+        vocab = io.Vocabulary([f"w{i}" for i in range(n)])
+        peak = traced_peak(io.save_embeddings, vocab, emb, tmp_path / "f32.vec")
+        io.save_embeddings(vocab, emb.astype(np.float64), tmp_path / "f64.vec")
+        assert (tmp_path / "f32.vec").read_bytes() == (tmp_path / "f64.vec").read_bytes()
+        assert peak < 2.25 * 24 * 256 * (d + 1) + 2 * 8 * 256 * d
 
 
 @pytest.mark.skipif("XLALIGN_WRITER_SWEEP" not in os.environ,

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ from xlalign import mapping, retrieval
 from xlalign.errors import ContractError
 from xlalign.normalize import preprocess
 
-from conftest import make_rotated_pair, make_warped_pair, tile_rows
+from conftest import make_rotated_pair, make_warped_pair, tile_rows, traced_peak
 from oracles import (
     csls_bruteforce, dropout_argmax_literal, init_bruteforce, random_orthogonal, ranked_literal,
 )
@@ -103,12 +102,7 @@ class TestUnsupervisedInit:
         x, z, _ = make_rotated_pair(n=n, d=20, seed=7)
         cfg = mapping.MappingConfig(vocab_cutoff=n)
         with tile_rows(block):
-            tracemalloc.start()
-            try:
-                mapping.unsupervised_init(x, z, cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(mapping.unsupervised_init, x, z, cfg)
         assert peak < 8 * n * n + 4 * 8 * block * n + 256 * 1024
 
     def test_peak_memory_at_the_default_block_size(self):
@@ -117,12 +111,7 @@ class TestUnsupervisedInit:
         n = 1500
         x, z, _ = make_rotated_pair(n=n, d=20, seed=7)
         cfg = mapping.MappingConfig(vocab_cutoff=n)
-        tracemalloc.start()
-        try:
-            mapping.unsupervised_init(x, z, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(mapping.unsupervised_init, x, z, cfg)
         assert peak < 8 * n * n + 3 * 8 * 256 * n + 256 * 1024
 
     def test_peak_memory_in_float32(self):
@@ -133,12 +122,7 @@ class TestUnsupervisedInit:
         n, d = 1500, 20
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg = mapping.MappingConfig(vocab_cutoff=n)
-        tracemalloc.start()
-        try:
-            mapping.unsupervised_init(x, z, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(mapping.unsupervised_init, x, z, cfg)
         assert peak < 4 * n * n + 3 * 4 * 256 * n + 8 * n * d + 256 * 1024
 
     @pytest.mark.parametrize("seed", range(1, 8))
@@ -321,21 +305,28 @@ class TestSelfLearningAlign:
         assert len(calls) == 1
 
     def test_loop_induction_peak_memory_in_float32(self):
-        # the float32 unit copies (8 n d bytes, and 8 n d for the float64
-        # unit rows each is rounded from) and one float32 256-row tile with
-        # its 32-row pick slices: 4.36 MB; a float64 tile alone is 6.1 MB
-        # here, against this bound of 4.6 MB
+        # one float32 unit copy, of the candidates (4 n d bytes), and one
+        # float32 256-row tile with its 32-row pick slices: 4.25 MB; a float64
+        # tile alone is 6.1 MB here, against this bound of 4.6 MB
         n, d = 3000, 10
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg = self.fast_cfg(n)
         rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            mapping._induce_with_dropout(x, z, cfg, 0.1, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(mapping._induce_with_dropout, x, z, cfg, 0.1, rng)
         assert peak < 16 * n * d + 4 * 256 * n + 1024 * 1024
+
+    def test_refit_peak_memory_two_mapped_spaces_one_unit_copy_one_tile(self):
+        # at n = 4 cutoff the full-vocabulary refit sets the peak: both mapped
+        # spaces (16 n d bytes), the unit rows of one side (8 n d) and one
+        # float64 score tile with its query rows (8 . 256 (n + d)); the slack
+        # holds the 8-row pick copies and the penalties. Unit copies of both
+        # sides, or a mapped copy kept past its use, are 8 n d more (1.6 MB)
+        n, d = 2000, 100
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+        cfg, init = self.fast_cfg(n // 4), [(i, i) for i in range(n // 4)]
+        mapping.self_learning_align(x, z, init, cfg)  # lazy imports are not the refit's
+        peak = traced_peak(mapping.self_learning_align, x, z, init, cfg)
+        assert peak < 24 * n * d + 8 * 256 * (n + d) + 64 * n + 512 * 1024
 
     def test_reweight_scale_stored(self):
         x, z, _ = make_rotated_pair(n=120, d=6, seed=14)
@@ -437,35 +428,34 @@ def test_union_dropout_is_both_directions_drawn_forward_first():
     x = rng.integers(-1, 2, size=(40, 4)).astype(np.float64)
     z = rng.integers(-1, 2, size=(35, 4)).astype(np.float64)
     x[10:20], z[5:15] = x[:10], z[20:30]  # duplicated rows: exact ties both ways
-    ux, uz = retrieval._unit_rows(x), retrieval._unit_rows(z)
     unions = []
     for height in (1, 7, 1024):
         with tile_rows(height):
-            unions.append(retrieval._induce(ux, uz, "csls", 3, "union", 0.3,
+            unions.append(retrieval._induce(x, z, "csls", 3, "union", 0.3,
                                             np.random.default_rng(26)).tolist())
             draws = np.random.default_rng(26)
-            fwd = retrieval._induce(ux, uz, "csls", 3, "forward", 0.3, draws).tolist()
-            bwd = retrieval._induce(ux, uz, "csls", 3, "backward", 0.3, draws).tolist()
+            fwd = retrieval._induce(x, z, "csls", 3, "forward", 0.3, draws).tolist()
+            bwd = retrieval._induce(x, z, "csls", 3, "backward", 0.3, draws).tolist()
         assert unions[-1] == sorted(map(list, set(map(tuple, fwd + bwd))))
     assert unions[0] == unions[1] == unions[2]
 
 
 def test_induce_draws_one_geometric_per_picked_row():
     rng = np.random.default_rng(27)
-    ux, uz = (retrieval._unit_rows(rng.standard_normal((n, 4))) for n in (40, 35))
+    x, z = (rng.standard_normal((n, 4)) for n in (40, 35))
     # at keep_prob 1 every row takes its argmax and no generator is needed
-    forward = list(enumerate(csls_bruteforce(ux, uz, 3)[0]))
-    backward = [(i, j) for j, i in enumerate(csls_bruteforce(uz, ux, 3)[0])]
-    assert list(map(tuple, retrieval._induce(ux, uz, "csls", 3, "union", 1.0, None).tolist())) \
+    forward = list(enumerate(csls_bruteforce(x, z, 3)[0]))
+    backward = [(i, j) for j, i in enumerate(csls_bruteforce(z, x, 3)[0])]
+    assert list(map(tuple, retrieval._induce(x, z, "csls", 3, "union", 1.0, None).tolist())) \
         == sorted(set(forward + backward))
     untouched = np.random.default_rng(28)
-    retrieval._induce(ux, uz, "csls", 3, "union", 1.0, untouched)
+    retrieval._induce(x, z, "csls", 3, "union", 1.0, untouched)
     assert untouched.bit_generator.state == np.random.default_rng(28).bit_generator.state
     # below 1, a union draws one geometric per source row, then one per target row
     draws, twin = np.random.default_rng(29), np.random.default_rng(29)
-    retrieval._induce(ux, uz, "csls", 3, "union", 0.3, draws)
-    twin.geometric(0.3, size=len(ux))
-    twin.geometric(0.3, size=len(uz))
+    retrieval._induce(x, z, "csls", 3, "union", 0.3, draws)
+    twin.geometric(0.3, size=len(x))
+    twin.geometric(0.3, size=len(z))
     assert draws.bit_generator.state == twin.bit_generator.state
 
 

@@ -4,6 +4,7 @@ import pytest
 from xlalign import normalize
 from xlalign.errors import ContractError, DegenerateInputError
 
+from conftest import traced_peak
 from oracles import iternorm_literal
 
 
@@ -132,3 +133,14 @@ def test_preprocess_unit_rows():
     rng = np.random.default_rng(4)
     out = normalize.preprocess(rng.standard_normal((50, 8)))
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("call", [normalize.iterative_normalize, normalize.preprocess])
+def test_peak_memory_one_copy(call):
+    # one copy of the input (8 n d bytes), transformed in place, and the
+    # squares of one 256-row tile for the row norms; the quotient and
+    # difference copies of the parent were 8 n d more each (1.6 MB)
+    n, d = 4000, 50
+    m = np.random.default_rng(8).standard_normal((n, d))
+    call(m)  # lazy imports are not the call's
+    assert traced_peak(call, m) < 8 * n * d + 8 * 256 * d + 64 * n + 64 * 1024

@@ -5,6 +5,7 @@ from xlalign import refine
 from xlalign.errors import ContractError, DegenerateInputError
 from xlalign.normalize import preprocess
 
+from conftest import make_rotated_pair, tile_rows, traced_peak
 from oracles import refine_literal, unit
 
 
@@ -41,6 +42,16 @@ class TestAverageVectors:
         np.testing.assert_array_equal(z[0], [0.5, 0.5])
         assert z[1].tobytes() == zin[1].tobytes()
 
+    def test_first_pair_is_a_walk_in_dictionary_order(self):
+        # (0, 1) is skipped as source 0 is taken, so target 1 is still free
+        # for (1, 1): not the first occurrence of each word
+        xin = np.array([[1.0, 0.0], [0.0, 1.0]])
+        zin = np.array([[0.0, 1.0], [1.0, 1.0]])
+        x, z, counts = refine.average_vectors(xin, zin, [(0, 0), (0, 1), (1, 1)])
+        assert counts == (2, 1)
+        np.testing.assert_array_equal(x, [[0.5, 0.5], [0.5, 1.0]])
+        np.testing.assert_array_equal(z, x)
+
     def test_mutual_only_policy(self):
         # rows 0<->0 are mutual nearest neighbors; (1, 0) is not mutual
         xin = np.array([[1.0, 0.0], [0.9, 0.1]])
@@ -66,6 +77,19 @@ class TestAverageVectors:
         assert 0 < len(expected) < len(set(pairs))
         assert refine._mutual_pairs(xin, zin, pairs) == expected
         assert refine._mutual_pairs(xin, zin, []) == set()
+
+    @pytest.mark.parametrize("height", [1, 7, 256])
+    def test_matches_the_pairwise_loop_bit_for_bit(self, height):
+        # random pairs over more rows than a tile, most words in several
+        # pairs: the midpoints, written a tile at a time, are the loop's
+        rng = np.random.default_rng(9)
+        xin, zin = rng.standard_normal((600, 5)), rng.standard_normal((500, 5))
+        pairs = list(zip(rng.integers(0, 600, 900).tolist(), rng.integers(0, 500, 900).tolist()))
+        want_x, want_z = refine_literal(xin, zin, pairs, norm_iters=0)
+        with tile_rows(height):
+            x, z, (averaged, skipped) = refine.average_vectors(xin, zin, pairs)
+        assert x.tobytes() == want_x.tobytes() and z.tobytes() == want_z.tobytes()
+        assert averaged > 256 and skipped > 0  # more than one tile of midpoints
 
     def test_pair_rows_bitwise_equal(self):
         rng = np.random.default_rng(1)
@@ -120,6 +144,31 @@ class TestRefinePipeline:
         with pytest.raises(DegenerateInputError, match=r"\(0, 0\)"):
             refine.refine_pipeline([[1.0, 0.0], [0.0, 1.0]],
                                    [[-1.0, 0.0], [0.0, 1.0]], [(0, 0)], cfg)
+
+    def test_first_zero_pair_in_dictionary_order_is_named(self):
+        # (1, 1) and (0, 0) both average to zero; (1, 1) comes first
+        cfg = refine.RefinementConfig(norm_iters=5)
+        x = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        z = [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
+        message = r"^pair \(1, 1\) averaged to the zero vector; length normalization is undefined$"
+        with pytest.raises(DegenerateInputError, match=message):
+            refine.refine_pipeline(x, z, [(2, 2), (1, 1), (0, 0)], cfg)
+
+    @pytest.mark.parametrize("policy", ["first-pair", "mutual-only"])
+    def test_peak_memory_two_outputs(self, policy):
+        # the averaged copies, normalised in place, are the outputs (16 n d
+        # bytes), beside two 256-row tiles of midpoints; mutual-only adds the
+        # unit rows of one side (8 n d) and a score tile. Normalising into
+        # new copies, or the midpoints of all pairs at once, is 8 n d more
+        # (1.6 MB)
+        n, d = 2000, 100
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=3)
+        pairs = [(i, i) for i in range(n)]
+        cfg = refine.RefinementConfig(conflict_policy=policy)
+        refine.refine_pipeline(x, z, pairs, cfg)  # lazy imports are not the call's
+        peak = traced_peak(refine.refine_pipeline, x, z, pairs, cfg)
+        unit_copy_and_tile = 8 * n * d + 8 * 256 * (n + d) if policy == "mutual-only" else 0
+        assert peak < 16 * n * d + 16 * 256 * d + unit_copy_and_tile + 256 * 1024
 
     def test_matches_literal_oracle(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from xlalign.errors import ContractError
 from xlalign.evaluate import precision_at_k
 from xlalign.io import GoldDictionary
 
-from conftest import make_rotated_pair, tile_rows
+from conftest import make_rotated_pair, tile_rows, traced_peak
 from oracles import csls_bruteforce, ranked_literal
 
 
@@ -312,19 +311,59 @@ def test_induce_rejects_dimension_mismatch(method):
 
 
 def test_union_csls_peak_memory_at_the_default_block_size():
-    # the unit copies of both spaces (16 n d bytes) and one 256-row score
-    # block; a 1024-row block is 9 MB more at this size. The slack holds the
-    # backward picks' 8-row shifted copies (8 · 8 n bytes, 94 KiB) and the
-    # penalties; 32-row copies (375 KiB) would not fit
+    # the unit rows of one space, each pass's candidates (8 n d bytes), and
+    # one 256-row score block; a 1024-row block is 9 MB more at this size,
+    # and unit copies of both spaces 234 KiB more. The slack holds the
+    # scaled query rows of a block (40 KiB), the backward picks' 8-row shifted
+    # copies (8 · 8 n bytes, 94 KiB) and the penalties
     n, d = 1500, 20
     x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
-    tracemalloc.start()
-    try:
-        retrieval.induce_dictionary(x, z, method="csls", k=10, directions="union")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * n * d + 8 * 256 * n + 256 * 1024
+    peak = traced_peak(retrieval.induce_dictionary, x, z, method="csls", k=10, directions="union")
+    assert peak < 8 * n * d + 8 * 256 * n + 256 * 1024
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+def test_row_norms_match_linalg_norm_bit_for_bit(n, dtype):
+    # squared a tile at a time, the last of 257 rows alone; a matrix that is
+    # not C-contiguous, whose sums run in another order, goes to np.linalg.norm
+    m = (np.random.default_rng(n).standard_normal((n, 300)) * 3).astype(dtype)
+    for rows in (m, np.asfortranarray(m), m[:, ::3]):
+        want = np.linalg.norm(rows, axis=1)
+        got = retrieval._row_norms(rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scaled_rows_match_the_cast_unit_copy_bit_for_bit(dtype):
+    # a query tile scaled on its own equals the same rows of a float64 unit
+    # copy rounded to the scoring dtype, zero rows +0.0, as the loop used to
+    # build its float32 copies
+    rng = np.random.default_rng(41)
+    m = rng.standard_normal((600, 30)) * rng.uniform(0.1, 10.0, size=(600, 1))
+    m[3] = -0.0  # a zero row of negative zeros
+    m[300] = 0.0
+    m[301] = 1e-170  # its squares underflow, so its norm is 0 and it scores as a zero row
+    norms = retrieval._norms(m)
+    want = retrieval._unit_rows(m).astype(dtype)
+    assert not np.signbit(want[[3, 300, 301]]).any()
+    rows = rng.permutation(600)[:100]
+    for sel in (slice(None), slice(0, 256), slice(256, 512), slice(512, 600), rows):
+        assert retrieval._unit(m, norms, sel, dtype).tobytes() == want[sel].tobytes()
+
+
+@pytest.mark.parametrize("height", [1, 7, 256])
+def test_streamed_induction_matches_the_oracle_union(height):
+    # more rows than one default tile, and a zero row on each side; each pass
+    # scales its query tiles and holds its candidates' unit rows alone
+    rng = np.random.default_rng(42)
+    x, z = rng.standard_normal((270, 5)), rng.standard_normal((260, 5))
+    x[17], z[200] = 0.0, 0.0
+    forward = list(enumerate(csls_bruteforce(x, z, 4)[0]))
+    backward = [(i, j) for j, i in enumerate(csls_bruteforce(z, x, 4)[0])]
+    with tile_rows(height):
+        got = retrieval.induce_dictionary(x, z, method="csls", k=4, directions="union")
+    assert got == sorted(set(forward + backward))
 
 
 @pytest.mark.parametrize("top", [1, 3, 12, 40])
