@@ -1,4 +1,5 @@
-"""Unsupervised cross-lingual word embedding alignment with midpoint refinement."""
+"""Unsupervised cross-lingual word embedding alignment, refined by one linear
+map per language toward the dictionary midpoints."""
 
 __version__ = "0.1.0"
 
@@ -13,7 +14,7 @@ from .io import (
 )
 from .mapping import MappingConfig, MappingResult, align, procrustes_solve, self_learning_align, unsupervised_init
 from .normalize import iterative_normalize, length_normalize, mean_center, preprocess
-from .refine import RefinedSpaces, RefinementConfig, average_vectors, refine_pipeline
+from .refine import RefinedSpaces, RefinementConfig, refine_pipeline
 from .retrieval import cosine_block, csls_retrieve, induce_dictionary, nn_retrieve
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "RefinementConfig",
     "Vocabulary",
     "align",
-    "average_vectors",
     "compare_reports",
     "cosine_block",
     "csls_retrieve",

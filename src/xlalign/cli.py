@@ -62,7 +62,6 @@ _SETTINGS = {
     "dict_path": {"flags": ("--dict",), "help": "induced dictionary file"},
     "norm_iters": {"type": int, "help": "refinement normalization iterations"},
     "norm_tol": {"type": float, "help": "refinement normalization tolerance"},
-    "conflict_policy": {"choices": ("first-pair", "mutual-only"), "help": "pairs to average"},
     "gold": {"help": "gold dictionary file"},
     "ks": {"type": positive_int_list, "default": (1, 5, 10),
            "help": "comma-separated k values"},
@@ -77,7 +76,7 @@ _INI_KEYS = _SETTINGS.keys() - {"config", "verbose", "compare"}
 _IO = ("src", "trg", "out", "config", "max_vocab", "verbose")
 _MAPPING = ("seed", "csls_k", "vocab_cutoff", "direction", "keep_prob",
             "stall_patience", "max_iterations", "reweight")
-_REFINE = ("norm_iters", "norm_tol", "conflict_policy")
+_REFINE = ("norm_iters", "norm_tol")
 _EVALUATE = ("gold", "ks", "retrieval")
 
 
@@ -207,7 +206,6 @@ def cmd_refine(args):
     pairs = io.load_dictionary_pairs(settings["dict_path"], src_vocab, trg_vocab)
     refined = _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, settings["out"])
     print(f"pairs_averaged={refined.pairs_averaged}")
-    print(f"pairs_skipped={refined.pairs_skipped}")
     for side, rep in (("src", refined.x_norm_report), ("trg", refined.z_norm_report)):
         print(f"{side}_norm_iters={rep.iterations_run} "
               f"row_dev={rep.max_row_norm_deviation:.3e} "
@@ -297,8 +295,7 @@ def cmd_pipeline(args):
         refined = _run_refine(settings, xw, zw, result.dictionary, src_vocab, trg_vocab, out_dir)
         x_final, z_final = refined.x_refined, refined.z_refined
         timings["refine_s"] = time.perf_counter() - t0
-        log.info("refined: %d pairs averaged, %d skipped",
-                 refined.pairs_averaged, refined.pairs_skipped)
+        log.info("refined: maps fitted to %d pairs", refined.pairs_averaged)
     del xw, zw  # saved; evaluation reads only the final spaces
 
     t0 = time.perf_counter()
@@ -333,7 +330,7 @@ def _versions():
 # subcommand -> (function, help, the settings whose flags it takes)
 _COMMANDS = {
     "align": (cmd_align, "unsupervised alignment of two embedding spaces", _IO + _MAPPING),
-    "refine": (cmd_refine, "midpoint averaging + re-normalization",
+    "refine": (cmd_refine, "map each space toward the dictionary midpoints + re-normalization",
                _IO + ("dict_path",) + _REFINE),
     "induce": (cmd_induce, "induce a dictionary between two mapped spaces",
                _IO + ("csls_k", "retrieval", "direction")),

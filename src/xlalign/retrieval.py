@@ -3,7 +3,7 @@
 CSLS rescales cosine similarity by the mean similarity of each point to its
 k nearest neighbors on the other side, which demotes hub vectors. All argmax
 tie-breaking is lowest-index-wins. Every score in the package (CSLS penalties,
-induction, evaluation, mutual-neighbor refinement, the unsupervised init's
+induction, evaluation, ``csls_retrieve``, the unsupervised init's
 similarities) comes from one loop over fixed-size query row blocks,
 ``_score_blocks``, so no n x n score matrix is ever built; the init keeps one
 n x n float32 matrix, the sorted target similarities, as its candidates.
@@ -20,11 +20,11 @@ Cosines are products of unit rows. Each side's row norms are taken once
 (``_norms``, over ``_row_norms``, which squares a block of rows at a time).
 A scoring pass then holds the unit rows of its candidates alone, in the
 scoring dtype, and ``_score_blocks`` scales its query rows one block at a
-time: induction, evaluation, ``csls_retrieve`` and mutual-neighbor
-refinement thus hold one unit copy of one space, not of both. Each unit row
-is the float64 quotient of the row by its norm rounded once to the scoring
-dtype, zero rows +0.0 (``_unit``), so a block of them has the bits of the
-same rows of a whole unit copy. The init scores its raw rows.
+time: induction, evaluation and ``csls_retrieve`` thus hold one unit copy
+of one space, not of both. Each unit row is the float64 quotient of the row
+by its norm rounded once to the scoring dtype, zero rows +0.0 (``_unit``),
+so a block of them has the bits of the same rows of a whole unit copy. The
+init scores its raw rows.
 
 Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
@@ -166,15 +166,6 @@ def _block_scores(q, sel, uc, shift, norms):
     return sim
 
 
-def _argmax(blocks, n):
-    """Argmax candidate per query row of ``n`` score rows arriving in blocks."""
-    out = np.empty(n, dtype=np.int64)
-    for start, sim in blocks:
-        out[start : start + sim.shape[0]] = sim.argmax(axis=1)
-        del sim
-    return out
-
-
 def _nth_best(sim, g, top):
     """Per row r of ``sim``, the index of its g[r]-th best score, ranking
     equal scores by index; 0 where g[r] exceeds the row length.
@@ -283,8 +274,12 @@ def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     rows = None if query_indices is None else _query_rows(query_indices, len(x))
     norms = _norms(x), _norms(z)
     shift = _rank_shift(x, z, norms, "csls", k)
-    blocks = _score_blocks(x, _unit(z, norms[1]), rows, shift, norms[0])
-    return _argmax(blocks, len(x if rows is None else rows)).tolist()
+    out = np.empty(len(x if rows is None else rows), dtype=np.int64)
+    # shifted in place: the tile is dropped after its picks
+    for start, sim in _score_blocks(x, _unit(z, norms[1]), rows, shift, norms[0]):
+        _pick_rows(sim, None, None, 1.0, out, start)
+        del sim
+    return out.tolist()
 
 
 def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
@@ -355,8 +350,11 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
             del sim
     if forward and backward:
         m = len(z)
-        # i m + j sorts as (i, j) does, since j < m
-        keys = np.unique(np.concatenate([np.arange(len(x)) * m + fwd, bwd * m + np.arange(m)]))
+        # i m + j sorts as (i, j) does, since j < m; a sort and a neighbour
+        # comparison give np.unique's keys without its import of numpy.ma
+        keys = np.concatenate([np.arange(len(x)) * m + fwd, bwd * m + np.arange(m)])
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         return np.column_stack([keys // m, keys % m])
     return np.column_stack([np.arange(len(x)), fwd] if forward else [bwd, np.arange(len(z))])
 

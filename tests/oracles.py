@@ -91,18 +91,16 @@ def iternorm_literal(x, max_iters, tol):
 
 
 def refine_literal(x, z, pairs, norm_iters, tol=1e-6):
-    """Midpoint-average each pair into both spaces, then re-normalize each."""
+    """Per side, I plus the least-norm least-squares solution of
+    X_D M = (Z_D - X_D) / 2 on the gathered pair rows (``np.linalg.lstsq``),
+    applied to every row; then re-normalize each space."""
     x = np.array(x, dtype=np.float64)
     z = np.array(z, dtype=np.float64)
-    seen_s, seen_t = set(), set()
-    for i, j in pairs:
-        if i in seen_s or j in seen_t:
-            continue
-        mid = (x[i] + z[j]) / 2.0
-        x[i] = mid.copy()
-        z[j] = mid.copy()
-        seen_s.add(i)
-        seen_t.add(j)
+    xd = np.array([x[i] for i, _ in pairs]).reshape(-1, x.shape[1])
+    zd = np.array([z[j] for _, j in pairs]).reshape(-1, z.shape[1])
+    eye = np.eye(x.shape[1])
+    x = x @ (eye + np.linalg.lstsq(xd, (zd - xd) / 2.0, rcond=None)[0])
+    z = z @ (eye + np.linalg.lstsq(zd, (xd - zd) / 2.0, rcond=None)[0])
     if norm_iters:
         x, _ = iternorm_literal(x, norm_iters, tol)
         z, _ = iternorm_literal(z, norm_iters, tol)

@@ -72,46 +72,60 @@ def test_refinement_never_hurts_on_noisy_data(capsys):
 def test_refinement_on_non_isomorphic_spaces(capsys):
     # the warped pair keeps P@1 off its ceiling, so both the base quality and
     # the paper's refinement effect can move; the band comes from seeds 1-5
-    # measured at 0.937-0.967 (base) and +0.003 to +0.020 (delta)
+    # measured at 0.937-0.967 (base) and +0.013 to +0.027 (delta). Refined
+    # again with every gold source held out of the dictionary, P@1 must not
+    # fall below base: refinement has to move the words its dictionary lacks
     n, stride = 1200, 4
     gold = GoldDictionary({i: {i} for i in range(0, n, stride)}, 0)
-    bases, deltas = [], []
+
+    def p_at_1(x, z):
+        return evaluate.precision_at_k(x, z, gold, ks=(1,), method="csls").precision_at[1]
+
+    bases, deltas, held_out = [], [], []
     for seed in range(1, 6):
         x, z = make_warped_pair(n=n, seed=seed)
         cfg = mapping.MappingConfig(vocab_cutoff=n, stall_patience=3, seed=seed)
         result = mapping.align(x, z, cfg)
         xw, zw = result.map_src(x), result.map_trg(z)
-        base = evaluate.precision_at_k(xw, zw, gold, ks=(1,), method="csls").precision_at[1]
+        base = p_at_1(xw, zw)
         refined = refine.refine_pipeline(xw, zw, result.dictionary)
-        ref = evaluate.precision_at_k(refined.x_refined, refined.z_refined, gold, ks=(1,),
-                                      method="csls").precision_at[1]
+        held = refine.refine_pipeline(xw, zw, [(i, j) for i, j in result.dictionary
+                                               if i not in gold.entries])
         bases.append(base)
-        deltas.append(ref - base)
+        deltas.append(p_at_1(refined.x_refined, refined.z_refined) - base)
+        held_out.append(p_at_1(held.x_refined, held.z_refined))
     median = float(np.median(deltas))
     with capsys.disabled():
         check("refinement on non-isomorphic spaces (base CSLS P@1 "
               + " ".join(f"{b:.3f}" for b in bases) + " in [0.90, 0.99], deltas "
-              + " ".join(f"{d:+.3f}" for d in deltas) + f", median {median:+.4f} >= 0)",
-              all(0.90 <= b <= 0.99 for b in bases) and median >= 0.0)
+              + " ".join(f"{d:+.3f}" for d in deltas) + f", median {median:+.4f} >= 0; "
+              "gold held out " + " ".join(f"{h:.3f}" for h in held_out) + " >= base)",
+              all(0.90 <= b <= 0.99 for b in bases) and median >= 0.0
+              and all(h >= b for h, b in zip(held_out, bases)))
 
 
 def test_midpoint_averaging_exactness(capsys):
+    # 48 pairs in 64 dimensions: the pair rows of each side are independent,
+    # so each side's fitted map lands every pair on its midpoint
     rng = np.random.default_rng(0)
-    n = 1000
-    x = rng.standard_normal((n, 12))
-    z = rng.standard_normal((n, 12))
+    n, d, m = 1000, 64, 48
+    x = rng.standard_normal((n, d))
+    z = rng.standard_normal((n, d))
     perm = rng.permutation(n)
-    pairs = [(i, int(perm[i])) for i in range(n)]
-    xa, za, (averaged, _) = refine.average_vectors(x, z, pairs)
-    bitwise = all(xa[i].tobytes() == za[j].tobytes() for i, j in pairs)
+    pairs = [(i, int(perm[i])) for i in range(m)]
+    out = refine.refine_pipeline(x, z, pairs, refine.RefinementConfig(norm_iters=0))
+    xa, za = out.x_refined, out.z_refined
+    worst = max(float(np.abs(xa[i] - (x[i] + z[j]) / 2).max()) for i, j in pairs)
+    worst = max(worst, max(float(np.abs(za[j] - xa[i]).max()) for i, j in pairs))
     symmetric = True
     for i, j in pairs:
         gap = np.linalg.norm(x[i] - z[j])
         symmetric &= abs(np.linalg.norm(x[i] - xa[i]) - gap / 2) < 1e-9
-        symmetric &= abs(np.linalg.norm(z[j] - xa[i]) - gap / 2) < 1e-9
+        symmetric &= abs(np.linalg.norm(z[j] - za[j]) - gap / 2) < 1e-9
     with capsys.disabled():
-        check(f"midpoint exactness (bitwise pair equality + displacement symmetry, "
-              f"{averaged} pairs)", bitwise and symmetric and averaged == n)
+        check(f"midpoint exactness (pairs on their midpoints within {worst:.1e} < 1e-9 "
+              f"+ displacement symmetry, {out.pairs_averaged} pairs)",
+              worst < 1e-9 and symmetric and out.pairs_averaged == m)
 
 
 def test_normalization_fixed_point(capsys):

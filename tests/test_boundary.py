@@ -44,8 +44,6 @@ BOUNDARY = {
                             "x_space", "z_space"),
     "refine_pipeline": (lambda x, z: xlalign.refine_pipeline(x, z, PAIRS),
                         "x_aligned", "z_aligned"),
-    "average_vectors": (lambda x, z: xlalign.average_vectors(x, z, PAIRS),
-                        "x_aligned", "z_aligned"),
     "length_normalize": (lambda x, z: xlalign.length_normalize(x), "emb", None),
     "mean_center": (lambda x, z: xlalign.mean_center(x), "emb", None),
     "iterative_normalize": (lambda x, z: xlalign.iterative_normalize(x), "emb", None),
@@ -129,7 +127,6 @@ def test_init_pairs_as_an_array():
 # the calls that take a dictionary of N x N rows, given the file to write
 DICTIONARY_CALLS = {
     "refine_pipeline": lambda x, z, pairs, out: xlalign.refine_pipeline(x, z, pairs),
-    "average_vectors": lambda x, z, pairs, out: xlalign.average_vectors(x, z, pairs),
     "save_dictionary_pairs": lambda x, z, pairs, out: save_dictionary_pairs(pairs, WORDS,
                                                                             WORDS, out),
 }
@@ -170,8 +167,7 @@ def test_integer_pairs_of_any_kind_are_taken_alike(call, pairs, tmp_path):
     if call == "save_dictionary_pairs":
         assert got.read_bytes() == want.read_bytes() == b"w0 w1\nw2 w3\n"
     else:
-        np.testing.assert_array_equal(a[0] if call == "average_vectors" else a.x_refined,
-                                      b[0] if call == "average_vectors" else b.x_refined)
+        np.testing.assert_array_equal(a.x_refined, b.x_refined)
 
 
 @pytest.mark.parametrize("call", DICTIONARY_CALLS)
@@ -181,8 +177,5 @@ def test_empty_dictionary_is_no_pairs(call, tmp_path):
     result = DICTIONARY_CALLS[call](x, z, [], out)
     if call == "save_dictionary_pairs":
         assert out.read_bytes() == b""
-    elif call == "average_vectors":
-        np.testing.assert_array_equal(result[0], x)
-        assert result[2] == (0, 0)
     else:
-        assert (result.pairs_averaged, result.pairs_skipped) == (0, 0)
+        assert result.pairs_averaged == 0

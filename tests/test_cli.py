@@ -1,10 +1,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xlalign
 from xlalign import cli
 from xlalign.io import Vocabulary, load_embeddings, save_embeddings
 from xlalign.mapping import MappingConfig
@@ -194,6 +199,23 @@ class TestPipeline:
         assert m1["precision_at"] == m2["precision_at"]
         assert m1["objective"] == m2["objective"]
 
+    def test_numpy_ma_is_not_imported(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, about 16 ms and 0.9 MB
+        # in every pipeline process; a fresh process shows what a run imports
+        write_corpus(tmp_path, n=100)
+        argv = ["pipeline", "--src", str(tmp_path / "src.vec"), "--trg",
+                str(tmp_path / "trg.vec"), "--gold", str(tmp_path / "gold.txt"),
+                "--out", str(tmp_path / "run"), *FAST]
+        script = ("import sys\nfrom xlalign import cli\n"
+                  f"assert cli.main({argv!r}) == 0\n"
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        src = str(Path(xlalign.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
 
 class TestConfigFile:
     def test_config_file_and_cli_override(self, tmp_path, capsys):
@@ -226,7 +248,7 @@ class TestConfigFile:
         values = {
             "vocab_cutoff": 123, "csls_k": 4, "keep_prob": 0.25, "stall_patience": 6,
             "max_iterations": 77, "direction": "backward", "seed": 5, "reweight": True,
-            "norm_iters": 3, "norm_tol": 0.0005, "conflict_policy": "mutual-only",
+            "norm_iters": 3, "norm_tol": 0.0005,
         }
         defaults = {f.name: f.default for cls in (MappingConfig, RefinementConfig)
                     for f in dataclasses.fields(cls)}
@@ -252,6 +274,16 @@ class TestConfigFile:
         code = run(["align", "--config", config, "--src", "a", "--trg", "b", "--out", "c"])
         assert code == 1
         assert "bogus" in caplog.text
+
+    def test_conflict_policy_is_an_unknown_key(self, tmp_path, caplog, monkeypatch):
+        # refinement fits its maps to every pair, so there is no policy to set
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        config = tmp_path / "old.ini"
+        config.write_text("[refine]\nconflict_policy = mutual-only\n")
+        code = run(["refine", "--config", config, "--src", "a", "--trg", "b", "--out", "c",
+                    "--dict", "d"])
+        assert code == 1
+        assert "unknown config key 'conflict_policy'" in caplog.text
 
     def test_config_booleans_take_configparser_spellings(self, tmp_path):
         config = tmp_path / "run.ini"
@@ -299,7 +331,7 @@ FLAGS = {
               "--seed", "--csls-k", "--vocab-cutoff", "--direction", "--keep-prob",
               "--stall-patience", "--max-iterations", "--reweight"],
     "refine": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
-               "--dict", "--norm-iters", "--norm-tol", "--conflict-policy"],
+               "--dict", "--norm-iters", "--norm-tol"],
     "induce": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
                "--csls-k", "--retrieval", "--direction"],
     "evaluate": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
@@ -307,7 +339,7 @@ FLAGS = {
     "pipeline": ["--src", "--trg", "--out", "--config", "--max-vocab", "-v", "--verbose",
                  "--seed", "--csls-k", "--vocab-cutoff", "--direction", "--keep-prob",
                  "--stall-patience", "--max-iterations", "--reweight",
-                 "--norm-iters", "--norm-tol", "--conflict-policy",
+                 "--norm-iters", "--norm-tol",
                  "--gold", "--ks", "--retrieval", "--skip-refine"],
 }
 
