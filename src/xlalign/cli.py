@@ -53,7 +53,7 @@ _SETTINGS = {
     "seed": {"type": int, "default": 0, "help": "RNG seed"},
     "csls_k": {"type": positive_int, "help": "CSLS neighborhood size (default 10)"},
     "vocab_cutoff": {"type": int, "help": "self-learning vocabulary cutoff"},
-    "direction": {"choices": ("forward", "backward", "union"), "help": "induction direction"},
+    "direction": {"choices": retrieval.DIRECTIONS, "help": "induction direction"},
     "keep_prob": {"type": float, "help": "initial similarity keep probability"},
     "stall_patience": {"type": int, "help": "stalled iterations before keep_prob grows"},
     "max_iterations": {"type": int, "help": "self-learning iteration limit"},
@@ -162,14 +162,12 @@ def _load_pair(settings):
 
 def _run_align(settings, out_dir):
     """Shared by cmd_align and cmd_pipeline; returns mapped artifacts."""
-    cfg = _config_from(mapping.MappingConfig, settings)
-    cfg.validate()  # a bad setting fails before the embeddings load
+    cfg = _config_from(mapping.MappingConfig, settings)  # checked: fails before loading
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     x = normalize.preprocess(x)
     z = normalize.preprocess(z)
-    cfg.vocab_cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
     log.info("aligning %d x %d against %d x %d (cutoff %d)",
-             x.shape[0], x.shape[1], z.shape[0], z.shape[1], cfg.vocab_cutoff)
+             x.shape[0], x.shape[1], z.shape[0], z.shape[1], cfg.cutoff(x, z))
     result = mapping.align(x, z, cfg)
     xw, zw = result.map_src(x), result.map_trg(z)
     os.makedirs(out_dir, exist_ok=True)
@@ -190,9 +188,9 @@ def cmd_align(args):
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, out_dir):
+def _run_refine(cfg, x, z, pairs, src_vocab, trg_vocab, out_dir):
     """Shared by cmd_refine and cmd_pipeline; saves and returns the refined spaces."""
-    refined = refine.refine_pipeline(x, z, pairs, _config_from(refine.RefinementConfig, settings))
+    refined = refine.refine_pipeline(x, z, pairs, cfg)
     os.makedirs(out_dir, exist_ok=True)
     io.save_embeddings(src_vocab, refined.x_refined, os.path.join(out_dir, "src_refined.vec"))
     io.save_embeddings(trg_vocab, refined.z_refined, os.path.join(out_dir, "trg_refined.vec"))
@@ -202,9 +200,10 @@ def _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, out_dir):
 def cmd_refine(args):
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "out", "dict_path")
+    cfg = _config_from(refine.RefinementConfig, settings)
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = io.load_dictionary_pairs(settings["dict_path"], src_vocab, trg_vocab)
-    refined = _run_refine(settings, x, z, pairs, src_vocab, trg_vocab, settings["out"])
+    refined = _run_refine(cfg, x, z, pairs, src_vocab, trg_vocab, settings["out"])
     print(f"pairs_averaged={refined.pairs_averaged}")
     for side, rep in (("src", refined.x_norm_report), ("trg", refined.z_norm_report)):
         print(f"{side}_norm_iters={rep.iterations_run} "
@@ -218,9 +217,8 @@ def cmd_induce(args):
     _require(settings, "src", "trg", "out")
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = retrieval.induce_dictionary(
-        x, z,
-        method=settings["retrieval"],
-        k=settings.get("csls_k", retrieval.DEFAULT_CSLS_K),
+        x, z, method=settings["retrieval"],
+        k=mapping.csls_k_between(settings.get("csls_k", retrieval.DEFAULT_CSLS_K), x, z),
         directions=settings.get("direction") or "union",
     )
     os.makedirs(settings["out"], exist_ok=True)
@@ -235,7 +233,7 @@ def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
     report = evaluate.precision_at_k(
         x, z, gold, ks=settings["ks"],
         method=settings["retrieval"],
-        csls_k=settings.get("csls_k", retrieval.DEFAULT_CSLS_K),
+        csls_k=mapping.csls_k_between(settings.get("csls_k", retrieval.DEFAULT_CSLS_K), x, z),
     )
     name = settings["name"]
     for line in evaluate.report_lines(name, report):
@@ -283,7 +281,8 @@ def cmd_pipeline(args):
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "out", "gold")
     out_dir = settings["out"]
-    timings = {}
+    refine_cfg = _config_from(refine.RefinementConfig, settings)  # fails before the alignment
+    timings, refined_record = {}, {}
     t0 = time.perf_counter()
     src_vocab, trg_vocab, xw, zw, result = _run_align(settings, out_dir)
     timings["align_s"] = time.perf_counter() - t0
@@ -292,10 +291,15 @@ def cmd_pipeline(args):
         x_final, z_final = xw, zw
     else:
         t0 = time.perf_counter()
-        refined = _run_refine(settings, xw, zw, result.dictionary, src_vocab, trg_vocab, out_dir)
+        refined = _run_refine(refine_cfg, xw, zw, result.dictionary, src_vocab, trg_vocab, out_dir)
         x_final, z_final = refined.x_refined, refined.z_refined
         timings["refine_s"] = time.perf_counter() - t0
-        log.info("refined: maps fitted to %d pairs", refined.pairs_averaged)
+        refined_record["refine"] = {
+            "pairs_averaged": refined.pairs_averaged,
+            "src_norm_report": dataclasses.asdict(refined.x_norm_report),
+            "trg_norm_report": dataclasses.asdict(refined.z_norm_report),
+        }
+        log.info("refined: %s", json.dumps(refined_record["refine"]))
     del xw, zw  # saved; evaluation reads only the final spaces
 
     t0 = time.perf_counter()
@@ -313,6 +317,7 @@ def cmd_pipeline(args):
         "objective": result.objective,
         "iterations": result.iterations,
         "converged": result.converged,
+        **refined_record,
         "precision_at": {str(k): v for k, v in report.precision_at.items()},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -9,6 +9,9 @@ probability keep_prob, sampled exactly by rank in ``retrieval._induce``
 induces in float32, VecMap's precision, from unit rows normalised in
 float64; its solve and objective, the final full-vocabulary refit and every
 public function stay float64.
+
+A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
+and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .retrieval import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingConfig:
     vocab_cutoff: int = 20000
     csls_k: int = DEFAULT_CSLS_K
@@ -36,27 +39,36 @@ class MappingConfig:
     stall_patience: int = 50
     convergence_tol: float = 1e-6
     max_iterations: int = 10000
-    direction: str = "union"  # forward | backward | union
+    direction: str = "union"  # one of retrieval.DIRECTIONS
     seed: int = 0
     reweight: bool = False  # scale mapped spaces by sqrt of singular values
 
-    def validate(self):
-        if self.vocab_cutoff < 2:
-            raise ContractError("vocab_cutoff must be >= 2")
-        if self.csls_k < 1:
-            raise ContractError("csls_k must be >= 1")
-        if not 0.0 < self.keep_prob_initial <= 1.0:
-            raise ContractError("keep_prob_initial must be in (0, 1]")
-        if self.keep_prob_growth <= 1.0:
-            raise ContractError("keep_prob_growth must be > 1")
-        if self.direction not in ("forward", "backward", "union"):
-            raise ContractError(f"unknown direction {self.direction!r}")
-        if self.stall_patience < 1:
-            raise ContractError("stall_patience must be >= 1")
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0.0):
-            raise ContractError("convergence_tol must be finite and >= 0")
-        if self.max_iterations < 1:
-            raise ContractError("max_iterations must be >= 1")
+    def __post_init__(self):
+        for ok, rule in (
+            (self.vocab_cutoff >= 2, "vocab_cutoff must be >= 2"),
+            (self.csls_k >= 1, "csls_k must be >= 1"),
+            (0.0 < self.keep_prob_initial <= 1.0, "keep_prob_initial must be in (0, 1]"),
+            (self.keep_prob_growth > 1.0, "keep_prob_growth must be > 1"),
+            (self.direction in retrieval.DIRECTIONS, f"unknown direction {self.direction!r}"),
+            (self.stall_patience >= 1, "stall_patience must be >= 1"),
+            (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0.0,
+             "convergence_tol must be finite and >= 0"),
+            (self.max_iterations >= 1, "max_iterations must be >= 1"),
+        ):
+            if not ok:
+                raise ContractError(rule)
+
+    def cutoff(self, x, z):
+        """min(vocab_cutoff, len(x), len(z)), the rows of ``x`` and ``z`` the init and
+        the loop align; ContractError naming both sizes if either is under 2."""
+        if min(len(x), len(z)) < 2:
+            raise ContractError(f"alignment needs 2 rows per space, got x {len(x)}, z {len(z)}")
+        return min(self.vocab_cutoff, len(x), len(z))
+
+
+def csls_k_between(csls_k, x, z):
+    """``csls_k``, capped at the neighbours a row of the smaller of ``x``, ``z`` has."""
+    return min(csls_k, min(len(x), len(z)) - 1)
 
 
 @dataclass
@@ -130,15 +142,10 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
     the source side is built, sorted and scored one row block at a time, and
     one product per block answers both directions, 256 rows a block. Peak
     memory is about 4 (cutoff² + 3 · 256 · cutoff) bytes: 1.7 GB at cutoff
-    20000. Non-finite input raises ContractError naming its row.
+    20000 (the cutoff is ``cfg.cutoff``). Non-finite input raises ContractError naming its row.
     """
-    cfg.validate()
     x, z = _require_finite(x, "x"), _require_finite(z, "z")
-    cutoff = cfg.vocab_cutoff
-    if cutoff > min(x.shape[0], z.shape[0]):
-        raise ContractError(
-            f"vocab_cutoff {cutoff} exceeds vocabulary sizes {x.shape[0]}, {z.shape[0]}"
-        )
+    cutoff = cfg.cutoff(x, z)
     xc, zc = x[:cutoff], z[:cutoff]
     mz = np.empty((cutoff, cutoff), dtype=np.float32)
     for start, sim in _score_blocks(zc, zc):
@@ -185,28 +192,26 @@ def self_learning_align(x, z, init: BilingualDictionary,
     raise it naming both dimensions, and an ``init`` pair that is not two
     integer rows below the cutoff raises it naming the pair, before any solve.
     """
-    cfg.validate()
     if len(init) == 0:
         raise ContractError("initial dictionary must be non-empty")
     x, z = _require_spaces(x, z, ("x", "z"))
-    cutoff = min(cfg.vocab_cutoff, x.shape[0], z.shape[0])
+    cutoff = cfg.cutoff(x, z)
     src, trg = _require_pairs(init, cutoff, cutoff, "init pair {} is not two rows in "
                               f"[0, {cutoff}), the vocabulary cutoff").T
     xc, zc = x[:cutoff], z[:cutoff]
+    k = csls_k_between(cfg.csls_k, xc, zc)
     rng = np.random.default_rng(cfg.seed)
 
     keep_prob = cfg.keep_prob_initial
     best_objective = -np.inf
     stall = 0
     converged = False
-    iterations = 0
-    w_x = w_z = np.eye(x.shape[1])
 
     for iterations in range(1, cfg.max_iterations + 1):
         w_x, w_z, _ = _symmetric_solve(xc[src], zc[trg])
         xw, zw = xc @ w_x, zc @ w_z
 
-        pairs = _induce_with_dropout(xw, zw, cfg, keep_prob, rng)
+        pairs = _induce(xw, zw, "csls", k, cfg.direction, keep_prob, rng, np.float32)
         if not len(pairs):
             raise AlignmentCollapseError(f"empty dictionary at iteration {iterations}")
         src, trg = pairs.T
@@ -214,8 +219,7 @@ def self_learning_align(x, z, init: BilingualDictionary,
         if not np.isfinite(objective):
             raise NumericalError(f"non-finite objective at iteration {iterations}")
 
-        improved = objective - best_objective >= cfg.convergence_tol
-        if improved:
+        if objective - best_objective >= cfg.convergence_tol:
             best_objective = objective
             stall = 0
         elif keep_prob >= 1.0:
@@ -233,9 +237,8 @@ def self_learning_align(x, z, init: BilingualDictionary,
     # copy and one score tile
     del xw, zw
     x_full, z_full = x @ w_x, z @ w_z
-    dictionary = induce_dictionary(
-        x_full, z_full, method="csls", k=cfg.csls_k, directions=cfg.direction,
-    )
+    dictionary = induce_dictionary(x_full, z_full, method="csls", directions=cfg.direction,
+                                   k=csls_k_between(cfg.csls_k, x, z))
     del x_full, z_full
     src, trg = np.array(dictionary, dtype=np.int64).T
     w_x, w_z, s = _symmetric_solve(x[src], z[trg])
@@ -258,22 +261,14 @@ def _objective(xw, zw, src, trg):
     return float(np.mean(dots))
 
 
-def _induce_with_dropout(xw, zw, cfg, keep_prob, rng):
-    """CSLS induction with similarity dropout (``retrieval._induce``) of the
-    mapped rows, scored in float32, VecMap's precision, from unit rows
-    normalised in float64: induction only picks pairs, and the solve and
-    objective stay float64. Returns (source, target) rows of an n x 2 array."""
-    k = min(cfg.csls_k, len(zw) - 1, len(xw))
-    return _induce(xw, zw, "csls", k, cfg.direction, keep_prob, rng, np.float32)
-
-
 def align(x, z, cfg: MappingConfig) -> MappingResult:
     """Full unsupervised alignment: heuristic init then self-learning.
 
-    The configuration is checked, and both spaces for finite values and one
-    dimensionality, before the cutoff-squared init runs; errors name the
-    spaces x and z.
+    Both spaces are checked for finite values, one dimensionality and 2 or
+    more rows (``cfg.cutoff``) before the cutoff-squared init runs; errors
+    name the spaces x and z. The cutoff and CSLS k follow the vocabulary
+    sizes, so the default config aligns any vocabulary of 2 or more words.
     """
-    cfg.validate()
     x, z = _require_spaces(x, z, ("x", "z"))
+    cfg.cutoff(x, z)
     return self_learning_align(x, z, unsupervised_init(x, z, cfg), cfg)

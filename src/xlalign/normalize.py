@@ -88,11 +88,11 @@ def _check_iterations(max_iters, tol):
         raise ContractError("tol must be > 0")
 
 
-def _iterative_normalize_in_place(x, max_iters, tol):
-    """``iterative_normalize`` of the float64 matrix ``x``, in place, with
-    arguments already checked (``_check_iterations``); returns the report.
-    Dividing and centering in place gives the bits of the quotient and
-    difference copies."""
+def _iterative_normalize_in_place(x, max_iters, tol, name="emb"):
+    """``iterative_normalize`` of the float64 matrix ``x``, named ``name`` in
+    errors, in place, with arguments already checked (``_check_iterations``);
+    returns the report. Dividing and centering in place gives the bits of
+    the quotient and difference copies."""
     if x.shape[0] == 0:
         raise ContractError("iterative_normalize requires at least one row")
     iterations = 0
@@ -101,7 +101,7 @@ def _iterative_normalize_in_place(x, max_iters, tol):
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise DegenerateInputError(
-                f"zero vector at row {zero[0]} makes length normalization undefined"
+                f"zero vector at row {zero[0]} makes length normalization undefined in {name}"
             )
         x /= norms[:, None]
         x -= x.mean(axis=0)

@@ -30,10 +30,16 @@ from .normalize import (
 from .retrieval import _require_spaces
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefinementConfig:
     norm_iters: int = DEFAULT_NORM_ITERS  # 0 applies the maps only
     norm_tol: float = DEFAULT_NORM_TOL
+
+    def __post_init__(self):
+        if self.norm_iters < 0:
+            raise ContractError("norm_iters must be >= 0")
+        if self.norm_iters:
+            _check_iterations(self.norm_iters, self.norm_tol)
 
 
 @dataclass
@@ -63,22 +69,18 @@ def _fitted_maps(x, z, src, trg):
 
 
 def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
-                    cfg: RefinementConfig | None = None) -> RefinedSpaces:
+                    cfg: RefinementConfig = RefinementConfig()) -> RefinedSpaces:
     """Map each space by its map fitted to every dictionary pair (module
     docstring), then re-normalize each space independently.
 
     With ``norm_iters`` = 0 the output is the mapped spaces. A mapped row of
     zeros, as an antipodal pair gives, has no direction: normalization
-    raises DegenerateInputError naming its row. Non-finite input raises
-    ContractError naming its row, spaces of different dimensionality raise
-    it naming both dimensions, and a pair that is not two integer rows
-    raises it naming the pair.
+    raises DegenerateInputError naming its row and its space, x_aligned or
+    z_aligned. ``cfg`` is frozen and was checked when built. Non-finite
+    input raises ContractError naming its row, spaces of different
+    dimensionality raise it naming both dimensions, and a pair that is not
+    two integer rows raises it naming the pair.
     """
-    cfg = cfg or RefinementConfig()
-    if cfg.norm_iters < 0:
-        raise ContractError("norm_iters must be >= 0")
-    if cfg.norm_iters:
-        _check_iterations(cfg.norm_iters, cfg.norm_tol)
     x, z = _require_spaces(x_aligned, z_aligned, ("x_aligned", "z_aligned"))
     src, trg = _require_pairs(dictionary, len(x), len(z), "dictionary pair {} is not two "
                               f"rows in [0, {len(x)}) and [0, {len(z)})").T
@@ -88,5 +90,6 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
     if cfg.norm_iters == 0:
         reports = [NormalizationReport(0, *_deviations(m)) for m in (x, z)]
     else:
-        reports = [_iterative_normalize_in_place(m, cfg.norm_iters, cfg.norm_tol) for m in (x, z)]
+        reports = [_iterative_normalize_in_place(m, cfg.norm_iters, cfg.norm_tol, name)
+                   for m, name in ((x, "x_aligned"), (z, "z_aligned"))]
     return RefinedSpaces(x, z, len(src), *reports)

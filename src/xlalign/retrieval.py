@@ -62,6 +62,7 @@ from .io import BilingualDictionary
 
 DEFAULT_CSLS_K = 10
 BLOCK_SIZE = 256
+DIRECTIONS = ("forward", "backward", "union")
 
 
 def _row_norms(m):
@@ -313,14 +314,14 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
     Below ``keep_prob`` 1, as in VecMap's stochastic induction (Artetxe,
     Labaka & Agirre, 2018), each score is kept with probability keep_prob
     and a row takes the argmax of its kept scores. That is sampled exactly,
-    with no mask: it is the row's g-th best candidate (``_dropout_pick``;
+    with no mask: it is the row's g-th best candidate (``_pick_rows``;
     equal scores ranked by index, 0 when g exceeds the row, as when all are
     dropped), g ~ Geometric(keep_prob) drawn from ``rng`` for every query
     row of each picking direction before any product, forward first, so the
     draws depend on neither the tile height nor the pass order. At
     keep_prob 1 nothing is drawn and a row takes its argmax.
     """
-    if directions not in ("forward", "backward", "union"):
+    if directions not in DIRECTIONS:
         raise ContractError(f"unknown directions {directions!r}")
     forward, backward = directions != "backward", directions != "forward"
     sides = [(x, z)] * forward + [(z, x)] * backward
@@ -367,23 +368,18 @@ _ARGMAX_ROWS = 8
 
 def _pick_rows(sim, shift, g, keep_prob, out, start):
     """``out[start + r]`` = the argmax of score row r of ``sim`` less ``shift``,
-    or with draws ``g`` its ``g[start + r]``-th best (``_dropout_pick``), from
-    ``_ARGMAX_ROWS`` or ``_PICK_ROWS`` rows at a time, shifted copies of them
-    when ``shift`` is given; ``sim`` is left unchanged."""
+    or with draws ``g`` its ``g[start + r]``-th best (``_nth_best`` of the row's
+    best ``top``, the least top with (1 - keep_prob)^top <= 2^-10 up to the row
+    length: under one row in 1024 is sorted in full), ``_ARGMAX_ROWS`` or
+    ``_PICK_ROWS`` rows at a time, shifted copies of them when ``shift`` is
+    given; ``sim`` is left unchanged."""
     height = _ARGMAX_ROWS if g is None else _PICK_ROWS
+    if g is not None:
+        # infinite for a subnormal keep_prob, so capped before rounding up
+        top = math.ceil(min(10 * math.log(2) / -math.log1p(-keep_prob), sim.shape[1]))
     for lo in range(0, sim.shape[0], height):
         rows = sim[lo : lo + height]
         if shift is not None:
             rows = rows - shift
         span = slice(start + lo, start + lo + rows.shape[0])
-        out[span] = rows.argmax(axis=1) if g is None else _dropout_pick(rows, g[span], keep_prob)
-
-
-def _dropout_pick(sim, g, keep_prob):
-    """Per row r of ``sim``, its ``g[r]``-th best candidate (``_nth_best``),
-    ranking the best ``top`` scores of each row: the smallest top with
-    (1 - keep_prob)^top <= 2^-10, capped at the row length, so fewer than
-    one row in 1024 is sorted in full."""
-    # infinite for a subnormal keep_prob, so capped before rounding up
-    top = math.ceil(min(10 * math.log(2) / -math.log1p(-keep_prob), sim.shape[1]))
-    return _nth_best(sim, g, top)
+        out[span] = rows.argmax(axis=1) if g is None else _nth_best(rows, g[span], top)

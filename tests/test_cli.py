@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -148,7 +149,8 @@ class TestEvaluate:
 
 
 class TestPipeline:
-    def test_end_to_end(self, tmp_path, capsys, monkeypatch):
+    def test_end_to_end(self, tmp_path, capsys, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="xlalign")
         write_corpus(tmp_path)
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -166,6 +168,35 @@ class TestPipeline:
         assert manifest["versions"]["xlalign"]
         assert manifest["thread_env"] == {
             "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        # the refinement's pairs and both normalization reports, also logged
+        refined = manifest["refine"]
+        assert refined["pairs_averaged"] == len((out / "induced_dict.txt").read_text().splitlines())
+        for side in ("src_norm_report", "trg_norm_report"):
+            report = refined[side]
+            assert set(report) == {"iterations_run", "max_row_norm_deviation",
+                                   "max_center_magnitude"}
+            assert 1 <= report["iterations_run"] <= 5
+            assert report["max_row_norm_deviation"] >= 0 and report["max_center_magnitude"] >= 0
+        assert f'refined: {json.dumps(refined)}' in caplog.text
+
+    def test_eight_word_pair_at_the_default_csls_k(self, tmp_path, capsys):
+        # the alignment's refit, then evaluation, raised for csls k=10 with 8
+        # words: every CSLS k is capped at one less than the smaller vocabulary
+        write_corpus(tmp_path, n=8, d=4)
+        code = run(["pipeline", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+                    "--gold", tmp_path / "gold.txt", "--out", tmp_path / "run", "--ks", "1,5"])
+        assert code in (0, 2)
+        assert "system.5=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["pipeline", "--gold", "c"], ["refine", "--dict", "d"]])
+    def test_bad_refinement_setting_fails_before_loading(self, tmp_path, caplog, monkeypatch,
+                                                         command):
+        # the pipeline checked the refinement config after aligning
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        code = run([*command, "--src", "a", "--trg", "b", "--out", tmp_path / "run",
+                    "--norm-iters", "-1"])
+        assert code == 1
+        assert "norm_iters must be >= 0" in caplog.text
 
     def test_skip_refine_matches_align_plus_evaluate(self, tmp_path, capsys):
         write_corpus(tmp_path)
@@ -184,6 +215,7 @@ class TestPipeline:
         assert (out1 / "trg_mapped.vec").read_bytes() == (out2 / "trg_mapped.vec").read_bytes()
         pipe_metrics = [l for l in pipe_out.splitlines() if l.startswith("system.")]
         assert pipe_metrics == [l for l in eval_out.splitlines() if l.startswith("system.")]
+        assert "refine" not in json.loads((out1 / "manifest.json").read_text())
 
     def test_rerun_identical(self, tmp_path, capsys):
         write_corpus(tmp_path)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -73,19 +74,21 @@ class TestUnsupervisedInit:
         assert pairs == [(i, i) for i in range(n)]
 
     def test_cutoff_one_single_pair(self):
-        # same contract as align: MappingConfig.validate rejects cutoff 1
+        # same contract as align: MappingConfig rejects cutoff 1 when built
         rng = np.random.default_rng(5)
         x = preprocess(rng.standard_normal((5, 4)))
-        cfg = mapping.MappingConfig(vocab_cutoff=1)
         with pytest.raises(ContractError):
+            cfg = mapping.MappingConfig(vocab_cutoff=1)
             mapping.unsupervised_init(x, x, cfg)
 
-    def test_cutoff_too_large(self):
+    def test_cutoff_above_the_vocabularies_is_the_smaller_vocabulary(self):
+        # raised ContractError, so align failed at the default cutoff (20000)
+        # on any smaller vocabulary; the loop already capped the cutoff
         rng = np.random.default_rng(6)
-        x = preprocess(rng.standard_normal((5, 4)))
-        cfg = mapping.MappingConfig(vocab_cutoff=10)
-        with pytest.raises(ContractError):
-            mapping.unsupervised_init(x, x, cfg)
+        x, z = preprocess(rng.standard_normal((7, 4))), preprocess(rng.standard_normal((5, 4)))
+        for cutoff in (6, 10, 20000):
+            assert mapping.unsupervised_init(x, z, mapping.MappingConfig(vocab_cutoff=cutoff)) \
+                == mapping.unsupervised_init(x, z, mapping.MappingConfig(vocab_cutoff=5))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("height", [1, 7, 1024])
@@ -230,23 +233,23 @@ class TestSelfLearningAlign:
         x = preprocess(rng.standard_normal((n, d)))
         z = x @ random_orthogonal(d, rng)
         objectives = []
-        orig = mapping._induce_with_dropout
+        orig = mapping._induce
 
-        def spy(xw, zw, cfg, keep_prob, rng_):
-            pairs = orig(xw, zw, cfg, keep_prob, rng_)
+        def spy(xw, zw, *args):
+            pairs = orig(xw, zw, *args)
             src = [p[0] for p in pairs]
             trg = [p[1] for p in pairs]
             objectives.append(float(np.mean(np.sum(xw[src] * zw[trg], axis=1))))
             return pairs
 
-        mapping._induce_with_dropout = spy
+        mapping._induce = spy
         try:
             mapping.self_learning_align(
                 x, z, [(i, i) for i in range(n)],
                 self.fast_cfg(n, keep_prob_initial=1.0),
             )
         finally:
-            mapping._induce_with_dropout = orig
+            mapping._induce = orig
         diffs = np.diff(objectives)
         assert np.all(diffs >= -1e-9)
 
@@ -268,11 +271,25 @@ class TestSelfLearningAlign:
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
-            mapping.MappingConfig(keep_prob_initial=0.0).validate()
+            mapping.MappingConfig(keep_prob_initial=0.0)
         with pytest.raises(ContractError):
-            mapping.MappingConfig(vocab_cutoff=1).validate()
+            mapping.MappingConfig(vocab_cutoff=1)
         with pytest.raises(ContractError):
-            mapping.MappingConfig(direction="both").validate()
+            mapping.MappingConfig(direction="both")
+
+    def test_config_is_frozen(self):
+        cfg = mapping.MappingConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.vocab_cutoff = 8
+
+    def test_eight_words_align_at_the_default_config(self):
+        # the loop ran at CSLS k 7, then the refit at csls_k 10 raised
+        # ContractError; the cutoff and both k follow the vocabulary
+        x, z, _ = make_rotated_pair(n=8, d=4, seed=0)
+        result = mapping.align(x, z, mapping.MappingConfig())
+        capped = mapping.align(x, z, mapping.MappingConfig(vocab_cutoff=8, csls_k=7))
+        assert result.dictionary and result.dictionary == capped.dictionary
+        assert result.objective == capped.objective
 
     def test_dropout_independent_of_block_size(self):
         # the dropout mask is drawn in query-row order, so the block
@@ -312,7 +329,8 @@ class TestSelfLearningAlign:
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg = self.fast_cfg(n)
         rng = np.random.default_rng(0)
-        peak = traced_peak(mapping._induce_with_dropout, x, z, cfg, 0.1, rng)
+        peak = traced_peak(mapping._induce, x, z, "csls", cfg.csls_k, cfg.direction, 0.1, rng,
+                           np.float32)
         assert peak < 16 * n * d + 4 * 256 * n + 1024 * 1024
 
     def test_refit_peak_memory_two_mapped_spaces_one_unit_copy_one_tile(self):
@@ -358,11 +376,18 @@ def _draw_counts(row, keep_prob, draws=20000, chunk=2000):
     sim = np.tile(row, (chunk, 1))
     sampler_rng, mask_rng = np.random.default_rng(20), np.random.default_rng(21)
     sampled = np.concatenate([
-        retrieval._dropout_pick(sim, sampler_rng.geometric(keep_prob, size=len(sim)), keep_prob)
+        _picks(sim, sampler_rng.geometric(keep_prob, size=len(sim)), keep_prob)
         for _ in range(draws // chunk)])
     masked = np.concatenate([dropout_argmax_literal(sim, keep_prob, mask_rng)
                              for _ in range(draws // chunk)])
     return sampled, masked
+
+
+def _picks(sim, g, keep_prob):
+    """Each row's ``g``-th best candidate of ``sim``, by ``retrieval._pick_rows``."""
+    out = np.empty(len(sim), dtype=np.int64)
+    retrieval._pick_rows(sim, None, g, keep_prob, out, 0)
+    return out
 
 
 def _chi2_two_sample(a, b, categories):
@@ -408,7 +433,7 @@ class TestDropoutSampler:
         rng = np.random.default_rng(24)
         for keep_prob in (1e-12, 1e-320):
             g = rng.geometric(keep_prob, size=len(sim))
-            np.testing.assert_array_equal(retrieval._dropout_pick(sim, g, keep_prob), 0)
+            np.testing.assert_array_equal(_picks(sim, g, keep_prob), 0)
         np.testing.assert_array_equal(dropout_argmax_literal(sim, 1e-12, rng), 0)
 
     def test_tie_goes_to_lower_index(self):
@@ -489,6 +514,17 @@ class TestAlignContracts:
         # 0 iterations returned an unaligned result, a negative tolerance never
         # stalled and a NaN one converged after one iteration
         x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
-        cfg = mapping.MappingConfig(vocab_cutoff=20, **{field: value})
         with pytest.raises(ContractError, match=field):
+            cfg = mapping.MappingConfig(vocab_cutoff=20, **{field: value})
             mapping.align(x, z, cfg)
+
+    @pytest.mark.parametrize("nx, nz", [(1, 5), (5, 1), (1, 1)])
+    def test_one_row_space_names_both_sizes(self, nx, nz):
+        # ran the init, which raised that the default cutoff 20000 exceeds
+        # both sizes; self_learning_align raised for csls k=0
+        rng = np.random.default_rng(18)
+        x, z = rng.standard_normal((nx, 4)), rng.standard_normal((nz, 4))
+        with pytest.raises(ContractError, match=f"got x {nx}, z {nz}$"):
+            mapping.align(x, z, mapping.MappingConfig())
+        with pytest.raises(ContractError, match=f"got x {nx}, z {nz}$"):
+            mapping.self_learning_align(x, z, [(0, 0)], mapping.MappingConfig())

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ class TestRefinePipeline:
         with pytest.raises(DegenerateInputError, match="^zero vector at row 0 makes"):
             refine.refine_pipeline([[1.0, 0.0], [0.0, 1.0]],
                                    [[-1.0, 0.0], [0.0, 1.0]], [(0, 0)], cfg)
+
+    def test_zero_row_names_its_space(self):
+        # named only its row, not which of the two mapped spaces holds it
+        cfg = refine.RefinementConfig(norm_iters=5)
+        with pytest.raises(DegenerateInputError, match="^zero vector at row 0 .* in x_aligned$"):
+            refine.refine_pipeline([[1.0, 0.0], [0.0, 1.0]],
+                                   [[-1.0, 0.0], [0.0, 1.0]], [(0, 0)], cfg)
+        # a zero row of z outside the dictionary stays zero under the map
+        with pytest.raises(DegenerateInputError, match="^zero vector at row 1 .* in z_aligned$"):
+            refine.refine_pipeline([[1.0, 0.0], [0.0, 1.0]],
+                                   [[0.0, 1.0], [0.0, 0.0]], [(0, 0)], cfg)
 
     def test_peak_memory_two_outputs(self):
         # the mapped spaces, normalised in place, are the outputs (16 n d
@@ -113,6 +126,15 @@ class TestRefinePipeline:
         with pytest.raises(ContractError):
             refine.refine_pipeline(np.eye(2), np.eye(2), [(0, 0)],
                                    refine.RefinementConfig(norm_iters=-1))
+
+    def test_config_is_checked_when_built_and_frozen(self):
+        with pytest.raises(ContractError, match="norm_iters must be >= 0"):
+            refine.RefinementConfig(norm_iters=-1)
+        with pytest.raises(ContractError, match="tol must be > 0"):
+            refine.RefinementConfig(norm_tol=0.0)
+        refine.RefinementConfig(norm_iters=0, norm_tol=0.0)  # no normalization, no tolerance
+        with pytest.raises(FrozenInstanceError):
+            refine.RefinementConfig().norm_iters = 3
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractError, match="x_aligned d=4, z_aligned d=3"):
