@@ -51,7 +51,8 @@ _SETTINGS = {
     "max_vocab": {"type": int, "help": "load at most this many words per language"},
     "verbose": {"flags": ("-v", "--verbose"), "action": "count", "help": "-v INFO, -vv DEBUG"},
     "seed": {"type": int, "default": 0, "help": "RNG seed"},
-    "csls_k": {"type": positive_int, "help": "CSLS neighborhood size (default 10)"},
+    "csls_k": {"type": positive_int,
+               "help": f"CSLS neighborhood size (default {mapping.MappingConfig.csls_k})"},
     "vocab_cutoff": {"type": int, "help": "self-learning vocabulary cutoff"},
     "direction": {"choices": retrieval.DIRECTIONS, "help": "induction direction"},
     "keep_prob": {"type": float, "help": "initial similarity keep probability"},
@@ -212,14 +213,18 @@ def cmd_refine(args):
     return EXIT_OK
 
 
+def _csls_k(settings, x, z):
+    """``csls_k``, else ``MappingConfig``'s, capped by ``mapping.csls_k_between``."""
+    return mapping.csls_k_between(settings.get("csls_k", mapping.MappingConfig.csls_k), x, z)
+
+
 def cmd_induce(args):
     settings = resolve_settings(args)
     _require(settings, "src", "trg", "out")
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = retrieval.induce_dictionary(
-        x, z, method=settings["retrieval"],
-        k=mapping.csls_k_between(settings.get("csls_k", retrieval.DEFAULT_CSLS_K), x, z),
-        directions=settings.get("direction") or "union",
+        x, z, method=settings["retrieval"], k=_csls_k(settings, x, z),
+        directions=settings.get("direction", mapping.MappingConfig.direction),
     )
     os.makedirs(settings["out"], exist_ok=True)
     path = os.path.join(settings["out"], "induced_dict.txt")
@@ -231,9 +236,8 @@ def cmd_induce(args):
 def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
     gold = io.load_gold_dictionary(settings["gold"], src_vocab, trg_vocab)
     report = evaluate.precision_at_k(
-        x, z, gold, ks=settings["ks"],
-        method=settings["retrieval"],
-        csls_k=mapping.csls_k_between(settings.get("csls_k", retrieval.DEFAULT_CSLS_K), x, z),
+        x, z, gold, ks=settings["ks"], method=settings["retrieval"],
+        csls_k=_csls_k(settings, x, z),
     )
     name = settings["name"]
     for line in evaluate.report_lines(name, report):

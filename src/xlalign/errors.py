@@ -72,3 +72,12 @@ def _require_pairs(pairs, n_src, n_trg, message):
                                   and 0 <= v < n for v, n in zip(pair, (n_src, n_trg))):
                 raise ContractError(message.format("({}, {})".format(*pair) if two else repr(pair)))
     return a.astype(np.int64).reshape(-1, 2)  # also no pairs, or integers promoted to floats
+
+
+def _require_integers(cfg, *names):
+    """ContractError naming the first field of ``cfg`` in ``names`` that is
+    not an integer; Python and numpy integers are, bools are not."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")

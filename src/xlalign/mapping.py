@@ -8,7 +8,8 @@ probability keep_prob, sampled exactly by rank in ``retrieval._induce``
 (its docstring), which keeps the search from locking in early. The loop
 induces in float32, VecMap's precision, from unit rows normalised in
 float64; its solve and objective, the final full-vocabulary refit and every
-public function stay float64.
+public function stay float64. The rows of each dictionary are gathered once,
+for the d x d product X_D^T Z_D that gives both its objective and the next solve.
 
 A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
 and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import retrieval
 from .errors import (
-    AlignmentCollapseError, ContractError, NumericalError, _require_finite, _require_pairs,
+    AlignmentCollapseError, ContractError, NumericalError, _require_finite, _require_integers,
+    _require_pairs,
 )
 from .io import BilingualDictionary
 from .retrieval import (
@@ -44,6 +46,8 @@ class MappingConfig:
     reweight: bool = False  # scale mapped spaces by sqrt of singular values
 
     def __post_init__(self):
+        _require_integers(self, "vocab_cutoff", "csls_k", "stall_patience", "max_iterations",
+                          "seed")
         for ok, rule in (
             (self.vocab_cutoff >= 2, "vocab_cutoff must be >= 2"),
             (self.csls_k >= 1, "csls_k must be >= 1"),
@@ -100,18 +104,19 @@ def procrustes_solve(x_pairs, z_pairs):
         raise ContractError(f"shape mismatch: {x.shape} vs {z.shape}")
     if x.shape[0] < 1:
         raise ContractError("need at least one pair")
-    u, v, _ = _symmetric_solve(x, z)
+    u, v, _ = _symmetric_solve(x.T @ z)
     return u @ v.T
 
 
-def _symmetric_solve(x_pairs, z_pairs):
+def _symmetric_solve(cross):
     """Per-language orthogonal transforms maximizing the pair similarity.
 
-    With X^T Z = U S V^T, mapping X by U and Z by V puts both spaces in the
-    shared basis; U V^T is the corresponding single-sided Procrustes solution.
+    With the d x d cross product X_D^T Z_D = U S V^T of the dictionary rows,
+    mapping X by U and Z by V puts both spaces in the shared basis, where the
+    pairs' summed similarity is sum(S); U V^T is the single-sided solution.
     """
     try:
-        u, s, vt = np.linalg.svd(np.asarray(x_pairs).T @ np.asarray(z_pairs))
+        u, s, vt = np.linalg.svd(cross)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"SVD failed: {e}") from e
     return u, vt.T, s
@@ -184,7 +189,9 @@ def self_learning_align(x, z, init: BilingualDictionary,
     """Alternate Procrustes solves and stochastic CSLS induction to converge.
 
     The objective is the mean cosine of the current dictionary pairs in the
-    mapped space. When it stalls for ``stall_patience`` iterations the
+    mapped space, trace(W_x^T X_D^T Z_D W_z) / |D|; the result's is the
+    refit's, sum(S) / |D| (``_symmetric_solve``), which ``reweight`` does not
+    scale. When it stalls for ``stall_patience`` iterations the
     similarity dropout keep probability grows; once keep_prob reaches 1 a
     stalled objective terminates the loop. All randomness comes from
     ``cfg.seed``, so a run is reproducible bit for bit. Non-finite input
@@ -207,15 +214,17 @@ def self_learning_align(x, z, init: BilingualDictionary,
     stall = 0
     converged = False
 
+    cross = xc[src].T @ zc[trg]
     for iterations in range(1, cfg.max_iterations + 1):
-        w_x, w_z, _ = _symmetric_solve(xc[src], zc[trg])
+        w_x, w_z, _ = _symmetric_solve(cross)
         xw, zw = xc @ w_x, zc @ w_z
 
         pairs = _induce(xw, zw, "csls", k, cfg.direction, keep_prob, rng, np.float32)
         if not len(pairs):
             raise AlignmentCollapseError(f"empty dictionary at iteration {iterations}")
         src, trg = pairs.T
-        objective = _objective(xw, zw, src, trg)
+        cross = xc[src].T @ zc[trg]
+        objective = float(np.sum(w_x * (cross @ w_z))) / len(pairs)
         if not np.isfinite(objective):
             raise NumericalError(f"non-finite objective at iteration {iterations}")
 
@@ -241,24 +250,12 @@ def self_learning_align(x, z, init: BilingualDictionary,
                                    k=csls_k_between(cfg.csls_k, x, z))
     del x_full, z_full
     src, trg = np.array(dictionary, dtype=np.int64).T
-    w_x, w_z, s = _symmetric_solve(x[src], z[trg])
-    scale = np.sqrt(s) if cfg.reweight else None
-    xw, zw = x @ w_x, z @ w_z
+    w_x, w_z, s = _symmetric_solve(x[src].T @ z[trg])
     return MappingResult(
-        w_src=w_x, w_trg=w_z, dictionary=dictionary, objective=_objective(xw, zw, src, trg),
-        iterations=iterations, converged=converged, reweight_scale=scale,
+        w_src=w_x, w_trg=w_z, dictionary=dictionary, objective=float(np.sum(s)) / len(src),
+        iterations=iterations, converged=converged,
+        reweight_scale=np.sqrt(s) if cfg.reweight else None,
     )
-
-
-def _objective(xw, zw, src, trg):
-    """Mean dot product of the mapped pair rows ``xw[src]``, ``zw[trg]``,
-    gathered ``BLOCK_SIZE`` pairs at a time: each dot product sums one row,
-    so the tiles give the bits of one n x d product."""
-    dots = np.empty(len(src))
-    for start in range(0, len(src), retrieval.BLOCK_SIZE):
-        span = slice(start, start + retrieval.BLOCK_SIZE)
-        dots[span] = np.sum(xw[src[span]] * zw[trg[span]], axis=1)
-    return float(np.mean(dots))
 
 
 def align(x, z, cfg: MappingConfig) -> MappingResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, _require_finite
-from .retrieval import _row_norms
+from .retrieval import _norms, _row_norms
 
 DEFAULT_NORM_ITERS = 5
 DEFAULT_NORM_TOL = 1e-6
@@ -34,12 +34,9 @@ def _own_copy(emb):
 
 def _length_normalize_in_place(x):
     """Scale every row of ``x`` to unit L2 norm in place. Zero rows stay zero (warning)."""
-    norms = _row_norms(x)
-    zero = norms == 0.0
-    zero_rows = int(np.count_nonzero(zero))
-    if zero_rows:
-        warnings.warn(f"length_normalize: {zero_rows} zero row(s) left unchanged")
-        norms[zero] = 1.0
+    norms, zero = _norms(x)
+    if zero is not None:
+        warnings.warn(f"length_normalize: {np.count_nonzero(zero)} zero row(s) left unchanged")
     x /= norms[:, None]
     return x
 
@@ -60,12 +57,6 @@ def length_normalize(emb):
 def mean_center(emb):
     """Subtract the column mean from every row."""
     return _mean_center_in_place(_own_copy(emb))
-
-
-def _deviations(emb):
-    row_dev = float(np.max(np.abs(_row_norms(emb) - 1.0)))
-    center_mag = float(np.linalg.norm(emb.mean(axis=0)))
-    return row_dev, center_mag
 
 
 def iterative_normalize(emb, max_iters=DEFAULT_NORM_ITERS, tol=DEFAULT_NORM_TOL):
@@ -90,14 +81,18 @@ def _check_iterations(max_iters, tol):
 
 def _iterative_normalize_in_place(x, max_iters, tol, name="emb"):
     """``iterative_normalize`` of the float64 matrix ``x``, named ``name`` in
-    errors, in place, with arguments already checked (``_check_iterations``);
-    returns the report. Dividing and centering in place gives the bits of
-    the quotient and difference copies."""
+    errors, in place, with ``tol`` already checked (``_check_iterations``);
+    returns the report, of ``x`` as given at ``max_iters`` 0. The next
+    alternation divides by the row norms that checked an iterate. Dividing
+    and centering in place gives the bits of the quotient and difference copies."""
     if x.shape[0] == 0:
-        raise ContractError("iterative_normalize requires at least one row")
-    iterations = 0
-    for _ in range(max_iters):
-        norms = _row_norms(x)
+        raise ContractError(f"iterative_normalize requires at least one row in {name}")
+    iterations, norms = 0, _row_norms(x)
+    while True:
+        row_dev = float(np.max(np.abs(norms - 1.0)))
+        center_mag = float(np.linalg.norm(x.mean(axis=0)))
+        if iterations == max_iters or (iterations and max(row_dev, center_mag) < tol):
+            return NormalizationReport(iterations, row_dev, center_mag)
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise DegenerateInputError(
@@ -105,11 +100,8 @@ def _iterative_normalize_in_place(x, max_iters, tol, name="emb"):
             )
         x /= norms[:, None]
         x -= x.mean(axis=0)
+        norms = _row_norms(x)
         iterations += 1
-        row_dev, center_mag = _deviations(x)
-        if max(row_dev, center_mag) < tol:
-            break
-    return NormalizationReport(iterations, row_dev, center_mag)
 
 
 def preprocess(emb):

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import retrieval
-from .errors import ContractError, _require_pairs
+from .errors import ContractError, _require_integers, _require_pairs
 from .io import BilingualDictionary
 from .normalize import (
     DEFAULT_NORM_ITERS,
     DEFAULT_NORM_TOL,
     NormalizationReport,
     _check_iterations,
-    _deviations,
     _iterative_normalize_in_place,
 )
 from .retrieval import _require_spaces
@@ -36,6 +35,7 @@ class RefinementConfig:
     norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
+        _require_integers(self, "norm_iters")
         if self.norm_iters < 0:
             raise ContractError("norm_iters must be >= 0")
         if self.norm_iters:
@@ -87,9 +87,6 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
     m_x, m_z = _fitted_maps(x, z, src, trg)
     # the mapped spaces are new matrices, so normalised in place
     x, z = x @ m_x, z @ m_z
-    if cfg.norm_iters == 0:
-        reports = [NormalizationReport(0, *_deviations(m)) for m in (x, z)]
-    else:
-        reports = [_iterative_normalize_in_place(m, cfg.norm_iters, cfg.norm_tol, name)
-                   for m, name in ((x, "x_aligned"), (z, "z_aligned"))]
+    reports = [_iterative_normalize_in_place(m, cfg.norm_iters, cfg.norm_tol, name)
+               for m, name in ((x, "x_aligned"), (z, "z_aligned"))]
     return RefinedSpaces(x, z, len(src), *reports)

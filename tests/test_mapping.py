@@ -223,9 +223,23 @@ class TestSelfLearningAlign:
         src = [p[0] for p in dictionary]
         trg = [p[1] for p in dictionary]
         before = float(np.mean(np.sum(x[src] * z[trg], axis=1)))
-        u, v, _ = mapping._symmetric_solve(x[src], z[trg])
+        u, v, _ = mapping._symmetric_solve(x[src].T @ z[trg])
         after = float(np.mean(np.sum((x @ u)[src] * (z @ v)[trg], axis=1)))
         assert after >= before - 1e-9
+
+    def test_objective_is_the_mean_pair_similarity(self):
+        # the refit's objective is the sum of the singular values over |D|,
+        # the mean dot product of its pair rows under the orthogonal
+        # transforms, which reweighting does not scale
+        x, z, _ = make_rotated_pair(n=150, d=8, seed=11, noise=0.05)
+        objectives = []
+        for reweight in (False, True):
+            result = mapping.align(x, z, self.fast_cfg(100, reweight=reweight))
+            src, trg = np.array(result.dictionary).T
+            dots = np.sum((x @ result.w_src)[src] * (z @ result.w_trg)[trg], axis=1)
+            assert abs(result.objective - float(np.mean(dots))) < 1e-12
+            objectives.append(result.objective)
+        assert objectives[0] == objectives[1]
 
     def test_objective_non_decreasing_at_keep_prob_one(self):
         rng = np.random.default_rng(12)
@@ -508,14 +522,16 @@ class TestAlignContracts:
     @pytest.mark.parametrize("field, value", [
         ("max_iterations", 0), ("max_iterations", -3), ("stall_patience", 0),
         ("stall_patience", -1), ("convergence_tol", -1e-6), ("convergence_tol", float("nan")),
-        ("convergence_tol", float("inf")),
+        ("convergence_tol", float("inf")), ("vocab_cutoff", 20.5), ("csls_k", 2.5),
+        ("stall_patience", 2.5), ("max_iterations", 3.0), ("seed", 1.5), ("seed", True),
     ])
     def test_loop_fields_rejected(self, field, value):
         # 0 iterations returned an unaligned result, a negative tolerance never
-        # stalled and a NaN one converged after one iteration
+        # stalled and a NaN one converged after one iteration; a float count
+        # raised TypeError inside the run or ran with a fractional patience
         x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
         with pytest.raises(ContractError, match=field):
-            cfg = mapping.MappingConfig(vocab_cutoff=20, **{field: value})
+            cfg = mapping.MappingConfig(**{"vocab_cutoff": 20, field: value})
             mapping.align(x, z, cfg)
 
     @pytest.mark.parametrize("nx, nz", [(1, 5), (5, 1), (1, 1)])

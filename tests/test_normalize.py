@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xlalign import normalize
+from xlalign import normalize, retrieval
 from xlalign.errors import ContractError, DegenerateInputError
 
 from conftest import traced_peak
@@ -102,6 +102,18 @@ class TestIterativeNormalize:
             normalize.iterative_normalize([[1.0, 0.0]], max_iters=0, tol=1e-6)
         with pytest.raises(ContractError):
             normalize.iterative_normalize([[1.0, 0.0]], max_iters=5, tol=0.0)
+
+    @pytest.mark.parametrize("max_iters", [2, 5])
+    def test_one_row_norm_pass_per_iteration(self, max_iters, monkeypatch):
+        # the norms that check an iterate are the next alternation's divisors;
+        # checking and dividing each took their own pass (2 max_iters)
+        calls = []
+        monkeypatch.setattr(normalize, "_row_norms",
+                            lambda m: calls.append(1) or retrieval._row_norms(m))
+        m = np.random.default_rng(3).standard_normal((30, 4))
+        _, report = normalize.iterative_normalize(m, max_iters=max_iters, tol=1e-300)
+        assert report.iterations_run == max_iters
+        assert len(calls) == max_iters + 1
 
     def test_converges_within_30_iters_100_seeds(self):
         # d=2 instances need up to ~28 alternations at tol 1e-6; larger

@@ -68,6 +68,15 @@ class TestRefinePipeline:
             refine.refine_pipeline([[1.0, 0.0], [0.0, 1.0]],
                                    [[0.0, 1.0], [0.0, 0.0]], [(0, 0)], cfg)
 
+    @pytest.mark.parametrize("norm_iters", [0, 5])
+    def test_empty_space_names_it(self, norm_iters):
+        # norm_iters 0 raised numpy's ValueError for a zero-size maximum
+        cfg = refine.RefinementConfig(norm_iters=norm_iters)
+        with pytest.raises(ContractError, match="at least one row in x_aligned$"):
+            refine.refine_pipeline(np.empty((0, 4)), np.eye(4), [], cfg)
+        with pytest.raises(ContractError, match="at least one row in z_aligned$"):
+            refine.refine_pipeline(np.eye(4), np.empty((0, 4)), [], cfg)
+
     def test_peak_memory_two_outputs(self):
         # the mapped spaces, normalised in place, are the outputs (16 n d
         # bytes); the maps come from d x d sums over 256-pair tiles, which
@@ -133,6 +142,10 @@ class TestRefinePipeline:
         with pytest.raises(ContractError, match="tol must be > 0"):
             refine.RefinementConfig(norm_tol=0.0)
         refine.RefinementConfig(norm_iters=0, norm_tol=0.0)  # no normalization, no tolerance
+        for value in (2.5, 3.0, True):  # 2.5 raised TypeError inside the run
+            with pytest.raises(ContractError, match="norm_iters must be an integer"):
+                refine.RefinementConfig(norm_iters=value)
+        assert refine.RefinementConfig(norm_iters=np.int64(3)).norm_iters == 3
         with pytest.raises(FrozenInstanceError):
             refine.RefinementConfig().norm_iters = 3
 
