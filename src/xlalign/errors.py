@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks that every
 public function taking a matrix or a dictionary runs at the boundary."""
 
+import numbers
 from itertools import chain
 
 import numpy as np
@@ -74,10 +75,17 @@ def _require_pairs(pairs, n_src, n_trg, message):
     return a.astype(np.int64).reshape(-1, 2)  # also no pairs, or integers promoted to floats
 
 
-def _require_integers(cfg, *names):
-    """ContractError naming the first field of ``cfg`` in ``names`` that is
-    not an integer; Python and numpy integers are, bools are not."""
+# what each kind of config field must be; bools are integers and real numbers in
+# Python, so they are ruled out by their type
+_KINDS = {"an integer": numbers.Integral, "a real number": numbers.Real, "a bool": (bool, np.bool_)}
+
+
+def _require_fields(cfg, kind, *names):
+    """ContractError naming the first field of ``cfg`` in ``names`` that is not
+    ``kind``: "an integer" (Python or numpy), "a real number" (an integer or a
+    float) or "a bool" (Python or numpy); only "a bool" is a bool."""
     for name in names:
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ContractError(f"{name} must be an integer, got {value!r}")
+        is_bool = isinstance(value, (bool, np.bool_))
+        if is_bool != (kind == "a bool") or not isinstance(value, _KINDS[kind]):
+            raise ContractError(f"{name} must be {kind}, got {value!r}")

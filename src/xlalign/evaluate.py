@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError
 from .io import GoldDictionary
-from .retrieval import DEFAULT_CSLS_K, _norms, _rank_shift, _require_spaces, _score_blocks, _unit
+from .retrieval import DEFAULT_CSLS_K, _norms, _rank_shift, _require_spaces, _score_blocks
 
 DEFAULT_KS = (1, 5, 10)
 # score rows compared at a time: bounds the boolean temporaries of _ranks
@@ -57,7 +57,7 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
     norms = _norms(x), _norms(z)
     shift = _rank_shift(x, z, norms, method, csls_k)
     best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
-    for start, block in _score_blocks(x, _unit(z, norms[1]), sources, shift, norms[0]):
+    for start, block in _score_blocks(x, z, sources, shift, norms):
         rows = slice(start, start + block.shape[0])
         rank, count, target = best[rows], counts[rows], targets[rows]
         np.minimum(rank, _ranks(block, target[:, 0]), out=rank, where=count > 0)

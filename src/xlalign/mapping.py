@@ -23,7 +23,7 @@ import numpy as np
 
 from . import retrieval
 from .errors import (
-    AlignmentCollapseError, ContractError, NumericalError, _require_finite, _require_integers,
+    AlignmentCollapseError, ContractError, NumericalError, _require_fields, _require_finite,
     _require_pairs,
 )
 from .io import BilingualDictionary
@@ -46,8 +46,11 @@ class MappingConfig:
     reweight: bool = False  # scale mapped spaces by sqrt of singular values
 
     def __post_init__(self):
-        _require_integers(self, "vocab_cutoff", "csls_k", "stall_patience", "max_iterations",
-                          "seed")
+        _require_fields(self, "an integer", "vocab_cutoff", "csls_k", "stall_patience",
+                        "max_iterations", "seed")
+        _require_fields(self, "a real number", "keep_prob_initial", "keep_prob_growth",
+                        "convergence_tol")
+        _require_fields(self, "a bool", "reweight")
         for ok, rule in (
             (self.vocab_cutoff >= 2, "vocab_cutoff must be >= 2"),
             (self.csls_k >= 1, "csls_k must be >= 1"),
@@ -241,14 +244,13 @@ def self_learning_align(x, z, init: BilingualDictionary,
                 stall = 0
 
     # re-fit once over the full vocabulary: the cutoff exists to bound
-    # induction cost, not to restrict the final solve. Each full mapped copy
-    # is dropped once it is read, so the refit holds two of them, one unit
-    # copy and one score tile
+    # induction cost, not to restrict the final solve. Cosines and CSLS
+    # penalties do not change under a rotation of both sides, so x W_x W_z^T
+    # against z ranks as x W_x against z W_z: the refit holds one mapped
+    # space, dropped once it returns, and one score tile
     del xw, zw
-    x_full, z_full = x @ w_x, z @ w_z
-    dictionary = induce_dictionary(x_full, z_full, method="csls", directions=cfg.direction,
-                                   k=csls_k_between(cfg.csls_k, x, z))
-    del x_full, z_full
+    dictionary = induce_dictionary(x @ (w_x @ w_z.T), z, method="csls",
+                                   directions=cfg.direction, k=csls_k_between(cfg.csls_k, x, z))
     src, trg = np.array(dictionary, dtype=np.int64).T
     w_x, w_z, s = _symmetric_solve(x[src].T @ z[trg])
     return MappingResult(

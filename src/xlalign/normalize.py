@@ -7,6 +7,7 @@ ContractError naming the first bad row, before it can spread over the matrix.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,11 +73,13 @@ def iterative_normalize(emb, max_iters=DEFAULT_NORM_ITERS, tol=DEFAULT_NORM_TOL)
     return x, _iterative_normalize_in_place(x, max_iters, tol)
 
 
-def _check_iterations(max_iters, tol):
+def _check_iterations(max_iters, tol, name="tol"):
+    """ContractError unless ``max_iters`` >= 1 and the tolerance ``tol``,
+    named ``name`` in the error, is finite and > 0."""
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
-    if tol <= 0:
-        raise ContractError("tol must be > 0")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ContractError(f"{name} must be > 0 and finite, got {tol!r}")
 
 
 def _iterative_normalize_in_place(x, max_iters, tol, name="emb"):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import retrieval
-from .errors import ContractError, _require_integers, _require_pairs
+from .errors import ContractError, _require_fields, _require_pairs
 from .io import BilingualDictionary
 from .normalize import (
     DEFAULT_NORM_ITERS,
@@ -35,11 +35,12 @@ class RefinementConfig:
     norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
-        _require_integers(self, "norm_iters")
+        _require_fields(self, "an integer", "norm_iters")
+        _require_fields(self, "a real number", "norm_tol")
         if self.norm_iters < 0:
             raise ContractError("norm_iters must be >= 0")
         if self.norm_iters:
-            _check_iterations(self.norm_iters, self.norm_tol)
+            _check_iterations(self.norm_iters, self.norm_tol, "norm_tol")
 
 
 @dataclass

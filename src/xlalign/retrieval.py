@@ -18,13 +18,17 @@ at a time.
 
 Cosines are products of unit rows. Each side's row norms are taken once
 (``_norms``, over ``_row_norms``, which squares a block of rows at a time).
-A scoring pass then holds the unit rows of its candidates alone, in the
-scoring dtype, and ``_score_blocks`` scales its query rows one block at a
-time: induction, evaluation and ``csls_retrieve`` thus hold one unit copy
-of one space, not of both. Each unit row is the float64 quotient of the row
-by its norm rounded once to the scoring dtype, zero rows +0.0 (``_unit``),
-so a block of them has the bits of the same rows of a whole unit copy. The
-init scores its raw rows.
+A float64 scoring pass makes no copy of either space: ``_score_blocks``
+scales its query rows one block at a time and divides each column of the
+block's product with the raw candidate rows by that candidate's norm,
+before any shift, so induction, evaluation and ``csls_retrieve`` hold one
+score block beside their inputs. Only a pass that casts, the self-learning
+loop's float32 induction, makes unit copies: one of each side per
+induction, read as queries and as candidates alike. Each unit row is the
+float64 quotient of the row by its norm rounded once to the scoring dtype,
+zero rows +0.0 (``_unit``), so a block of scaled query rows has the bits of
+the same rows of a whole unit copy; a zero candidate row scores +0.0 against
+every query either way. The init scores its raw rows.
 
 Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
@@ -141,27 +145,36 @@ def nn_retrieve(sim):
     return sim.argmax(axis=1).tolist()
 
 
-def _score_blocks(q, uc, rows=None, shift=None, norms=None):
+def _score_blocks(q, c, rows=None, shift=None, norms=(None, None)):
     """Yield (start, block) of query rows ``q[rows]`` (default: all) scored
-    against all unit candidates ``uc``: cosines, less ``shift[j]`` in
+    against all candidate rows ``c`` in ``c``'s dtype, less ``shift[j]`` in
     candidate column j when ``shift`` is given; ``BLOCK_SIZE`` rows a block.
-    With ``norms`` (``_norms`` of ``q``) each block's query rows are scaled
-    to unit length in ``uc``'s dtype first (``_unit``); without, ``q`` holds
-    unit rows already, or the raw rows of the init."""
+    ``norms`` holds ``_norms`` of ``q`` and of ``c``, None for a side that
+    holds unit rows already (or the raw rows of the init). Given the query
+    norms, each block's query rows are scaled to unit length first
+    (``_unit``); given the candidates', column j of each block is divided by
+    candidate j's norm before the shift, zero rows' columns +0.0, so raw
+    candidates score cosines without a unit copy of them."""
     n = q.shape[0] if rows is None else len(rows)
     height = BLOCK_SIZE
     for start in range(0, n, height):
         sel = slice(start, start + height) if rows is None else rows[start : start + height]
         # yielded unnamed, so a consumer's ``del`` frees the block at once
-        yield start, _block_scores(q, sel, uc, shift, norms)
+        yield start, _block_scores(q, sel, c, shift, norms)
 
 
-def _block_scores(q, sel, uc, shift, norms):
-    q = q[sel] if norms is None else _unit(q, norms, sel, uc.dtype)
+def _block_scores(q, sel, c, shift, norms):
+    q_norms, c_norms = norms
+    q = q[sel] if q_norms is None else _unit(q, q_norms, sel, c.dtype)
     # numpy computes a one-row product as a matrix-vector product, which
     # rounds differently from the matrix-matrix product of taller blocks
-    sim = q @ uc.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ uc.T)[:1]
+    sim = q @ c.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ c.T)[:1]
     del q  # a copy (scaled, or with ``rows``): not held while the consumer uses the block
+    if c_norms is not None:
+        divisors, zero = c_norms
+        sim /= divisors
+        if zero is not None:
+            sim[:, zero] = 0.0  # also a row whose squares underflow, as ``_unit`` zeroes it
     if shift is not None:
         sim -= shift
     return sim
@@ -212,11 +225,11 @@ def _argmax_both(blocks, n, m):
     return rows, cols
 
 
-def _knn_means(a, norms, ub, k):
-    """For each row of ``a``, scaled by its ``norms`` (``_norms``), mean
-    cosine to its k nearest rows of unit ``ub``, in ``ub``'s dtype."""
-    out = np.empty(a.shape[0], dtype=ub.dtype)
-    for start, sim in _score_blocks(a, ub, norms=norms):
+def _knn_means(a, b, norms, k):
+    """For each row of ``a``, mean cosine to its k nearest rows of ``b``, in
+    ``b``'s dtype; ``norms`` as ``_score_blocks`` takes them."""
+    out = np.empty(a.shape[0], dtype=b.dtype)
+    for start, sim in _score_blocks(a, b, norms=norms):
         out[start : start + sim.shape[0]] = _top_k_means(sim, k)
         del sim
     return out
@@ -245,11 +258,11 @@ def _rank_shift(q, c, norms, method, k):
     """Rank-only shift of candidates ``c`` for queries ``q`` (module
     docstring), given both sides' ``norms`` (``_norms``), checked first: None
     for nn, and for csls half of each candidate's penalty, its mean cosine to
-    its k nearest queries, from the unit rows of ``q`` alone."""
+    its k nearest queries."""
     _check_method([(q, c)], method, k)
     if method == "nn":
         return None
-    return _knn_means(c, norms[1], _unit(q, norms[0]), k) / 2.0
+    return _knn_means(c, q, norms[::-1], k) / 2.0
 
 
 def _query_rows(query_indices, n):
@@ -277,7 +290,7 @@ def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
     shift = _rank_shift(x, z, norms, "csls", k)
     out = np.empty(len(x if rows is None else rows), dtype=np.int64)
     # shifted in place: the tile is dropped after its picks
-    for start, sim in _score_blocks(x, _unit(z, norms[1]), rows, shift, norms[0]):
+    for start, sim in _score_blocks(x, z, rows, shift, norms):
         _pick_rows(sim, None, None, 1.0, out, start)
         del sim
     return out.tolist()
@@ -306,10 +319,12 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
        the tile's rS (backward, or csls with forward);
     3. x·zᵀ gives the forward picks at shift rS/2 (forward).
 
-    Each side's row norms are taken once. A pass holds the unit rows of its
-    candidates alone, z, x, then z again, and scales its query rows one
-    tile at a time (``_score_blocks``), both rounded to ``dtype`` from
-    float64 quotients, as ``_unit_rows(m).astype(dtype)`` would round them.
+    Each side's row norms are taken once. In float64 a pass scales its
+    query rows one tile at a time and divides the tile's columns by its
+    candidates' norms (``_score_blocks``), so it copies neither side. In
+    another ``dtype`` each side is cast once, to a unit copy rounded from
+    float64 quotients, as ``_unit_rows(m).astype(dtype)`` would round it,
+    and the passes read these copies as queries and as candidates alike.
 
     Below ``keep_prob`` 1, as in VecMap's stochastic induction (Artetxe,
     Labaka & Agirre, 2018), each score is kept with probability keep_prob
@@ -330,13 +345,14 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
              for q, _ in sides]
     csls = method == "csls"
     nx, nz = _norms(x), _norms(z)
+    if x.dtype != dtype:  # a pass that casts reads one unit copy of each side
+        x, z, nx, nz = _unit(x, nx, dtype=dtype), _unit(z, nz, dtype=dtype), None, None
     r_s = None
     if backward or (csls and forward):
-        bwd_shift = (_knn_means(x, nx, _unit(z, nz, dtype=dtype), k) / 2.0
-                     if csls and backward else None)
+        bwd_shift = _knn_means(x, z, (nx, nz), k) / 2.0 if csls and backward else None
         bwd = np.empty(len(z), dtype=np.int64) if backward else None
         r_s = np.empty(len(z), dtype=dtype) if csls and forward else None
-        for start, sim in _score_blocks(z, _unit(x, nx, dtype=dtype), norms=nz):
+        for start, sim in _score_blocks(z, x, norms=(nz, nx)):
             if backward:
                 _pick_rows(sim, bwd_shift, draws[-1], keep_prob, bwd, start)
             if r_s is not None:
@@ -346,7 +362,7 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
         fwd = np.empty(len(x), dtype=np.int64)
         fwd_shift = None if r_s is None else r_s / 2.0
         # shifted in place: the tile is dropped after its picks
-        for start, sim in _score_blocks(x, _unit(z, nz, dtype=dtype), shift=fwd_shift, norms=nx):
+        for start, sim in _score_blocks(x, z, shift=fwd_shift, norms=(nx, nz)):
             _pick_rows(sim, None, draws[0], keep_prob, fwd, start)
             del sim
     if forward and backward:

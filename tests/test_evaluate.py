@@ -132,17 +132,16 @@ class TestPrecisionAtK:
 
     @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_peak_memory_one_score_block(self, method):
-        # the unit rows of one space (8 n d bytes) and one n-wide block
-        # (8 b n): a score block or a _knn_means block, never both; a copy of
-        # a block, such as np.partition of it, is 8 b n more, and unit copies
-        # of both spaces 8 n d more
+        # one n-wide block (8 b n): a score block or a _knn_means block, never
+        # both, and no copy of a space; a copy of a block, such as
+        # np.partition of it, is 8 b n more, and a unit copy of a space 8 n d more
         n, d, block = 1200, 20, 128
         x, z, gold_rows = make_rotated_pair(n=n, d=d, seed=3)
         gold = GoldDictionary({i: {int(gold_rows[i])} for i in range(n)}, 0)
         with tile_rows(block):
             peak = traced_peak(evaluate.precision_at_k, x, z, gold, ks=(1, 10), method=method,
                                csls_k=10)
-        assert peak < 8 * n * d + 8 * block * n + 256 * 1024
+        assert peak < 8 * block * n + 256 * 1024
 
     @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_dimension_mismatch(self, method):

@@ -290,6 +290,9 @@ class TestSelfLearningAlign:
             mapping.MappingConfig(vocab_cutoff=1)
         with pytest.raises(ContractError):
             mapping.MappingConfig(direction="both")
+        # numpy numbers and bools are fields of their kind
+        mapping.MappingConfig(keep_prob_initial=np.float32(0.5), keep_prob_growth=2,
+                              convergence_tol=np.int64(0), reweight=np.bool_(True))
 
     def test_config_is_frozen(self):
         cfg = mapping.MappingConfig()
@@ -336,9 +339,9 @@ class TestSelfLearningAlign:
         assert len(calls) == 1
 
     def test_loop_induction_peak_memory_in_float32(self):
-        # one float32 unit copy, of the candidates (4 n d bytes), and one
-        # float32 256-row tile with its 32-row pick slices: 4.25 MB; a float64
-        # tile alone is 6.1 MB here, against this bound of 4.6 MB
+        # one float32 unit copy of each side (8 n d bytes) and one float32
+        # 256-row tile with its 32-row pick slices: 4.3 MB; a float64 tile
+        # alone is 6.1 MB here, against this bound of 4.6 MB
         n, d = 3000, 10
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg = self.fast_cfg(n)
@@ -347,18 +350,17 @@ class TestSelfLearningAlign:
                            np.float32)
         assert peak < 16 * n * d + 4 * 256 * n + 1024 * 1024
 
-    def test_refit_peak_memory_two_mapped_spaces_one_unit_copy_one_tile(self):
-        # at n = 4 cutoff the full-vocabulary refit sets the peak: both mapped
-        # spaces (16 n d bytes), the unit rows of one side (8 n d) and one
-        # float64 score tile with its query rows (8 . 256 (n + d)); the slack
-        # holds the 8-row pick copies and the penalties. Unit copies of both
-        # sides, or a mapped copy kept past its use, are 8 n d more (1.6 MB)
+    def test_refit_peak_memory_one_mapped_space_one_tile(self):
+        # at n = 4 cutoff the full-vocabulary refit sets the peak: one mapped
+        # space (8 n d bytes) and one float64 score tile with its query rows
+        # (8 . 256 (n + d)); the slack holds the 8-row pick copies and the
+        # penalties. A second mapped space or a unit copy is 8 n d more (1.6 MB)
         n, d = 2000, 100
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg, init = self.fast_cfg(n // 4), [(i, i) for i in range(n // 4)]
         mapping.self_learning_align(x, z, init, cfg)  # lazy imports are not the refit's
         peak = traced_peak(mapping.self_learning_align, x, z, init, cfg)
-        assert peak < 24 * n * d + 8 * 256 * (n + d) + 64 * n + 512 * 1024
+        assert peak < 8 * n * d + 8 * 256 * (n + d) + 64 * n + 512 * 1024
 
     def test_reweight_scale_stored(self):
         x, z, _ = make_rotated_pair(n=120, d=6, seed=14)
@@ -524,11 +526,15 @@ class TestAlignContracts:
         ("stall_patience", -1), ("convergence_tol", -1e-6), ("convergence_tol", float("nan")),
         ("convergence_tol", float("inf")), ("vocab_cutoff", 20.5), ("csls_k", 2.5),
         ("stall_patience", 2.5), ("max_iterations", 3.0), ("seed", 1.5), ("seed", True),
+        ("reweight", "no"), ("reweight", 1), ("keep_prob_initial", "0.5"),
+        ("keep_prob_initial", True), ("keep_prob_growth", "2"), ("convergence_tol", None),
+        ("convergence_tol", False),
     ])
     def test_loop_fields_rejected(self, field, value):
         # 0 iterations returned an unaligned result, a negative tolerance never
         # stalled and a NaN one converged after one iteration; a float count
-        # raised TypeError inside the run or ran with a fractional patience
+        # raised TypeError inside the run or ran with a fractional patience; a
+        # string or None raised TypeError when built, and reweight="no" reweighted
         x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
         with pytest.raises(ContractError, match=field):
             cfg = mapping.MappingConfig(**{"vocab_cutoff": 20, field: value})

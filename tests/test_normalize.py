@@ -102,6 +102,9 @@ class TestIterativeNormalize:
             normalize.iterative_normalize([[1.0, 0.0]], max_iters=0, tol=1e-6)
         with pytest.raises(ContractError):
             normalize.iterative_normalize([[1.0, 0.0]], max_iters=5, tol=0.0)
+        for tol in (float("nan"), float("inf")):  # NaN never stopped early, infinity at once
+            with pytest.raises(ContractError, match="tol must be > 0 and finite"):
+                normalize.iterative_normalize([[1.0, 0.0]], max_iters=5, tol=tol)
 
     @pytest.mark.parametrize("max_iters", [2, 5])
     def test_one_row_norm_pass_per_iteration(self, max_iters, monkeypatch):

@@ -142,6 +142,11 @@ class TestRefinePipeline:
         with pytest.raises(ContractError, match="tol must be > 0"):
             refine.RefinementConfig(norm_tol=0.0)
         refine.RefinementConfig(norm_iters=0, norm_tol=0.0)  # no normalization, no tolerance
+        # "x" raised TypeError inside the run; NaN, infinity and True were accepted
+        for value in ("x", None, True, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="norm_tol must be"):
+                refine.RefinementConfig(norm_tol=value)
+        assert refine.RefinementConfig(norm_tol=np.float32(1e-3)).norm_tol == np.float32(1e-3)
         for value in (2.5, 3.0, True):  # 2.5 raised TypeError inside the run
             with pytest.raises(ContractError, match="norm_iters must be an integer"):
                 refine.RefinementConfig(norm_iters=value)

@@ -183,8 +183,9 @@ class TestInduceDictionary:
 
 @st.composite
 def csls_induction_case(draw):
-    """Random spaces with some duplicated rows (exact score ties), plus a
-    direction, a k valid for it and a score tile height."""
+    """Random spaces with some duplicated rows (exact score ties) and some
+    zero rows, which score 0 as candidates and as queries, plus a direction,
+    a k valid for it and a score tile height."""
     nx, nz = draw(st.integers(2, 12)), draw(st.integers(2, 12))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -193,6 +194,7 @@ def csls_induction_case(draw):
         for dst, src in draw(st.lists(st.tuples(st.integers(0, len(m) - 1),
                                                 st.integers(0, len(m) - 1)), max_size=3)):
             m[dst] = m[src]
+        m[draw(st.lists(st.integers(0, len(m) - 1), max_size=2))] = 0.0
     directions = draw(st.sampled_from(["forward", "backward", "union"]))
     k_max = {"forward": min(nz - 1, nx), "backward": min(nx - 1, nz),
              "union": min(nx, nz) - 1}[directions]
@@ -310,16 +312,21 @@ def test_induce_rejects_dimension_mismatch(method):
         retrieval.induce_dictionary(np.ones(4), np.eye(4), method=method, k=2)
 
 
-def test_union_csls_peak_memory_at_the_default_block_size():
-    # the unit rows of one space, each pass's candidates (8 n d bytes), and
-    # one 256-row score block; a 1024-row block is 9 MB more at this size,
-    # and unit copies of both spaces 234 KiB more. The slack holds the
-    # scaled query rows of a block (40 KiB), the backward picks' 8-row shifted
-    # copies (8 · 8 n bytes, 94 KiB) and the penalties
-    n, d = 1500, 20
-    x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
-    peak = traced_peak(retrieval.induce_dictionary, x, z, method="csls", k=10, directions="union")
-    assert peak < 8 * n * d + 8 * 256 * n + 256 * 1024
+@pytest.mark.parametrize("call", [
+    lambda x, z, gold: retrieval.induce_dictionary(x, z, method="csls", k=10, directions="union"),
+    lambda x, z, gold: retrieval.csls_retrieve(x, z, k=10),
+    lambda x, z, gold: precision_at_k(x, z, gold, ks=(1, 10), method="csls", csls_k=10),
+], ids=["induce_dictionary-union", "csls_retrieve", "precision_at_k-csls"])
+def test_float64_scoring_holds_no_copy_of_a_space(call):
+    # one 256-row float64 score tile (8 . 256 n bytes) with its scaled query
+    # rows (8 . 256 d); the slack holds the backward picks' 8-row shifted
+    # copies, the penalties and the picks. A unit copy of either space, as
+    # each pass held, is 8 n d = 1.6 MB more, a 1024-row tile 12 MB more
+    n, d = 2000, 100
+    x, z, rows = make_rotated_pair(n=n, d=d, seed=7)
+    gold = GoldDictionary({i: {int(rows[i])} for i in range(n)}, 0)
+    call(x, z, gold)  # lazy imports are not the call's
+    assert traced_peak(call, x, z, gold) < 8 * 256 * (n + d) + 64 * n + 256 * 1024
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -355,7 +362,7 @@ def test_scaled_rows_match_the_cast_unit_copy_bit_for_bit(dtype):
 @pytest.mark.parametrize("height", [1, 7, 256])
 def test_streamed_induction_matches_the_oracle_union(height):
     # more rows than one default tile, and a zero row on each side; each pass
-    # scales its query tiles and holds its candidates' unit rows alone
+    # scales its query tiles and divides the tile's columns by the candidates' norms
     rng = np.random.default_rng(42)
     x, z = rng.standard_normal((270, 5)), rng.standard_normal((260, 5))
     x[17], z[200] = 0.0, 0.0

@@ -84,7 +84,8 @@ def differences(a_path, b_path):
         if ra != rb:
             fields = sorted(f for f in ra.keys() | rb.keys() if ra.get(f) != rb.get(f))
             found.append(f"{key}: {', '.join(fields)} differ")
-        if (oa is None) != (ob is None) or (oa is not None and abs(oa - ob) > OBJECTIVE_TOL):
+        # "not <=" also reports a NaN objective, which compares false with anything
+        if (oa is None) != (ob is None) or (oa is not None and not abs(oa - ob) <= OBJECTIVE_TOL):
             found.append(f"{key}: objective {oa!r} vs {ob!r}")
     return found
 
