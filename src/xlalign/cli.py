@@ -50,7 +50,7 @@ _SETTINGS = {
     "config": {"help": "INI config file; CLI flags override it"},
     "max_vocab": {"type": int, "help": "load at most this many words per language"},
     "verbose": {"flags": ("-v", "--verbose"), "action": "count", "help": "-v INFO, -vv DEBUG"},
-    "seed": {"type": int, "default": 0, "help": "RNG seed"},
+    "seed": {"type": int, "default": mapping.MappingConfig.seed, "help": "RNG seed"},
     "csls_k": {"type": positive_int,
                "help": f"CSLS neighborhood size (default {mapping.MappingConfig.csls_k})"},
     "vocab_cutoff": {"type": int, "help": "self-learning vocabulary cutoff"},
@@ -58,13 +58,13 @@ _SETTINGS = {
     "keep_prob": {"type": float, "help": "initial similarity keep probability"},
     "stall_patience": {"type": int, "help": "stalled iterations before keep_prob grows"},
     "max_iterations": {"type": int, "help": "self-learning iteration limit"},
-    "reweight": {"action": "store_true", "default": False,
+    "reweight": {"action": "store_true", "default": mapping.MappingConfig.reweight,
                  "help": "scale mapped spaces by sqrt singular values"},
     "dict_path": {"flags": ("--dict",), "help": "induced dictionary file"},
     "norm_iters": {"type": int, "help": "refinement normalization iterations"},
     "norm_tol": {"type": float, "help": "refinement normalization tolerance"},
     "gold": {"help": "gold dictionary file"},
-    "ks": {"type": positive_int_list, "default": (1, 5, 10),
+    "ks": {"type": positive_int_list, "default": evaluate.DEFAULT_KS,
            "help": "comma-separated k values"},
     "retrieval": {"choices": ("nn", "csls"), "default": "csls", "help": "retrieval method"},
     "name": {"default": "system", "help": "system name in reports"},
@@ -84,7 +84,7 @@ _EVALUATE = ("gold", "ks", "retrieval")
 def build_parser():
     parser = argparse.ArgumentParser(prog="xlalign")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, names) in _COMMANDS.items():
+    for command, (_, help_text, names, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name in names:
             kwargs = dict(_SETTINGS[name])
@@ -117,8 +117,9 @@ def _load_config_file(path):
     if not cp.read(path, encoding="utf-8"):
         raise FileNotFoundError(f"config file not found: {path}")
     settings = {}
-    for section in cp.sections():
-        for key, text in cp[section].items():
+    # [DEFAULT] first: sections() leaves it out, and the others inherit its keys
+    for section in cp.values():
+        for key, text in section.items():
             key = key.replace("-", "_")
             if key not in _INI_KEYS:
                 raise ValueError(f"unknown config key {key!r} in {path}")
@@ -148,12 +149,6 @@ def _config_from(cls, s):
                   if _FIELD_ALIASES.get(key, key) in names})
 
 
-def _require(settings, *keys):
-    missing = [k for k in keys if not settings.get(k)]
-    if missing:
-        raise ValueError("missing required settings: " + ", ".join(missing))
-
-
 def _load_pair(settings):
     max_vocab = settings.get("max_vocab")
     src_vocab, x = io.load_embeddings(settings["src"], max_vocab)
@@ -179,9 +174,7 @@ def _run_align(settings, out_dir):
     return src_vocab, trg_vocab, xw, zw, result
 
 
-def cmd_align(args):
-    settings = resolve_settings(args)
-    _require(settings, "src", "trg", "out")
+def cmd_align(settings, args):
     _, _, _, _, result = _run_align(settings, settings["out"])
     print(f"objective={result.objective:.6f}")
     print(f"iterations={result.iterations}")
@@ -198,9 +191,7 @@ def _run_refine(cfg, x, z, pairs, src_vocab, trg_vocab, out_dir):
     return refined
 
 
-def cmd_refine(args):
-    settings = resolve_settings(args)
-    _require(settings, "src", "trg", "out", "dict_path")
+def cmd_refine(settings, args):
     cfg = _config_from(refine.RefinementConfig, settings)
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = io.load_dictionary_pairs(settings["dict_path"], src_vocab, trg_vocab)
@@ -218,9 +209,7 @@ def _csls_k(settings, x, z):
     return mapping.csls_k_between(settings.get("csls_k", mapping.MappingConfig.csls_k), x, z)
 
 
-def cmd_induce(args):
-    settings = resolve_settings(args)
-    _require(settings, "src", "trg", "out")
+def cmd_induce(settings, args):
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = retrieval.induce_dictionary(
         x, z, method=settings["retrieval"], k=_csls_k(settings, x, z),
@@ -244,35 +233,18 @@ def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
         print(line)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        payload = {
-            "name": name,
-            "precision_at": {str(k): v for k, v in report.precision_at.items()},
-            "evaluated_sources": report.evaluated_sources,
-            "oov_sources": report.oov_sources,
-        }
         with open(os.path.join(out_dir, "eval.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump({"name": name, **dataclasses.asdict(report)}, fh, indent=2)
     return report
 
 
-def _load_saved_report(run_dir):
-    with open(os.path.join(run_dir, "eval.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    report = evaluate.EvalReport(
-        precision_at={int(k): v for k, v in payload["precision_at"].items()},
-        evaluated_sources=payload["evaluated_sources"],
-        oov_sources=payload["oov_sources"],
-    )
-    return payload["name"], report
-
-
-def cmd_evaluate(args):
-    settings = resolve_settings(args)
-    _require(settings, "src", "trg", "gold")
+def cmd_evaluate(settings, args):
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     report = _run_evaluate(settings, x, z, src_vocab, trg_vocab, settings.get("out"))
     if args.compare:
-        base_name, base_report = _load_saved_report(args.compare)
+        with open(os.path.join(args.compare, "eval.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        base_name, base_report = payload.pop("name"), evaluate.EvalReport(**payload)
         name = settings["name"]
         if base_name == name:
             base_name += "-baseline"
@@ -281,9 +253,7 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def cmd_pipeline(args):
-    settings = resolve_settings(args)
-    _require(settings, "src", "trg", "out", "gold")
+def cmd_pipeline(settings, args):
     out_dir = settings["out"]
     refine_cfg = _config_from(refine.RefinementConfig, settings)  # fails before the alignment
     timings, refined_record = {}, {}
@@ -322,7 +292,7 @@ def cmd_pipeline(args):
         "iterations": result.iterations,
         "converged": result.converged,
         **refined_record,
-        "precision_at": {str(k): v for k, v in report.precision_at.items()},
+        "precision_at": report.precision_at,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -336,17 +306,20 @@ def _versions():
             "xlalign": __version__}
 
 
-# subcommand -> (function, help, the settings whose flags it takes)
+# subcommand -> (function of the settings and the parsed flags, help, the
+# settings whose flags it takes, the settings it requires)
 _COMMANDS = {
-    "align": (cmd_align, "unsupervised alignment of two embedding spaces", _IO + _MAPPING),
+    "align": (cmd_align, "unsupervised alignment of two embedding spaces", _IO + _MAPPING,
+              ("src", "trg", "out")),
     "refine": (cmd_refine, "map each space toward the dictionary midpoints + re-normalization",
-               _IO + ("dict_path",) + _REFINE),
+               _IO + ("dict_path",) + _REFINE, ("src", "trg", "out", "dict_path")),
     "induce": (cmd_induce, "induce a dictionary between two mapped spaces",
-               _IO + ("csls_k", "retrieval", "direction")),
+               _IO + ("csls_k", "retrieval", "direction"), ("src", "trg", "out")),
     "evaluate": (cmd_evaluate, "precision at k against a gold dictionary",
-                 _IO + ("csls_k",) + _EVALUATE + ("name", "compare")),
+                 _IO + ("csls_k",) + _EVALUATE + ("name", "compare"), ("src", "trg", "gold")),
     "pipeline": (cmd_pipeline, "align, refine, evaluate in sequence",
-                 _IO + _MAPPING + _REFINE + _EVALUATE + ("skip_refine",)),
+                 _IO + _MAPPING + _REFINE + _EVALUATE + ("skip_refine",),
+                 ("src", "trg", "out", "gold")),
 }
 
 
@@ -359,8 +332,13 @@ def main(argv=None):
         logging.INFO if verbosity else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    command, _, _, required = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command][0](args)
+        settings = resolve_settings(args)
+        missing = [key for key in required if not settings.get(key)]
+        if missing:
+            raise ValueError("missing required settings: " + ", ".join(missing))
+        return command(settings, args)
     except Exception as e:  # noqa: BLE001 - CLI boundary
         log.error("%s", e)
         if verbosity > 1:

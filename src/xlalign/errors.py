@@ -29,10 +29,6 @@ class DegenerateInputError(XlalignError):
     """Input contains a zero vector where the math requires a direction."""
 
 
-class AlignmentCollapseError(XlalignError):
-    """Self-learning induced an empty dictionary; the alignment collapsed."""
-
-
 class NumericalError(XlalignError):
     """A numerical routine failed or produced non-finite values."""
 

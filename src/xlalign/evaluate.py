@@ -32,6 +32,10 @@ class EvalReport:
     evaluated_sources: int
     oov_sources: int
 
+    def __post_init__(self):
+        # a report read back from JSON has its k values as strings
+        self.precision_at = {int(k): v for k, v in self.precision_at.items()}
+
     @property
     def coverage(self):
         total = self.evaluated_sources + self.oov_sources

@@ -23,12 +23,12 @@ import numpy as np
 
 from . import retrieval
 from .errors import (
-    AlignmentCollapseError, ContractError, NumericalError, _require_fields, _require_finite,
-    _require_pairs,
+    ContractError, NumericalError, _require_fields, _require_finite, _require_pairs,
 )
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_CSLS_K, _argmax_both, _induce, _require_spaces, _score_blocks, induce_dictionary,
+    DEFAULT_CSLS_K, _argmax_both, _induce, _require_spaces, _score_blocks, _union,
+    induce_dictionary,
 )
 
 
@@ -174,8 +174,8 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
                 yield start, block
             del rows, block
 
-    fwd, bwd = _argmax_both(scores(), cutoff, cutoff)
-    return sorted(set(enumerate(fwd.tolist())) | {(i, j) for j, i in enumerate(bwd.tolist())})
+    pairs = _union(*_argmax_both(scores(), cutoff, cutoff))
+    return list(zip(*pairs.T.tolist()))
 
 
 def _sorted_unit_rows(sim):
@@ -223,8 +223,6 @@ def self_learning_align(x, z, init: BilingualDictionary,
         xw, zw = xc @ w_x, zc @ w_z
 
         pairs = _induce(xw, zw, "csls", k, cfg.direction, keep_prob, rng, np.float32)
-        if not len(pairs):
-            raise AlignmentCollapseError(f"empty dictionary at iteration {iterations}")
         src, trg = pairs.T
         cross = xc[src].T @ zc[trg]
         objective = float(np.sum(w_x * (cross @ w_z))) / len(pairs)

@@ -31,6 +31,10 @@ from .retrieval import _require_spaces
 
 @dataclass(frozen=True)
 class RefinementConfig:
+    """The re-normalization's budget and tolerance. At the default 5
+    alternations it usually stops short of ``norm_tol``: on the first corpus
+    of each bench workload both spaces end 5.3e-5 to 1.4e-4 off unit row
+    norms, where 10 to 12 alternations reach 1e-6. Raise ``norm_iters`` to normalize to tolerance."""
     norm_iters: int = DEFAULT_NORM_ITERS  # 0 applies the maps only
     norm_tol: float = DEFAULT_NORM_TOL
 

@@ -3,10 +3,10 @@
 CSLS rescales cosine similarity by the mean similarity of each point to its
 k nearest neighbors on the other side, which demotes hub vectors. All argmax
 tie-breaking is lowest-index-wins. Every score in the package (CSLS penalties,
-induction, evaluation, ``csls_retrieve``, the unsupervised init's
-similarities) comes from one loop over fixed-size query row blocks,
-``_score_blocks``, so no n x n score matrix is ever built; the init keeps one
-n x n float32 matrix, the sorted target similarities, as its candidates.
+induction, evaluation, the unsupervised init's similarities) comes from one
+loop over fixed-size query row blocks, ``_score_blocks``, so no n x n score
+matrix is ever built; the init keeps one n x n float32 matrix, the sorted
+target similarities, as its candidates.
 ``_score_blocks``, ``_knn_means`` and the argmax helpers score in their
 candidates' dtype; only the public functions cast, to float64
 (``_require_finite``). The init and the self-learning loop's induction score
@@ -21,9 +21,9 @@ Cosines are products of unit rows. Each side's row norms are taken once
 A float64 scoring pass makes no copy of either space: ``_score_blocks``
 scales its query rows one block at a time and divides each column of the
 block's product with the raw candidate rows by that candidate's norm,
-before any shift, so induction, evaluation and ``csls_retrieve`` hold one
-score block beside their inputs. Only a pass that casts, the self-learning
-loop's float32 induction, makes unit copies: one of each side per
+before any shift, so induction and evaluation hold one score block beside
+their inputs. Only a pass that casts, the self-learning loop's float32
+induction, makes unit copies: one of each side per
 induction, read as queries and as candidates alike. Each unit row is the
 float64 quotient of the row by its norm rounded once to the scoring dtype,
 zero rows +0.0 (``_unit``), so a block of scaled query rows has the bits of
@@ -47,8 +47,9 @@ score rank-only: a query's own penalty is the same along its row and cannot
 change the row's order, so forward rows score cos - rS/2 and backward rows
 cos - rT/2. Halving is exact in binary, so these order bit for bit like
 2 cos - r. Each penalty is computed once, and only the ones the directions
-rank by: evaluation and ``csls_retrieve`` are forward only and make one
-``_knn_means`` pass (``_rank_shift``) before their scoring pass. Induction
+rank by: evaluation is forward only and makes one ``_knn_means`` pass
+(``_rank_shift``) before its scoring pass, and ``csls_retrieve`` is the
+forward induction's picks, which make the same two passes. Induction
 (``_induce``) shares one product between the two directions: the uz·uxᵀ
 tile that gives the backward picks also gives the target penalties rS the
 forward picks need, so a union CSLS induction makes three score products,
@@ -280,20 +281,13 @@ def _query_rows(query_indices, n):
 
 
 def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
-    """CSLS argmax candidate per query; ties go to the lowest index. Ranks by
-    the rank-only score cos - rS/2 as induction does, with rS over all query
-    rows. Non-finite input, a dimension mismatch, a bad k and a query index
-    out of range raise ContractError before any score product."""
+    """The forward CSLS induction's picks (``_induce``) at the rows
+    ``query_indices``, in their order (default: every row); ties go to the
+    lowest index. Non-finite input, a dimension mismatch, a bad k and a query
+    index out of range raise ContractError before any score product."""
     x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
-    rows = None if query_indices is None else _query_rows(query_indices, len(x))
-    norms = _norms(x), _norms(z)
-    shift = _rank_shift(x, z, norms, "csls", k)
-    out = np.empty(len(x if rows is None else rows), dtype=np.int64)
-    # shifted in place: the tile is dropped after its picks
-    for start, sim in _score_blocks(x, z, rows, shift, norms):
-        _pick_rows(sim, None, None, 1.0, out, start)
-        del sim
-    return out.tolist()
+    rows = slice(None) if query_indices is None else _query_rows(query_indices, len(x))
+    return _induce(x, z, "csls", k, "forward")[rows, 1].tolist()
 
 
 def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
@@ -366,14 +360,20 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
             _pick_rows(sim, None, draws[0], keep_prob, fwd, start)
             del sim
     if forward and backward:
-        m = len(z)
-        # i m + j sorts as (i, j) does, since j < m; a sort and a neighbour
-        # comparison give np.unique's keys without its import of numpy.ma
-        keys = np.concatenate([np.arange(len(x)) * m + fwd, bwd * m + np.arange(m)])
-        keys.sort()
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        return np.column_stack([keys // m, keys % m])
+        return _union(fwd, bwd)
     return np.column_stack([np.arange(len(x)), fwd] if forward else [bwd, np.arange(len(z))])
+
+
+def _union(fwd, bwd):
+    """The pairs (i, ``fwd[i]``) and (``bwd[j]``, j), deduplicated and sorted
+    by source then target index, as rows of an n x 2 int64 array."""
+    m = len(bwd)
+    # i m + j sorts as (i, j) does, since j < m; a sort and a neighbour
+    # comparison give np.unique's keys without its import of numpy.ma
+    keys = np.concatenate([np.arange(len(fwd)) * m + fwd, bwd * m + np.arange(m)])
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.column_stack([keys // m, keys % m])
 
 
 # rows of a score tile picked at a time: a dropout pick partitions a copy of

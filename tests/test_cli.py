@@ -139,13 +139,19 @@ class TestEvaluate:
         assert code == 0
         out = capsys.readouterr().out
         assert "baseline.1=" in out
-        assert (base / "eval.json").exists()
+        payload = json.loads((base / "eval.json").read_text())
+        assert list(payload) == ["name", "precision_at", "evaluated_sources", "oov_sources"]
+        assert payload["name"] == "baseline" and list(payload["precision_at"]) == ["1", "5", "10"]
         code = run(["evaluate", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
                     "--gold", tmp_path / "gold.txt", "--retrieval", "nn",
                     "--compare", base])
         assert code == 0
-        table = capsys.readouterr().out
-        assert "P@1" in table and "baseline" in table
+        table = capsys.readouterr().out.splitlines()[-3:]
+        assert table[0].split() == ["system", "P@1", "Δ@1", "P@5", "Δ@5", "P@10", "Δ@10"]
+        # the same run read back: every delta of both rows is zero
+        for row, name in zip(table[1:], ("system", "baseline")):
+            cells = row.split()
+            assert cells[0] == name and cells[2::2] == ["+0.00"] * 3
 
 
 class TestPipeline:
@@ -307,6 +313,20 @@ class TestConfigFile:
         assert code == 1
         assert "bogus" in caplog.text
 
+    def test_default_section_is_read_and_checked(self, tmp_path, caplog, monkeypatch):
+        # configparser keeps [DEFAULT] out of sections(), so a file with only
+        # that section was read as empty
+        config = tmp_path / "run.ini"
+        config.write_text("[DEFAULT]\nseed = 5\n")
+        settings = cli.resolve_settings(
+            cli.build_parser().parse_args(["pipeline", "--config", str(config)]))
+        assert settings["seed"] == 5
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        config.write_text("[DEFAULT]\nbogus = 1\n")
+        code = run(["align", "--config", config, "--src", "a", "--trg", "b", "--out", "c"])
+        assert code == 1
+        assert f"unknown config key 'bogus' in {config}" in caplog.text
+
     def test_conflict_policy_is_an_unknown_key(self, tmp_path, caplog, monkeypatch):
         # refinement fits its maps to every pair, so there is no policy to set
         monkeypatch.setattr(cli, "_load_pair", no_load)
@@ -400,6 +420,17 @@ class TestFlags:
                       flag, "nn" if flag == "--retrieval" else "3"])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command, missing", [
+        ("align", "trg, out"), ("refine", "trg, out, dict_path"), ("induce", "trg, out"),
+        ("evaluate", "trg, gold"), ("pipeline", "trg, out, gold"),
+    ])
+    def test_missing_required_settings_exit_1_before_loading(self, command, missing, caplog,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        assert cli.main([command, "--src", "a"]) == 1
+        assert f"missing required settings: {missing}" in caplog.text
 
 
 def no_load(*args):

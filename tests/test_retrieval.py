@@ -149,9 +149,11 @@ class TestCslsRetrieve:
         x = rng.standard_normal((20, 4))
         z = rng.standard_normal((18, 4))
         all_out = retrieval.csls_retrieve(x, z, k=3)
-        subset = [2, 5, 11]
-        assert retrieval.csls_retrieve(x, z, k=3, query_indices=subset) == \
-            [all_out[i] for i in subset]
+        forward = retrieval.induce_dictionary(x, z, method="csls", k=3, directions="forward")
+        assert all_out == [j for _, j in forward]
+        for subset in ([2, 5, 11], [11, 2, 11, 11, 0], []):
+            assert retrieval.csls_retrieve(x, z, k=3, query_indices=subset) == \
+                [all_out[i] for i in subset]
 
 
 class TestInduceDictionary:
