@@ -76,12 +76,16 @@ def _require_pairs(pairs, n_src, n_trg, message):
 _KINDS = {"an integer": numbers.Integral, "a real number": numbers.Real, "a bool": (bool, np.bool_)}
 
 
+def _require_kind(value, name, kind):
+    """ContractError naming ``name`` unless ``value`` is ``kind``: "an integer"
+    (Python or numpy), "a real number" (an integer or a float) or "a bool"
+    (Python or numpy); only "a bool" is a bool."""
+    is_bool = isinstance(value, (bool, np.bool_))
+    if is_bool != (kind == "a bool") or not isinstance(value, _KINDS[kind]):
+        raise ContractError(f"{name} must be {kind}, got {value!r}")
+
+
 def _require_fields(cfg, kind, *names):
-    """ContractError naming the first field of ``cfg`` in ``names`` that is not
-    ``kind``: "an integer" (Python or numpy), "a real number" (an integer or a
-    float) or "a bool" (Python or numpy); only "a bool" is a bool."""
+    """``_require_kind`` of each field of ``cfg`` in ``names``, in order."""
     for name in names:
-        value = getattr(cfg, name)
-        is_bool = isinstance(value, (bool, np.bool_))
-        if is_bool != (kind == "a bool") or not isinstance(value, _KINDS[kind]):
-            raise ContractError(f"{name} must be {kind}, got {value!r}")
+        _require_kind(getattr(cfg, name), name, kind)

@@ -6,10 +6,11 @@ the mean-cosine objective stops improving. Induction is stochastic, as in
 VecMap (Artetxe, Labaka & Agirre, 2018): each similarity is kept with
 probability keep_prob, sampled exactly by rank in ``retrieval._induce``
 (its docstring), which keeps the search from locking in early. The loop
-induces in float32, VecMap's precision, from unit rows normalised in
-float64; its solve and objective, the final full-vocabulary refit and every
-public function stay float64. The rows of each dictionary are gathered once,
-for the d x d product X_D^T Z_D that gives both its objective and the next solve.
+and the final full-vocabulary refit induce in float32, VecMap's precision,
+from unit rows normalised in float64; the solves, the objective and this
+module's public functions stay float64. The rows of each dictionary are
+gathered once, for the d x d product X_D^T Z_D that gives both its objective
+and the next solve.
 
 A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
 and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
@@ -27,8 +28,8 @@ from .errors import (
 )
 from .io import BilingualDictionary
 from .retrieval import (
-    DEFAULT_CSLS_K, _argmax_both, _induce, _require_spaces, _score_blocks, _union,
-    induce_dictionary,
+    DEFAULT_CSLS_K, _argmax_both, _induce, _norms, _require_spaces, _score_blocks, _union,
+    _unit, induce_dictionary,
 )
 
 
@@ -244,11 +245,13 @@ def self_learning_align(x, z, init: BilingualDictionary,
     # re-fit once over the full vocabulary: the cutoff exists to bound
     # induction cost, not to restrict the final solve. Cosines and CSLS
     # penalties do not change under a rotation of both sides, so x W_x W_z^T
-    # against z ranks as x W_x against z W_z: the refit holds one mapped
-    # space, dropped once it returns, and one score tile
+    # against z ranks as x W_x against z W_z. It is scored in float32, as
+    # the loop is, from float32 unit copies of both sides: the refit holds
+    # them and one float32 score tile, and no float64 mapped space
     del xw, zw
-    dictionary = induce_dictionary(x @ (w_x @ w_z.T), z, method="csls",
-                                   directions=cfg.direction, k=csls_k_between(cfg.csls_k, x, z))
+    dictionary = induce_dictionary(
+        _unit_rows32(x, w_x @ w_z.T), _unit(z, _norms(z), dtype=np.float32), method="csls",
+        directions=cfg.direction, k=csls_k_between(cfg.csls_k, x, z))
     src, trg = np.array(dictionary, dtype=np.int64).T
     w_x, w_z, s = _symmetric_solve(x[src].T @ z[trg])
     return MappingResult(
@@ -256,6 +259,17 @@ def self_learning_align(x, z, init: BilingualDictionary,
         iterations=iterations, converged=converged,
         reweight_scale=np.sqrt(s) if cfg.reweight else None,
     )
+
+
+def _unit_rows32(m, w):
+    """Rows of ``m @ w`` scaled to unit length in float32, each rounded once
+    from its float64 quotient (``retrieval._unit``); mapped and scaled a tile
+    of rows at a time, so no float64 copy of ``m @ w`` is ever whole."""
+    out = np.empty((len(m), w.shape[1]), dtype=np.float32)
+    for start in range(0, len(m), retrieval.BLOCK_SIZE):
+        rows = m[start : start + retrieval.BLOCK_SIZE] @ w
+        out[start : start + len(rows)] = _unit(rows, _norms(rows), dtype=np.float32)
+    return out
 
 
 def align(x, z, cfg: MappingConfig) -> MappingResult:

@@ -9,8 +9,9 @@ matrix is ever built; the init keeps one n x n float32 matrix, the sorted
 target similarities, as its candidates.
 ``_score_blocks``, ``_knn_means`` and the argmax helpers score in their
 candidates' dtype; only the public functions cast, to float64
-(``_require_finite``). The init and the self-learning loop's induction score
-in float32, every other layer in float64. Block size changes scores
+(``_require_finite``), and ``induce_dictionary`` keeps two float32 spaces as
+they are. The init, the self-learning loop's induction and the final refit
+score in float32, every other layer in float64. Block size changes scores
 only in the last bits (BLAS rounds blocks of different heights differently).
 A consumer may edit a block in place, but every layer drops its reference
 (``del``) before the next block's product is computed, so one block is alive
@@ -28,7 +29,9 @@ induction, read as queries and as candidates alike. Each unit row is the
 float64 quotient of the row by its norm rounded once to the scoring dtype,
 zero rows +0.0 (``_unit``), so a block of scaled query rows has the bits of
 the same rows of a whole unit copy; a zero candidate row scores +0.0 against
-every query either way. The init scores its raw rows.
+every query either way. The final refit builds such float32 unit copies in
+``mapping``, a tile of rows at a time, and its passes read them as a float64
+pass reads its spaces, with no further copy. The init scores its raw rows.
 
 Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
@@ -114,11 +117,13 @@ def _unit_rows(m):
     return _unit(m, _norms(m), dtype=m.dtype)
 
 
-def _require_spaces(x, z, names):
-    """``x`` and ``z`` as float64 matrices, each checked by ``_require_finite``
+def _require_spaces(x, z, names, cast=True):
+    """``x`` and ``z`` as float64 matrices (without ``cast``, float dtypes
+    float64 holds exactly are kept), each checked by ``_require_finite``
     under its name in ``names``; ContractError naming both dimensions unless
     they are equal. Called before any product."""
-    x, z = _require_finite(x, names[0]), _require_finite(z, names[1])
+    x = _require_finite(x, names[0], cast)
+    z = _require_finite(z, names[1], cast)
     if x.shape[1] != z.shape[1]:
         raise ContractError(
             f"dimension mismatch: {names[0]} d={x.shape[1]}, {names[1]} d={z.shape[1]}"
@@ -296,11 +301,15 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
 
     forward: (i, retrieve(i)) for every source i. backward: (retrieve(j), j)
     for every target j. union: both, deduplicated and sorted by source then
-    target index. Non-finite input raises ContractError naming its row, and
-    spaces of different dimensionality raise it naming both dimensions.
+    target index. Two float32 spaces are scored in float32 as they are;
+    anything else is cast to float64 and scored there (``_induce``).
+    Non-finite input raises ContractError naming its row, and spaces of
+    different dimensionality raise it naming both dimensions.
     """
-    x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
-    pairs = _induce(x, z, method, k, directions)
+    x, z = np.asarray(x_mapped), np.asarray(z_mapped)
+    x, z = _require_spaces(x, z, ("x_mapped", "z_mapped"),
+                           cast=not x.dtype == z.dtype == np.float32)
+    pairs = _induce(x, z, method, k, directions, dtype=x.dtype)
     return list(zip(*pairs.T.tolist()))
 
 
@@ -313,12 +322,14 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
        the tile's rS (backward, or csls with forward);
     3. x·zᵀ gives the forward picks at shift rS/2 (forward).
 
-    Each side's row norms are taken once. In float64 a pass scales its
-    query rows one tile at a time and divides the tile's columns by its
-    candidates' norms (``_score_blocks``), so it copies neither side. In
-    another ``dtype`` each side is cast once, to a unit copy rounded from
-    float64 quotients, as ``_unit_rows(m).astype(dtype)`` would round it,
-    and the passes read these copies as queries and as candidates alike.
+    Each side's row norms are taken once. Rows already in ``dtype``
+    (float64, or float32 from ``induce_dictionary``) are read as they are: a
+    pass scales its query rows one tile at a time and divides the tile's
+    columns by its candidates' norms (``_score_blocks``), so it copies
+    neither side. Rows in another dtype are cast once per side, to a unit
+    copy rounded from float64 quotients, as ``_unit_rows(m).astype(dtype)``
+    would round it, and the passes read these copies as queries and as
+    candidates alike.
 
     Below ``keep_prob`` 1, as in VecMap's stochastic induction (Artetxe,
     Labaka & Agirre, 2018), each score is kept with probability keep_prob

@@ -3,7 +3,12 @@
 Everything here is written as direct, literal computation (loops, explicit
 formulas) and must stay independent of the library code paths it checks.
 """
+import math
+import warnings
+
 import numpy as np
+
+from xlalign.errors import FormatError
 
 
 def unit(v):
@@ -105,6 +110,48 @@ def refine_literal(x, z, pairs, norm_iters, tol=1e-6):
         x, _ = iternorm_literal(x, norm_iters, tol)
         z, _ = iternorm_literal(z, norm_iters, tol)
     return x, z
+
+
+def load_embeddings_literal(path, max_vocab=None):
+    """A text embedding file parsed one line at a time with ``float()``:
+    the words and float64 matrix of ``load_embeddings``, its duplicate
+    warning, and its FormatError message and line for a malformed file.
+    Reading stops at the header's row count or at ``max_vocab`` words."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        try:
+            n, d = (int(t) for t in header)
+        except ValueError:
+            raise FormatError(f"{path}: header must be two integers 'n d'", line=1) from None
+        if n < 0 or d < 1:
+            raise FormatError(f"{path}: invalid header counts n={n} d={d}", line=1)
+        limit = n if max_vocab is None else min(n, max_vocab)
+        words, rows, duplicates = [], [], 0
+        read = 0
+        while len(words) < limit and read < n:
+            line = fh.readline()
+            if line == "":
+                raise FormatError(f"{path}: file ends after {read} rows, header declared {n}")
+            read += 1
+            tokens = line.split()
+            if len(tokens) != d + 1:
+                raise FormatError(
+                    f"{path}: expected a word and {d} values, got {len(tokens)} tokens",
+                    line=read + 1)
+            try:
+                values = [float(t) for t in tokens[1:]]
+            except ValueError:
+                raise FormatError(f"{path}: unparseable number", line=read + 1) from None
+            if not all(math.isfinite(v) for v in values):
+                raise FormatError(f"{path}: non-finite value", line=read + 1)
+            if tokens[0] in words:
+                duplicates += 1
+            else:
+                words.append(tokens[0])
+                rows.append(values)
+    if duplicates:
+        warnings.warn(f"{path}: dropped {duplicates} duplicate word(s), first occurrence kept")
+    return words, np.array(rows, dtype=np.float64).reshape(len(rows), d)
 
 
 def topk_hits(score_row, gold_targets, k):

@@ -1,5 +1,7 @@
 import errno
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from xlalign import io
 from xlalign.errors import ContractError, FormatError
 
 from conftest import traced_peak
+from oracles import load_embeddings_literal
 
 
 def write(tmp_path, text, name="emb.vec"):
@@ -38,6 +41,14 @@ class TestLoadEmbeddings:
         vocab, emb = io.load_embeddings(path, max_vocab=1)
         assert vocab.words == ["apple"]
         assert emb.shape == (1, 3)
+        assert io.load_embeddings(path, max_vocab=np.int32(1))[0].words == ["apple"]
+        # "1", 1.5 and True raised a raw TypeError, and 2.0 was read as 2
+        for bad in ("1", 1.5, True, 2.0, np.float64(1.0), np.True_):
+            message = f"^max_vocab must be an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(ContractError, match=message):
+                io.load_embeddings(path, max_vocab=bad)
+        with pytest.raises(ContractError, match="^max_vocab must be positive$"):
+            io.load_embeddings(path, max_vocab=0)
 
     def test_malformed_header(self, tmp_path):
         path = write(tmp_path, "2\napple 1 0 0\n")
@@ -111,6 +122,105 @@ class TestLoadEmbeddings:
             vocab, emb = io.load_embeddings(path, max_vocab=2)
         assert vocab.words == ["apple", "banana"]
         np.testing.assert_array_equal(emb, [[1, 0], [0, 1]])
+
+
+# tokens float() takes and numpy's C reader does not, then tokens neither
+# takes or that are not finite; separators that str.split() splits on
+ODD_TOKENS = ["1_0", "\u0661", "\uff11", "\u0661.5e\u0662", "nan", "inf", "-inf", "1e999",
+              "#1", '"2"', "1e", "0x10", "1,5", "--1", "1\x002"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\u00a0", "\u3000", "\x0b", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def embedding_files(draw):
+    """Bytes of an embedding file of 1 row or about one or two loader tiles
+    (``io._LOAD_ROWS``), with a few edited lines: odd tokens, other
+    separators, a token more or less, a blank line, a duplicate word (also
+    across a tile boundary), and a header that overstates or understates
+    the rows; and a ``max_vocab``."""
+    tile = io._LOAD_ROWS
+    rows = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 2 * tile + 1]))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fmt = draw(st.sampled_from(["%.9g", "%r", "%.2f"]))
+    values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-5, 6, (rows, dim))
+    lines = [[f"w{i}"] + [fmt % v for v in row] for i, row in enumerate(values.tolist())]
+    seps = [" "] * rows
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, rows - 1))
+        edit = draw(st.sampled_from(["odd", "sep", "fewer", "more", "blank", "dup", "dup-tile"]))
+        if edit == "sep":
+            seps[r] = draw(st.sampled_from(SEPARATORS))
+        elif edit == "more":
+            lines[r].append("0.5")
+        elif edit == "blank":
+            lines[r] = []
+        elif edit == "dup-tile" and rows > tile:
+            lines[tile][:1] = [f"w{tile - 1}"]
+        elif len(lines[r]) > 1:  # a word and a value
+            if edit == "odd":
+                at = draw(st.integers(1, len(lines[r]) - 1))
+                lines[r][at] = draw(st.sampled_from(ODD_TOKENS))
+            elif edit == "fewer":
+                lines[r].pop()
+            elif edit == "dup":
+                lines[r][0] = f"w{draw(st.integers(0, rows - 1))}"
+    n = max(0, rows + draw(st.sampled_from([0, 0, 0, -1, 1, 2, -tile])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([f"{n} {dim}"] + [sep.join(line) for sep, line in zip(seps, lines)])
+    text += draw(st.sampled_from([end, ""]))
+    return text.encode("utf-8"), draw(st.one_of(st.none(), st.integers(1, rows + 1)))
+
+
+def load_outcome(load, path, max_vocab):
+    """What ``load`` gives for the file: its words, the matrix's shape and
+    bytes and the warnings it gave, or the FormatError message and line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            words, emb = load(path, max_vocab)
+        except FormatError as e:
+            return str(e), e.line
+    return list(words), emb.shape, emb.tobytes(), [str(w.message) for w in caught]
+
+
+def library_load(path, max_vocab):
+    vocab, emb = io.load_embeddings(path, max_vocab)
+    return vocab.words, emb
+
+
+@settings(max_examples=5000 if "XLALIGN_LOADER_SWEEP" in os.environ else 150, deadline=None,
+          derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(embedding_files())
+def test_loader_matches_the_per_line_oracle(tmp_path, case):
+    # the C reader's tiles and their per-line fallback give the per-line
+    # parse's words, bits, warning and first error; XLALIGN_LOADER_SWEEP=1
+    # runs 5000 files
+    content, max_vocab = case
+    path = tmp_path / "emb.vec"
+    path.write_bytes(content)
+    assert load_outcome(library_load, path, max_vocab) == \
+        load_outcome(load_embeddings_literal, path, max_vocab)
+
+
+@pytest.mark.parametrize("max_vocab, bad_line, words", [
+    (5, 9, 5),    # the limit is reached mid-tile, before the bad line
+    (5, 5, 4),    # a bad line before the limit raises
+    (None, 9, 0),
+])
+def test_limit_stops_reading_within_a_tile(tmp_path, max_vocab, bad_line, words):
+    # the per-line parse never reads past the line that reaches max_vocab,
+    # so a malformed line later in that tile is never read
+    lines = [f"w{i} {i / 8}" for i in range(io._LOAD_ROWS - 1)]
+    lines[bad_line - 2] = f"w{bad_line - 2} 1 2"
+    path = write(tmp_path, f"{len(lines)} 1\n" + "\n".join(lines) + "\n")
+    expected = load_outcome(load_embeddings_literal, path, max_vocab)
+    assert load_outcome(library_load, path, max_vocab) == expected
+    if max_vocab == 5 and bad_line > max_vocab + 1:
+        assert expected[0] == [f"w{i}" for i in range(words)]
+    else:
+        assert expected[1] == bad_line
 
 
 class TestSaveEmbeddings:

@@ -350,17 +350,18 @@ class TestSelfLearningAlign:
                            np.float32)
         assert peak < 16 * n * d + 4 * 256 * n + 1024 * 1024
 
-    def test_refit_peak_memory_one_mapped_space_one_tile(self):
-        # at n = 4 cutoff the full-vocabulary refit sets the peak: one mapped
-        # space (8 n d bytes) and one float64 score tile with its query rows
-        # (8 . 256 (n + d)); the slack holds the 8-row pick copies and the
-        # penalties. A second mapped space or a unit copy is 8 n d more (1.6 MB)
-        n, d = 2000, 100
+    def test_refit_peak_memory_two_float32_unit_copies_one_tile(self):
+        # at n = 4 cutoff the full-vocabulary refit sets the peak: a float32
+        # unit copy of each side (8 n d bytes) and one float32 score tile with
+        # its query rows (4 . 256 (n + d)); the slack holds the 8-row pick
+        # copies and the penalties. The solve's gather is 2.3 MB here. A
+        # float64 mapped space is 8 n d more (0.8 MB), a float64 tile 2 MB
+        n, d = 2000, 50
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg, init = self.fast_cfg(n // 4), [(i, i) for i in range(n // 4)]
         mapping.self_learning_align(x, z, init, cfg)  # lazy imports are not the refit's
         peak = traced_peak(mapping.self_learning_align, x, z, init, cfg)
-        assert peak < 8 * n * d + 8 * 256 * (n + d) + 64 * n + 512 * 1024
+        assert peak < 8 * n * d + 4 * 256 * (n + d) + 64 * n + 256 * 1024
 
     def test_reweight_scale_stored(self):
         x, z, _ = make_rotated_pair(n=120, d=6, seed=14)

@@ -182,6 +182,37 @@ class TestInduceDictionary:
         with pytest.raises(ContractError):
             retrieval.induce_dictionary(np.eye(2), np.eye(2), method="nn", directions="sideways")
 
+    def test_float32_spaces_are_scored_in_float32(self, score_passes):
+        # a noisy rotation: no pick is within float32 rounding of another
+        x, z, _ = make_rotated_pair(n=120, d=8, seed=3, noise=0.05)
+        forward = list(enumerate(csls_bruteforce(x, z, 5)[0]))
+        backward = [(i, j) for j, i in enumerate(csls_bruteforce(z, x, 5)[0])]
+        got = retrieval.induce_dictionary(x.astype(np.float32), z.astype(np.float32), k=5)
+        assert got == sorted(set(forward + backward))
+        assert [q.dtype for q in score_passes] == [np.float32] * 3
+
+    def test_float32_spaces_hold_one_float32_tile(self):
+        # neither space is copied and a score tile is 4 . 256 n bytes with
+        # its query rows; a float64 tile alone is 6.1 MB here, and float64
+        # casts of both spaces 2.4 MB more
+        n, d = 3000, 50
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+        x, z = x.astype(np.float32), z.astype(np.float32)
+        retrieval.induce_dictionary(x, z)  # lazy imports are not the induction's
+        assert traced_peak(retrieval.induce_dictionary, x, z) < \
+            4 * 256 * (n + d) + 64 * n + 256 * 1024
+
+    @pytest.mark.parametrize("dtypes", [(np.float64, np.float64), (np.int64, np.int64),
+                                        (np.float16, np.float16), (np.float32, np.float64)],
+                             ids=["float64", "int64", "float16", "float32-float64"])
+    def test_other_spaces_are_scored_in_float64(self, score_passes, dtypes):
+        rng = np.random.default_rng(11)
+        x, z = (rng.integers(-4, 5, size=(30, 5)).astype(t) for t in dtypes)
+        want = retrieval.induce_dictionary(x.astype(np.float64), z.astype(np.float64), k=3)
+        score_passes.clear()
+        assert retrieval.induce_dictionary(x, z, k=3) == want
+        assert [q.dtype for q in score_passes] == [np.float64] * 3
+
 
 @st.composite
 def csls_induction_case(draw):
