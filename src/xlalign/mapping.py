@@ -7,7 +7,8 @@ VecMap (Artetxe, Labaka & Agirre, 2018): each similarity is kept with
 probability keep_prob, sampled exactly by rank in ``retrieval._induce``
 (its docstring), which keeps the search from locking in early. The loop
 and the final full-vocabulary refit induce in float32, VecMap's precision,
-from unit rows normalised in float64; the solves, the objective and this
+from float32 unit copies that ``_unit_rows32`` maps and normalises in
+float64 a tile of rows at a time; the solves, the objective and this
 module's public functions stay float64. The rows of each dictionary are
 gathered once, for the d x d product X_D^T Z_D that gives both its objective
 and the next solve.
@@ -221,9 +222,8 @@ def self_learning_align(x, z, init: BilingualDictionary,
     cross = xc[src].T @ zc[trg]
     for iterations in range(1, cfg.max_iterations + 1):
         w_x, w_z, _ = _symmetric_solve(cross)
-        xw, zw = xc @ w_x, zc @ w_z
-
-        pairs = _induce(xw, zw, "csls", k, cfg.direction, keep_prob, rng, np.float32)
+        pairs = _induce(_unit_rows32(xc, w_x), _unit_rows32(zc, w_z), "csls", k,
+                        cfg.direction, keep_prob, rng, norms=(None, None))
         src, trg = pairs.T
         cross = xc[src].T @ zc[trg]
         objective = float(np.sum(w_x * (cross @ w_z))) / len(pairs)
@@ -248,7 +248,6 @@ def self_learning_align(x, z, init: BilingualDictionary,
     # against z ranks as x W_x against z W_z. It is scored in float32, as
     # the loop is, from float32 unit copies of both sides: the refit holds
     # them and one float32 score tile, and no float64 mapped space
-    del xw, zw
     dictionary = induce_dictionary(
         _unit_rows32(x, w_x @ w_z.T), _unit(z, _norms(z), dtype=np.float32), method="csls",
         directions=cfg.direction, k=csls_k_between(cfg.csls_k, x, z))

@@ -7,8 +7,8 @@ induction, evaluation, the unsupervised init's similarities) comes from one
 loop over fixed-size query row blocks, ``_score_blocks``, so no n x n score
 matrix is ever built; the init keeps one n x n float32 matrix, the sorted
 target similarities, as its candidates.
-``_score_blocks``, ``_knn_means`` and the argmax helpers score in their
-candidates' dtype; only the public functions cast, to float64
+``_score_blocks``, ``_knn_means``, ``_induce`` and the argmax helpers score
+in their candidates' dtype; only the public functions cast, to float64
 (``_require_finite``), and ``induce_dictionary`` keeps two float32 spaces as
 they are. The init, the self-learning loop's induction and the final refit
 score in float32, every other layer in float64. Block size changes scores
@@ -19,19 +19,16 @@ at a time.
 
 Cosines are products of unit rows. Each side's row norms are taken once
 (``_norms``, over ``_row_norms``, which squares a block of rows at a time).
-A float64 scoring pass makes no copy of either space: ``_score_blocks``
-scales its query rows one block at a time and divides each column of the
-block's product with the raw candidate rows by that candidate's norm,
-before any shift, so induction and evaluation hold one score block beside
-their inputs. Only a pass that casts, the self-learning loop's float32
-induction, makes unit copies: one of each side per
-induction, read as queries and as candidates alike. Each unit row is the
-float64 quotient of the row by its norm rounded once to the scoring dtype,
+A scoring pass makes no copy of either space: ``_score_blocks`` scales its
+query rows one block at a time and divides each column of the block's
+product with the raw candidate rows by that candidate's norm, before any
+shift, so induction and evaluation hold one score block beside their
+inputs. The float32 unit copies that the self-learning loop and the final
+refit score are built in ``mapping``, a tile of rows at a time. Each unit
+row is the float64 quotient of the row by its norm rounded once to float32,
 zero rows +0.0 (``_unit``), so a block of scaled query rows has the bits of
 the same rows of a whole unit copy; a zero candidate row scores +0.0 against
-every query either way. The final refit builds such float32 unit copies in
-``mapping``, a tile of rows at a time, and its passes read them as a float64
-pass reads its spaces, with no further copy. The init scores its raw rows.
+every query either way. The init scores its raw rows.
 
 Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
@@ -309,12 +306,12 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     x, z = np.asarray(x_mapped), np.asarray(z_mapped)
     x, z = _require_spaces(x, z, ("x_mapped", "z_mapped"),
                            cast=not x.dtype == z.dtype == np.float32)
-    pairs = _induce(x, z, method, k, directions, dtype=x.dtype)
+    pairs = _induce(x, z, method, k, directions)
     return list(zip(*pairs.T.tolist()))
 
 
-def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float64):
-    """``induce_dictionary`` of rows ``x``, ``z`` scored in ``dtype``, as
+def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, norms=None):
+    """``induce_dictionary`` of rows ``x``, ``z`` scored in their dtype, as
     rows of an n x 2 int64 array, in three passes (module docstring):
 
     1. x·zᵀ gives rT (csls with backward);
@@ -322,14 +319,11 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
        the tile's rS (backward, or csls with forward);
     3. x·zᵀ gives the forward picks at shift rS/2 (forward).
 
-    Each side's row norms are taken once. Rows already in ``dtype``
-    (float64, or float32 from ``induce_dictionary``) are read as they are: a
-    pass scales its query rows one tile at a time and divides the tile's
-    columns by its candidates' norms (``_score_blocks``), so it copies
-    neither side. Rows in another dtype are cast once per side, to a unit
-    copy rounded from float64 quotients, as ``_unit_rows(m).astype(dtype)``
-    would round it, and the passes read these copies as queries and as
-    candidates alike.
+    ``norms`` holds each side's ``_norms`` as ``_score_blocks`` takes them,
+    None for a side of unit rows (the self-learning loop's unit copies); by
+    default each side's are taken once. A pass scales its query rows one
+    tile at a time and divides the tile's columns by its candidates' norms,
+    so it copies neither side.
 
     Below ``keep_prob`` 1, as in VecMap's stochastic induction (Artetxe,
     Labaka & Agirre, 2018), each score is kept with probability keep_prob
@@ -349,14 +343,12 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, dtype=np.float
     draws = [rng.geometric(keep_prob, size=len(q)) if keep_prob < 1.0 else None
              for q, _ in sides]
     csls = method == "csls"
-    nx, nz = _norms(x), _norms(z)
-    if x.dtype != dtype:  # a pass that casts reads one unit copy of each side
-        x, z, nx, nz = _unit(x, nx, dtype=dtype), _unit(z, nz, dtype=dtype), None, None
+    nx, nz = (_norms(x), _norms(z)) if norms is None else norms
     r_s = None
     if backward or (csls and forward):
         bwd_shift = _knn_means(x, z, (nx, nz), k) / 2.0 if csls and backward else None
         bwd = np.empty(len(z), dtype=np.int64) if backward else None
-        r_s = np.empty(len(z), dtype=dtype) if csls and forward else None
+        r_s = np.empty(len(z), dtype=x.dtype) if csls and forward else None
         for start, sim in _score_blocks(z, x, norms=(nz, nx)):
             if backward:
                 _pick_rows(sim, bwd_shift, draws[-1], keep_prob, bwd, start)

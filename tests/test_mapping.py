@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -241,29 +242,34 @@ class TestSelfLearningAlign:
             objectives.append(result.objective)
         assert objectives[0] == objectives[1]
 
-    def test_objective_non_decreasing_at_keep_prob_one(self):
+    def test_objective_non_decreasing_at_keep_prob_one(self, monkeypatch):
+        # each induced dictionary's objective under the float64 transforms
+        # that induced it, not under the float32 unit copies it was scored on
         rng = np.random.default_rng(12)
         n, d = 200, 10
         x = preprocess(rng.standard_normal((n, d)))
         z = x @ random_orthogonal(d, rng)
-        objectives = []
-        orig = mapping._induce
+        transforms, objectives = [], []
+        solve, induce = mapping._symmetric_solve, mapping._induce
 
-        def spy(xw, zw, *args):
-            pairs = orig(xw, zw, *args)
-            src = [p[0] for p in pairs]
-            trg = [p[1] for p in pairs]
-            objectives.append(float(np.mean(np.sum(xw[src] * zw[trg], axis=1))))
+        def solve_spy(cross):
+            transforms.append(solve(cross))
+            return transforms[-1]
+
+        def induce_spy(*args, **kwargs):
+            pairs = induce(*args, **kwargs)
+            w_x, w_z, _ = transforms[-1]
+            src, trg = pairs.T
+            objectives.append(float(np.mean(np.sum((x @ w_x)[src] * (z @ w_z)[trg], axis=1))))
             return pairs
 
-        mapping._induce = spy
-        try:
-            mapping.self_learning_align(
-                x, z, [(i, i) for i in range(n)],
-                self.fast_cfg(n, keep_prob_initial=1.0),
-            )
-        finally:
-            mapping._induce = orig
+        monkeypatch.setattr(mapping, "_symmetric_solve", solve_spy)
+        monkeypatch.setattr(mapping, "_induce", induce_spy)
+        mapping.self_learning_align(
+            x, z, [(i, i) for i in range(n)],
+            self.fast_cfg(n, keep_prob_initial=1.0),
+        )
+        assert len(objectives) > 1
         diffs = np.diff(objectives)
         assert np.all(diffs >= -1e-9)
 
@@ -339,16 +345,48 @@ class TestSelfLearningAlign:
         assert len(calls) == 1
 
     def test_loop_induction_peak_memory_in_float32(self):
-        # one float32 unit copy of each side (8 n d bytes) and one float32
-        # 256-row tile with its 32-row pick slices: 4.3 MB; a float64 tile
-        # alone is 6.1 MB here, against this bound of 4.6 MB
+        # the loop's two float32 unit copies, passed with no norms, are read
+        # as they are: one float32 256-row tile (3.07 MB) with its 32-row
+        # pick slices, 4.08 MB against this bound of 4.12 MB; a float64 tile
+        # alone is 6.1 MB here
         n, d = 3000, 10
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
-        cfg = self.fast_cfg(n)
         rng = np.random.default_rng(0)
-        peak = traced_peak(mapping._induce, x, z, "csls", cfg.csls_k, cfg.direction, 0.1, rng,
-                           np.float32)
-        assert peak < 16 * n * d + 4 * 256 * n + 1024 * 1024
+        w_x, w_z = random_orthogonal(d, rng), random_orthogonal(d, rng)
+        ux, uz = mapping._unit_rows32(x, w_x), mapping._unit_rows32(z, w_z)
+        cfg = self.fast_cfg(n)
+        peak = traced_peak(mapping._induce, ux, uz, "csls", cfg.csls_k, cfg.direction, 0.1, rng,
+                           norms=(None, None))
+        assert peak < 4 * 256 * n + 1024 * 1024
+
+    def test_loop_inductions_score_float32_unit_copies(self, monkeypatch):
+        # every score pass of a loop induction reads float32 unit rows with
+        # no norms, and while one runs the traced heap holds the two unit
+        # copies (8 n d bytes), one float32 tile and its pick slices: 6.8 MB,
+        # against this bound of 7.0 MB, with no room for a float64 mapped
+        # cutoff space (8 n d bytes, 2.4 MB here)
+        n, d = 3000, 100
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+        passes, peaks, refit_at = [], [], []
+        score_blocks, induce, refit = (retrieval._score_blocks, mapping._induce,
+                                       mapping.induce_dictionary)
+        monkeypatch.setattr(retrieval, "_score_blocks", lambda q, c, **kw: passes.append(
+            (q.dtype, kw["norms"])) or score_blocks(q, c, **kw))
+
+        def traced_induce(*args, **kwargs):
+            tracemalloc.reset_peak()  # the unit copies are already held
+            pairs = induce(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return pairs
+
+        monkeypatch.setattr(mapping, "_induce", traced_induce)
+        monkeypatch.setattr(mapping, "induce_dictionary",
+                            lambda *a, **kw: refit_at.append(len(passes)) or refit(*a, **kw))
+        traced_peak(mapping.self_learning_align, x, z, [(i, i) for i in range(n)],
+                    self.fast_cfg(n, max_iterations=2))
+        assert len(peaks) == 2
+        assert passes[:refit_at[0]] == [(np.float32, (None, None))] * 3 * len(peaks)
+        assert max(peaks) < 8 * n * d + 4 * 256 * n + 1536 * 1024
 
     def test_refit_peak_memory_two_float32_unit_copies_one_tile(self):
         # at n = 4 cutoff the full-vocabulary refit sets the peak: a float32

@@ -33,7 +33,10 @@ def _differences(tmp_path, a, b):
     ([_record(objective=0.75 + 4 * same_answers.OBJECTIVE_TOL), _record(1)],
      [f"('bigvocab', 0): objective 0.75 vs {0.75 + 4 * same_answers.OBJECTIVE_TOL!r}"]),
     ([_record(objective=float("nan")), _record(1)], ["('bigvocab', 0): objective 0.75 vs nan"]),
-    ([_record(files={"induced_dict.txt": "cc"}), _record(1)], ["('bigvocab', 0): files differ"]),
+    ([_record(files={"induced_dict.txt": "bb", "src_refined.vec": "cc", "trg_refined.vec": "dd"}),
+      _record(1, stdout="ab", files={"eval.json": "ee"})],
+     ["('bigvocab', 0): files differ: src_refined.vec, trg_refined.vec",
+      "('bigvocab', 1): stdout differ", "('bigvocab', 1): files differ: eval.json, induced_dict.txt"]),
     ([_record()], ["('bigvocab', 1): only in one file"]),
 ], ids=["equal", "objective-within-tol", "objective-beyond-tol", "objective-nan", "file-hash",
         "corpus-missing"])

@@ -11,7 +11,8 @@ count, and prints one JSON line per corpus: the sha256 of stdout and of every
 output file except manifest.json, and the manifest's iterations, converged,
 objective and refine. The second form reports every corpus where two such
 outputs differ: any field but the objective must be equal, and the objectives
-within OBJECTIVE_TOL. It exits 1 on a difference.
+within OBJECTIVE_TOL; a difference in the output files names each file whose
+hash differs. It exits 1 on a difference.
 
 Two checkouts that give the same lines give the same answers. This is a check
 for changes meant to keep every output bit; a change to the arithmetic may
@@ -81,9 +82,13 @@ def differences(a_path, b_path):
     for key in sorted(a.keys() & b.keys()):
         ra, rb = dict(a[key]), dict(b[key])
         oa, ob = ra.pop("objective"), rb.pop("objective")
-        if ra != rb:
-            fields = sorted(f for f in ra.keys() | rb.keys() if ra.get(f) != rb.get(f))
+        fa, fb = ra.pop("files", {}), rb.pop("files", {})
+        fields = sorted(f for f in ra.keys() | rb.keys() if ra.get(f) != rb.get(f))
+        if fields:
             found.append(f"{key}: {', '.join(fields)} differ")
+        names = sorted(n for n in fa.keys() | fb.keys() if fa.get(n) != fb.get(n))
+        if names:
+            found.append(f"{key}: files differ: {', '.join(names)}")
         # "not <=" also reports a NaN objective, which compares false with anything
         if (oa is None) != (ob is None) or (oa is not None and not abs(oa - ob) <= OBJECTIVE_TOL):
             found.append(f"{key}: objective {oa!r} vs {ob!r}")
