@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _require_kind
 from .io import GoldDictionary
 from .retrieval import DEFAULT_CSLS_K, _norms, _rank_shift, _require_spaces, _score_blocks
 
@@ -54,6 +54,8 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
     if not gold.entries:
         raise ContractError("gold dictionary is empty")
     x, z = _require_spaces(x_space, z_space, ("x_space", "z_space"))
+    for k in ks:
+        _require_kind(k, "each of ks", "an integer")
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
@@ -114,8 +116,7 @@ def _ranks(sim, targets):
     return out
 
 
-def compare_reports(reports: dict[str, EvalReport], baseline: str,
-                    decimals=2) -> str:
+def compare_reports(reports: dict[str, EvalReport], baseline: str) -> str:
     """Tabulate P@k x 100 per system with deltas against a named baseline."""
     if baseline not in reports:
         raise ContractError(f"unknown baseline {baseline!r}")
@@ -125,18 +126,14 @@ def compare_reports(reports: dict[str, EvalReport], baseline: str,
     ks = sorted(next(iter(reports.values())).precision_at)
     base = reports[baseline]
     width = max(len(name) for name in reports) + 2
-    cell = 8 + decimals
-    header = "system".ljust(width) + "".join(
-        f"P@{k}".rjust(cell) + f"Δ@{k}".rjust(cell) for k in ks
-    )
+    header = "system".ljust(width) + "".join(f"P@{k}".rjust(10) + f"Δ@{k}".rjust(10) for k in ks)
     lines = [header]
     for name, rep in reports.items():
         row = name.ljust(width)
         for k in ks:
             val = rep.precision_at[k] * 100.0
             delta = (rep.precision_at[k] - base.precision_at[k]) * 100.0
-            row += f"{val:.{decimals}f}".rjust(cell)
-            row += f"{delta:+.{decimals}f}".rjust(cell)
+            row += f"{val:.2f}".rjust(10) + f"{delta:+.2f}".rjust(10)
         lines.append(row)
     return "\n".join(lines)
 

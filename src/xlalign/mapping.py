@@ -7,18 +7,17 @@ VecMap (Artetxe, Labaka & Agirre, 2018): each similarity is kept with
 probability keep_prob, sampled exactly by rank in ``retrieval._induce``
 (its docstring), which keeps the search from locking in early. The loop
 and the final full-vocabulary refit induce in float32, VecMap's precision,
-from float32 unit copies that ``_unit_rows32`` maps and normalises in
-float64 a tile of rows at a time; the solves, the objective and this
-module's public functions stay float64. The rows of each dictionary are
-gathered once, for the d x d product X_D^T Z_D that gives both its objective
-and the next solve.
+from float32 unit copies of x W_x and z W_z that ``_unit_rows32`` builds a
+tile of rows at a time (the refit's ``induce_dictionary`` divides them again
+by their float32 norms); the solves, the objective and this module's public
+functions stay float64. The rows of each dictionary are gathered once, for
+the d x d product X_D^T Z_D that gives both its objective and the next solve.
 
 A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
 and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +38,7 @@ class MappingConfig:
     vocab_cutoff: int = 20000
     csls_k: int = DEFAULT_CSLS_K
     keep_prob_initial: float = 0.1
-    keep_prob_growth: float = 2.0
     stall_patience: int = 50
-    convergence_tol: float = 1e-6
     max_iterations: int = 10000
     direction: str = "union"  # one of retrieval.DIRECTIONS
     seed: int = 0
@@ -50,18 +47,14 @@ class MappingConfig:
     def __post_init__(self):
         _require_fields(self, "an integer", "vocab_cutoff", "csls_k", "stall_patience",
                         "max_iterations", "seed")
-        _require_fields(self, "a real number", "keep_prob_initial", "keep_prob_growth",
-                        "convergence_tol")
+        _require_fields(self, "a real number", "keep_prob_initial")
         _require_fields(self, "a bool", "reweight")
         for ok, rule in (
             (self.vocab_cutoff >= 2, "vocab_cutoff must be >= 2"),
             (self.csls_k >= 1, "csls_k must be >= 1"),
             (0.0 < self.keep_prob_initial <= 1.0, "keep_prob_initial must be in (0, 1]"),
-            (self.keep_prob_growth > 1.0, "keep_prob_growth must be > 1"),
             (self.direction in retrieval.DIRECTIONS, f"unknown direction {self.direction!r}"),
             (self.stall_patience >= 1, "stall_patience must be >= 1"),
-            (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0.0,
-             "convergence_tol must be finite and >= 0"),
             (self.max_iterations >= 1, "max_iterations must be >= 1"),
         ):
             if not ok:
@@ -102,9 +95,9 @@ class MappingResult:
 
 
 def procrustes_solve(x_pairs, z_pairs):
-    """Orthogonal W minimizing ||XW - Z||_F, via SVD of X^T Z."""
-    x = np.asarray(x_pairs, dtype=np.float64)
-    z = np.asarray(z_pairs, dtype=np.float64)
+    """Orthogonal W minimizing ||XW - Z||_F, via SVD of X^T Z. Non-finite
+    input raises ContractError naming its row, before the SVD."""
+    x, z = _require_finite(x_pairs, "x_pairs"), _require_finite(z_pairs, "z_pairs")
     if x.shape != z.shape:
         raise ContractError(f"shape mismatch: {x.shape} vs {z.shape}")
     if x.shape[0] < 1:
@@ -189,6 +182,12 @@ def _sorted_unit_rows(sim):
     return np.divide(sim, norms, out=sim, where=norms != 0.0)
 
 
+# VecMap's --stochastic_multiplier and --threshold defaults: keep_prob's growth
+# after stall_patience stalls, and the least gain over the best that is no stall
+_KEEP_PROB_GROWTH = 2.0
+_CONVERGENCE_TOL = 1e-6
+
+
 def self_learning_align(x, z, init: BilingualDictionary,
                         cfg: MappingConfig) -> MappingResult:
     """Alternate Procrustes solves and stochastic CSLS induction to converge.
@@ -196,13 +195,14 @@ def self_learning_align(x, z, init: BilingualDictionary,
     The objective is the mean cosine of the current dictionary pairs in the
     mapped space, trace(W_x^T X_D^T Z_D W_z) / |D|; the result's is the
     refit's, sum(S) / |D| (``_symmetric_solve``), which ``reweight`` does not
-    scale. When it stalls for ``stall_patience`` iterations the
-    similarity dropout keep probability grows; once keep_prob reaches 1 a
-    stalled objective terminates the loop. All randomness comes from
-    ``cfg.seed``, so a run is reproducible bit for bit. Non-finite input
-    raises ContractError naming its row, spaces of different dimensionality
-    raise it naming both dimensions, and an ``init`` pair that is not two
-    integer rows below the cutoff raises it naming the pair, before any solve.
+    scale. After ``stall_patience`` consecutive stalls (a gain under
+    ``_CONVERGENCE_TOL`` over the best objective) the similarity dropout keep
+    probability doubles, up to 1; at 1 a stall ends the loop. All randomness
+    comes from ``cfg.seed``, so a run is reproducible bit for bit. Non-finite
+    input raises ContractError naming its row, spaces of different
+    dimensionality raise it naming both dimensions, and an ``init`` pair that
+    is not two integer rows below the cutoff raises it naming the pair, before
+    any solve.
     """
     if len(init) == 0:
         raise ContractError("initial dictionary must be non-empty")
@@ -230,7 +230,7 @@ def self_learning_align(x, z, init: BilingualDictionary,
         if not np.isfinite(objective):
             raise NumericalError(f"non-finite objective at iteration {iterations}")
 
-        if objective - best_objective >= cfg.convergence_tol:
+        if objective - best_objective >= _CONVERGENCE_TOL:
             best_objective = objective
             stall = 0
         elif keep_prob >= 1.0:
@@ -239,18 +239,13 @@ def self_learning_align(x, z, init: BilingualDictionary,
         else:
             stall += 1
             if stall >= cfg.stall_patience:
-                keep_prob = min(1.0, keep_prob * cfg.keep_prob_growth)
+                keep_prob = min(1.0, keep_prob * _KEEP_PROB_GROWTH)
                 stall = 0
 
     # re-fit once over the full vocabulary: the cutoff exists to bound
-    # induction cost, not to restrict the final solve. Cosines and CSLS
-    # penalties do not change under a rotation of both sides, so x W_x W_z^T
-    # against z ranks as x W_x against z W_z. It is scored in float32, as
-    # the loop is, from float32 unit copies of both sides: the refit holds
-    # them and one float32 score tile, and no float64 mapped space
-    dictionary = induce_dictionary(
-        _unit_rows32(x, w_x @ w_z.T), _unit(z, _norms(z), dtype=np.float32), method="csls",
-        directions=cfg.direction, k=csls_k_between(cfg.csls_k, x, z))
+    # induction cost, not to restrict the final solve
+    dictionary = induce_dictionary(_unit_rows32(x, w_x), _unit_rows32(z, w_z), method="csls",
+                                   directions=cfg.direction, k=csls_k_between(cfg.csls_k, x, z))
     src, trg = np.array(dictionary, dtype=np.int64).T
     w_x, w_z, s = _symmetric_solve(x[src].T @ z[trg])
     return MappingResult(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, _require_finite
+from .errors import ContractError, DegenerateInputError, _require_finite, _require_kind
 from .retrieval import _norms, _row_norms
 
 DEFAULT_NORM_ITERS = 5
@@ -74,8 +74,10 @@ def iterative_normalize(emb, max_iters=DEFAULT_NORM_ITERS, tol=DEFAULT_NORM_TOL)
 
 
 def _check_iterations(max_iters, tol, name="tol"):
-    """ContractError unless ``max_iters`` >= 1 and the tolerance ``tol``,
-    named ``name`` in the error, is finite and > 0."""
+    """ContractError unless the integer ``max_iters`` >= 1 and the real
+    tolerance ``tol``, named ``name`` in the error, is finite and > 0."""
+    _require_kind(max_iters, "max_iters", "an integer")
+    _require_kind(tol, name, "a real number")
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
     if not (tol > 0 and math.isfinite(tol)):

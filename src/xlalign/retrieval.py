@@ -28,7 +28,10 @@ refit score are built in ``mapping``, a tile of rows at a time. Each unit
 row is the float64 quotient of the row by its norm rounded once to float32,
 zero rows +0.0 (``_unit``), so a block of scaled query rows has the bits of
 the same rows of a whole unit copy; a zero candidate row scores +0.0 against
-every query either way. The init scores its raw rows.
+every query either way. The loop scores the copies as they are; the refit's
+``induce_dictionary`` divides every query tile and score column by their
+float32 norms, so it scores rows within float32 rounding of those quotients.
+The init scores its raw rows.
 
 Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
 float64 similarity block and its float32 sorted copy, then that copy and a
@@ -62,7 +65,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, _require_finite
+from .errors import ContractError, _require_finite, _require_kind
 from .io import BilingualDictionary
 
 DEFAULT_CSLS_K = 10
@@ -246,10 +249,12 @@ def _top_k_means(sim, k):
 
 
 def _check_method(sides, method, k):
-    """ContractError for an unknown method, or for csls, a k without k
-    nearest neighbors on every (unit query rows, unit candidate rows) side."""
+    """ContractError for an unknown method, or for csls, a k that is not an integer
+    with k nearest neighbors on every (unit query rows, unit candidate rows) side."""
     if method not in ("nn", "csls"):
         raise ContractError(f"unknown retrieval method {method!r}")
+    if method == "csls":
+        _require_kind(k, "csls k", "an integer")
     for q, c in sides if method == "csls" else ():
         if not 1 <= k <= len(c) - 1 or k > len(q):
             raise ContractError(

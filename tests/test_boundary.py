@@ -31,6 +31,7 @@ BOUNDARY = {
     "unsupervised_init": (lambda x, z: xlalign.unsupervised_init(x, z, CFG), "x", "z"),
     "self_learning_align": (lambda x, z: xlalign.self_learning_align(x, z, PAIRS, CFG),
                             "x", "z"),
+    "procrustes_solve": (xlalign.procrustes_solve, "x_pairs", "z_pairs"),
     "induce_dictionary-nn": (lambda x, z: xlalign.induce_dictionary(x, z, method="nn"),
                              "x_mapped", "z_mapped"),
     "induce_dictionary-csls": (lambda x, z: xlalign.induce_dictionary(x, z, method="csls"),
@@ -75,6 +76,39 @@ def test_finite_inputs_are_left_unchanged(call, dtype):
     before = x.tobytes(), z.tobytes()
     run(x, z)
     assert (x.tobytes(), z.tobytes()) == before
+
+
+# call on the (source, target) spaces and a value of one numeric parameter, the
+# name its error gives that parameter, the kind the parameter must be, and
+# values of another kind
+NUMERIC = {
+    "iterative_normalize-max_iters": (lambda x, z, v: xlalign.iterative_normalize(x, max_iters=v),
+                                      "max_iters", "an integer", [2.5, "3", None]),
+    "iterative_normalize-tol": (lambda x, z, v: xlalign.iterative_normalize(x, tol=v),
+                                "tol", "a real number", ["x", None]),
+    "csls_retrieve-k": (lambda x, z, v: xlalign.csls_retrieve(x, z, k=v),
+                        "csls k", "an integer", [2.5, "3", True]),
+    "induce_dictionary-k": (lambda x, z, v: xlalign.induce_dictionary(x, z, k=v),
+                            "csls k", "an integer", [2.5, "3", True]),
+    "precision_at_k-csls_k": (lambda x, z, v: xlalign.precision_at_k(x, z, GOLD, method="csls",
+                                                                     csls_k=v),
+                              "csls k", "an integer", [2.5, "3", True]),
+    "precision_at_k-ks": (lambda x, z, v: xlalign.precision_at_k(x, z, GOLD, ks=(v,)),
+                          "each of ks", "an integer", [1.5, "1", True]),
+}
+
+
+@pytest.mark.parametrize("call, value", [(call, value) for call, (*_, values) in NUMERIC.items()
+                                         for value in values])
+def test_numeric_parameter_of_another_kind(call, value):
+    # max_iters 2.5 ran to tolerance, k 2.5 raised numpy's "Partition index
+    # must be integer" inside a score pass, ks (1.5,) reported P@1, a string
+    # or None raised a raw TypeError, and True ran as 1
+    run, name, kind, _ = NUMERIC[call]
+    x, z, _ = make_rotated_pair(n=N, d=4, seed=19)
+    message = f"{name} must be {kind}, got {value!r}"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        run(x, z, value)
 
 
 def test_finite_check_makes_no_copy_of_the_matrix():

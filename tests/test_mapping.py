@@ -273,6 +273,46 @@ class TestSelfLearningAlign:
         diffs = np.diff(objectives)
         assert np.all(diffs >= -1e-9)
 
+    def test_keep_prob_schedule(self, monkeypatch):
+        # VecMap's schedule: keep_prob doubles, capped at 1, after each run of
+        # stall_patience consecutive iterations that gain under 1e-6 over the
+        # best objective, and the first such iteration at keep_prob 1 ends the
+        # loop; each objective is computed as the loop computes it
+        x, z, _ = make_rotated_pair(n=60, d=6, seed=4, noise=0.3)
+        transforms, steps = [], []
+        solve, induce = mapping._symmetric_solve, mapping._induce
+
+        def solve_spy(cross):
+            transforms.append(solve(cross))
+            return transforms[-1]
+
+        def induce_spy(*args, **kwargs):
+            pairs = induce(*args, **kwargs)
+            w_x, w_z, _ = transforms[-1]
+            src, trg = pairs.T
+            objective = float(np.sum(w_x * ((x[src].T @ z[trg]) @ w_z))) / len(pairs)
+            steps.append((args[5], objective))
+            return pairs
+
+        monkeypatch.setattr(mapping, "_symmetric_solve", solve_spy)
+        monkeypatch.setattr(mapping, "_induce", induce_spy)
+        cfg = self.fast_cfg(60, csls_k=5, stall_patience=2, keep_prob_initial=0.25)
+        result = mapping.align(x, z, cfg)
+        keep_prob, best, stall, broken_runs = 0.25, -np.inf, 0, 0
+        for iteration, (used, objective) in enumerate(steps, 1):
+            assert used == keep_prob, iteration
+            if objective - best >= 1e-6:
+                best, broken_runs, stall = objective, broken_runs + (stall > 0), 0
+            elif keep_prob == 1.0:
+                break
+            else:
+                stall += 1
+                if stall == 2:
+                    keep_prob, stall = min(1.0, keep_prob * 2), 0
+        assert (result.converged, result.iterations) == (True, iteration) == (True, len(steps))
+        # it passed through 0.5, and a gain broke off a run of stalls
+        assert [kp for kp, _ in steps].count(0.5) and broken_runs
+
     def test_dimension_mismatch(self):
         # raised numpy's matmul error at the first induction; the init takes
         # such spaces, as it compares each language only with itself
@@ -297,8 +337,8 @@ class TestSelfLearningAlign:
         with pytest.raises(ContractError):
             mapping.MappingConfig(direction="both")
         # numpy numbers and bools are fields of their kind
-        mapping.MappingConfig(keep_prob_initial=np.float32(0.5), keep_prob_growth=2,
-                              convergence_tol=np.int64(0), reweight=np.bool_(True))
+        mapping.MappingConfig(keep_prob_initial=np.float32(0.5), reweight=np.bool_(True))
+        mapping.MappingConfig(keep_prob_initial=1)
 
     def test_config_is_frozen(self):
         cfg = mapping.MappingConfig()
@@ -562,16 +602,13 @@ class TestAlignContracts:
 
     @pytest.mark.parametrize("field, value", [
         ("max_iterations", 0), ("max_iterations", -3), ("stall_patience", 0),
-        ("stall_patience", -1), ("convergence_tol", -1e-6), ("convergence_tol", float("nan")),
-        ("convergence_tol", float("inf")), ("vocab_cutoff", 20.5), ("csls_k", 2.5),
-        ("stall_patience", 2.5), ("max_iterations", 3.0), ("seed", 1.5), ("seed", True),
-        ("reweight", "no"), ("reweight", 1), ("keep_prob_initial", "0.5"),
-        ("keep_prob_initial", True), ("keep_prob_growth", "2"), ("convergence_tol", None),
-        ("convergence_tol", False),
+        ("stall_patience", -1), ("keep_prob_initial", float("nan")), ("vocab_cutoff", 20.5),
+        ("csls_k", 2.5), ("stall_patience", 2.5), ("max_iterations", 3.0), ("seed", 1.5),
+        ("seed", True), ("reweight", "no"), ("reweight", 1), ("keep_prob_initial", "0.5"),
+        ("keep_prob_initial", True), ("keep_prob_initial", None),
     ])
     def test_loop_fields_rejected(self, field, value):
-        # 0 iterations returned an unaligned result, a negative tolerance never
-        # stalled and a NaN one converged after one iteration; a float count
+        # 0 iterations returned an unaligned result; a float count
         # raised TypeError inside the run or ran with a fractional patience; a
         # string or None raised TypeError when built, and reweight="no" reweighted
         x, z, _ = make_rotated_pair(n=20, d=4, seed=18)

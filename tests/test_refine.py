@@ -147,6 +147,7 @@ class TestRefinePipeline:
             with pytest.raises(ContractError, match="norm_tol must be"):
                 refine.RefinementConfig(norm_tol=value)
         assert refine.RefinementConfig(norm_tol=np.float32(1e-3)).norm_tol == np.float32(1e-3)
+        assert refine.RefinementConfig(norm_tol=np.int64(1)).norm_tol == 1
         for value in (2.5, 3.0, True):  # 2.5 raised TypeError inside the run
             with pytest.raises(ContractError, match="norm_iters must be an integer"):
                 refine.RefinementConfig(norm_iters=value)
