@@ -3,9 +3,10 @@
 Each setting is declared once, in ``_SETTINGS``, and each subcommand takes
 the flags of exactly the settings it reads. An INI file (``--config``) of
 flat ``key = value`` sections may set any setting of any subcommand; its
-values are checked as the flags are, and a flag wins over the file. Logs go
-to stderr, results to stdout or files. Exit codes: 0 success/converged,
-1 error, 2 completed without convergence.
+values are checked as the flags are, and a flag wins over the file; beneath
+both, a config field's default (``_DEFAULTS``). Logs go to stderr, results to
+stdout or files. Exit codes: 0 success/converged, 1 error, 2 completed
+without convergence.
 """
 from __future__ import annotations
 
@@ -50,16 +51,14 @@ _SETTINGS = {
     "config": {"help": "INI config file; CLI flags override it"},
     "max_vocab": {"type": int, "help": "load at most this many words per language"},
     "verbose": {"flags": ("-v", "--verbose"), "action": "count", "help": "-v INFO, -vv DEBUG"},
-    "seed": {"type": int, "default": mapping.MappingConfig.seed, "help": "RNG seed"},
-    "csls_k": {"type": positive_int,
-               "help": f"CSLS neighborhood size (default {mapping.MappingConfig.csls_k})"},
+    "seed": {"type": int, "help": "RNG seed"},
+    "csls_k": {"type": positive_int, "help": "CSLS neighborhood size"},
     "vocab_cutoff": {"type": int, "help": "self-learning vocabulary cutoff"},
     "direction": {"choices": retrieval.DIRECTIONS, "help": "induction direction"},
     "keep_prob": {"type": float, "help": "initial similarity keep probability"},
     "stall_patience": {"type": int, "help": "stalled iterations before keep_prob grows"},
     "max_iterations": {"type": int, "help": "self-learning iteration limit"},
-    "reweight": {"action": "store_true", "default": mapping.MappingConfig.reweight,
-                 "help": "scale mapped spaces by sqrt singular values"},
+    "reweight": {"action": "store_true", "help": "scale mapped spaces by sqrt singular values"},
     "dict_path": {"flags": ("--dict",), "help": "induced dictionary file"},
     "norm_iters": {"type": int, "help": "refinement normalization iterations"},
     "norm_tol": {"type": float, "help": "refinement normalization tolerance"},
@@ -73,6 +72,15 @@ _SETTINGS = {
 }
 # config-file keys; the other flags are not settings, so not in the manifest
 _INI_KEYS = _SETTINGS.keys() - {"config", "verbose", "compare"}
+# settings whose config field has another name
+_FIELD_ALIASES = {"keep_prob": "keep_prob_initial"}
+_SETTING_OF_FIELD = {field: key for key, field in _FIELD_ALIASES.items()}
+# each setting's default, which --help shows and the manifest records: its
+# config field's, under the setting's name, else its "default"
+_DEFAULTS = {key: spec["default"] for key, spec in _SETTINGS.items() if "default" in spec}
+_DEFAULTS.update((_SETTING_OF_FIELD.get(f.name, f.name), f.default)
+                 for cls in (mapping.MappingConfig, refine.RefinementConfig)
+                 for f in dataclasses.fields(cls))
 
 _IO = ("src", "trg", "out", "config", "max_vocab", "verbose")
 _MAPPING = ("seed", "csls_k", "vocab_cutoff", "direction", "keep_prob",
@@ -89,9 +97,9 @@ def build_parser():
         for name in names:
             kwargs = dict(_SETTINGS[name])
             flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
-            default = kwargs.pop("default", False)
-            if default is not False:
-                kwargs["help"] += f" (default {default})"
+            kwargs.pop("default", None)
+            if name in _DEFAULTS:
+                kwargs["help"] += f" (default {_DEFAULTS[name]})"
             # None marks a flag not given, so the file or the default applies
             p.add_argument(*flags, dest=name, default=None, **kwargs)
     return parser
@@ -129,7 +137,7 @@ def _load_config_file(path):
 
 def resolve_settings(args):
     """Merge defaults < config file < CLI flags into one flat dict."""
-    settings = {key: spec["default"] for key, spec in _SETTINGS.items() if "default" in spec}
+    settings = dict(_DEFAULTS)
     if args.config:
         settings.update(_load_config_file(args.config))
     settings.update((key, value) for key, value in vars(args).items()
@@ -137,16 +145,10 @@ def resolve_settings(args):
     return settings
 
 
-# settings whose config field has another name
-_FIELD_ALIASES = {"keep_prob": "keep_prob_initial"}
-
-
 def _config_from(cls, s):
-    """The config dataclass ``cls`` with each field that ``s`` has a setting
-    for taken from it; the other fields keep their defaults."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{_FIELD_ALIASES.get(key, key): value for key, value in s.items()
-                  if _FIELD_ALIASES.get(key, key) in names})
+    """The config dataclass ``cls`` with each field taken from its setting in ``s``."""
+    return cls(**{f.name: s[_SETTING_OF_FIELD.get(f.name, f.name)]
+                  for f in dataclasses.fields(cls)})
 
 
 def _load_pair(settings):
@@ -165,13 +167,15 @@ def _run_align(settings, out_dir):
     log.info("aligning %d x %d against %d x %d (cutoff %d)",
              x.shape[0], x.shape[1], z.shape[0], z.shape[1], cfg.cutoff(x, z))
     result = mapping.align(x, z, cfg)
-    xw, zw = result.map_src(x), result.map_trg(z)
+    # rebound one at a time, so each preprocessed space is dropped once mapped
+    x = result.map_src(x)
+    z = result.map_trg(z)
     os.makedirs(out_dir, exist_ok=True)
-    io.save_embeddings(src_vocab, xw, os.path.join(out_dir, "src_mapped.vec"))
-    io.save_embeddings(trg_vocab, zw, os.path.join(out_dir, "trg_mapped.vec"))
+    io.save_embeddings(src_vocab, x, os.path.join(out_dir, "src_mapped.vec"))
+    io.save_embeddings(trg_vocab, z, os.path.join(out_dir, "trg_mapped.vec"))
     io.save_dictionary_pairs(result.dictionary, src_vocab, trg_vocab,
                              os.path.join(out_dir, "induced_dict.txt"))
-    return src_vocab, trg_vocab, xw, zw, result
+    return src_vocab, trg_vocab, x, z, result
 
 
 def cmd_align(settings, args):
@@ -204,16 +208,11 @@ def cmd_refine(settings, args):
     return EXIT_OK
 
 
-def _csls_k(settings, x, z):
-    """``csls_k``, else ``MappingConfig``'s, capped by ``mapping.csls_k_between``."""
-    return mapping.csls_k_between(settings.get("csls_k", mapping.MappingConfig.csls_k), x, z)
-
-
 def cmd_induce(settings, args):
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     pairs = retrieval.induce_dictionary(
-        x, z, method=settings["retrieval"], k=_csls_k(settings, x, z),
-        directions=settings.get("direction", mapping.MappingConfig.direction),
+        x, z, method=settings["retrieval"], k=mapping.csls_k_between(settings["csls_k"], x, z),
+        directions=settings["direction"],
     )
     os.makedirs(settings["out"], exist_ok=True)
     path = os.path.join(settings["out"], "induced_dict.txt")
@@ -226,7 +225,7 @@ def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
     gold = io.load_gold_dictionary(settings["gold"], src_vocab, trg_vocab)
     report = evaluate.precision_at_k(
         x, z, gold, ks=settings["ks"], method=settings["retrieval"],
-        csls_k=_csls_k(settings, x, z),
+        csls_k=mapping.csls_k_between(settings["csls_k"], x, z),
     )
     name = settings["name"]
     for line in evaluate.report_lines(name, report):

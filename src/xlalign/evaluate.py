@@ -9,7 +9,8 @@ Ranks are counted, not sorted: in a score row s, target j has rank
 sort of the row, so equal scores go to the lowest index. A source hits at k
 when its best-ranked gold target has rank < k. CSLS ranks by cos - rS/2, the
 rank-only score of ``retrieval`` (its module docstring): the query penalty is
-the same along a row, so evaluation makes one ``_knn_means`` pass.
+the same along a row, so evaluation makes one ``_knn_means`` pass for rS, as
+a forward induction does, and ranks by the same scores.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ import numpy as np
 
 from .errors import ContractError, _require_kind
 from .io import GoldDictionary
-from .retrieval import DEFAULT_CSLS_K, _norms, _rank_shift, _require_spaces, _score_blocks
+from .retrieval import (
+    DEFAULT_CSLS_K, _check_method, _knn_means, _norms, _require_spaces, _score_blocks,
+)
 
 DEFAULT_KS = (1, 5, 10)
 # score rows compared at a time: bounds the boolean temporaries of _ranks
@@ -60,8 +63,9 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
     if not ks or ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
     sources, targets, counts = _gold_arrays(gold, x.shape[0], z.shape[0])
+    _check_method([(x, z)], method, csls_k)
     norms = _norms(x), _norms(z)
-    shift = _rank_shift(x, z, norms, method, csls_k)
+    shift = _knn_means(z, x, norms[::-1], csls_k) / 2.0 if method == "csls" else None
     best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
     for start, block in _score_blocks(x, z, sources, shift, norms):
         rows = slice(start, start + block.shape[0])

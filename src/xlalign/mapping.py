@@ -87,11 +87,15 @@ class MappingResult:
 
     def map_src(self, x):
         mapped = np.asarray(x) @ self.w_src
-        return mapped * self.reweight_scale if self.reweight_scale is not None else mapped
+        if self.reweight_scale is not None:
+            mapped *= self.reweight_scale  # in place: one mapped space, not two
+        return mapped
 
     def map_trg(self, z):
         mapped = np.asarray(z) @ self.w_trg
-        return mapped * self.reweight_scale if self.reweight_scale is not None else mapped
+        if self.reweight_scale is not None:
+            mapped *= self.reweight_scale
+        return mapped
 
 
 def procrustes_solve(x_pairs, z_pairs):

@@ -50,14 +50,13 @@ score rank-only: a query's own penalty is the same along its row and cannot
 change the row's order, so forward rows score cos - rS/2 and backward rows
 cos - rT/2. Halving is exact in binary, so these order bit for bit like
 2 cos - r. Each penalty is computed once, and only the ones the directions
-rank by: evaluation is forward only and makes one ``_knn_means`` pass
-(``_rank_shift``) before its scoring pass, and ``csls_retrieve`` is the
-forward induction's picks, which make the same two passes. Induction
-(``_induce``) shares one product between the two directions: the uz·uxᵀ
-tile that gives the backward picks also gives the target penalties rS the
-forward picks need, so a union CSLS induction makes three score products,
-not four. Induction also owns the self-learning loop's similarity dropout
-(its docstring).
+rank by, each in its own ``_knn_means`` pass before the scoring pass that
+ranks by it: evaluation (forward only) and ``csls_retrieve`` (the forward
+induction's picks) make the same two passes. The one exception is a union
+induction (``_induce``), which shares one product between the directions:
+the uz·uxᵀ tile that gives the backward picks also gives the rS the forward
+picks need, so it makes three score products, not four. Induction also owns
+the self-learning loop's similarity dropout (its docstring).
 """
 from __future__ import annotations
 
@@ -262,17 +261,6 @@ def _check_method(sides, method, k):
             )
 
 
-def _rank_shift(q, c, norms, method, k):
-    """Rank-only shift of candidates ``c`` for queries ``q`` (module
-    docstring), given both sides' ``norms`` (``_norms``), checked first: None
-    for nn, and for csls half of each candidate's penalty, its mean cosine to
-    its k nearest queries."""
-    _check_method([(q, c)], method, k)
-    if method == "nn":
-        return None
-    return _knn_means(c, q, norms[::-1], k) / 2.0
-
-
 def _query_rows(query_indices, n):
     """``query_indices`` as an int64 array; ContractError unless it lists
     integers in [0, n), naming the first that is not."""
@@ -319,9 +307,9 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, norms=None):
     """``induce_dictionary`` of rows ``x``, ``z`` scored in their dtype, as
     rows of an n x 2 int64 array, in three passes (module docstring):
 
-    1. x·zᵀ gives rT (csls with backward);
+    1. x·zᵀ gives rT (csls with backward), or z·xᵀ rS (csls forward only);
     2. z·xᵀ gives, tile by tile, the backward picks at shift rT/2 and then
-       the tile's rS (backward, or csls with forward);
+       the tile's rS (backward; rS for a csls union);
     3. x·zᵀ gives the forward picks at shift rS/2 (forward).
 
     ``norms`` holds each side's ``_norms`` as ``_score_blocks`` takes them,
@@ -350,16 +338,17 @@ def _induce(x, z, method, k, directions, keep_prob=1.0, rng=None, norms=None):
     csls = method == "csls"
     nx, nz = (_norms(x), _norms(z)) if norms is None else norms
     r_s = None
-    if backward or (csls and forward):
-        bwd_shift = _knn_means(x, z, (nx, nz), k) / 2.0 if csls and backward else None
-        bwd = np.empty(len(z), dtype=np.int64) if backward else None
+    if backward:
+        bwd_shift = _knn_means(x, z, (nx, nz), k) / 2.0 if csls else None
+        bwd = np.empty(len(z), dtype=np.int64)
         r_s = np.empty(len(z), dtype=x.dtype) if csls and forward else None
         for start, sim in _score_blocks(z, x, norms=(nz, nx)):
-            if backward:
-                _pick_rows(sim, bwd_shift, draws[-1], keep_prob, bwd, start)
+            _pick_rows(sim, bwd_shift, draws[-1], keep_prob, bwd, start)
             if r_s is not None:
                 r_s[start : start + sim.shape[0]] = _top_k_means(sim, k)
             del sim
+    elif csls:
+        r_s = _knn_means(z, x, (nz, nx), k)
     if forward:
         fwd = np.empty(len(x), dtype=np.int64)
         fwd_shift = None if r_s is None else r_s / 2.0

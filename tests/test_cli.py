@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,27 @@ class TestAlign:
                     "--out", tmp_path / "run"])
         assert code == 1
         assert "nope.vec" in caplog.text
+
+    def test_saves_hold_the_two_mapped_spaces(self, tmp_path, monkeypatch):
+        # the preprocessed spaces stayed alive through the saves: four spaces
+        n, d = 1000, 200
+        write_corpus(tmp_path, n=n, d=d)
+        held, save = [], cli.io.save_embeddings
+
+        def traced_save(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return save(*args)
+
+        monkeypatch.setattr(cli.io, "save_embeddings", traced_save)
+        tracemalloc.start()
+        try:
+            run(["align", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+                 "--out", tmp_path / "run", "--vocab-cutoff", "200", *FAST])
+        finally:
+            tracemalloc.stop()
+        # beside the two spaces: the two d x d transforms, and 1 MiB for the
+        # vocabularies and the dictionary (about 0.4 MB)
+        assert len(held) == 2 and max(held) <= 2 * 8 * n * d + 2 * 8 * d * d + 1024**2, held
 
     def test_max_iterations_one_exits_2(self, tmp_path):
         write_corpus(tmp_path)
@@ -184,6 +206,28 @@ class TestPipeline:
             assert 1 <= report["iterations_run"] <= 5
             assert report["max_row_norm_deviation"] >= 0 and report["max_center_magnitude"] >= 0
         assert f'refined: {json.dumps(refined)}' in caplog.text
+
+    def test_flagless_manifest_records_every_config_setting(self, tmp_path):
+        # the manifest held only the settings given, and seed and reweight
+        write_corpus(tmp_path, n=12, d=4)
+        run(["pipeline", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+             "--gold", tmp_path / "gold.txt", "--out", tmp_path / "run"])
+        settings = json.loads((tmp_path / "run" / "manifest.json").read_text())["settings"]
+        for cls in (MappingConfig, RefinementConfig):
+            for field in dataclasses.fields(cls):
+                key = {"keep_prob_initial": "keep_prob"}.get(field.name, field.name)
+                assert settings[key] == field.default, key
+
+    def test_help_shows_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["pipeline", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, default in (("--vocab-cutoff", MappingConfig.vocab_cutoff),
+                              ("--keep-prob", MappingConfig.keep_prob_initial),
+                              ("--norm-iters", RefinementConfig.norm_iters)):
+            # the flag's entry below the usage line, up to the next flag
+            entry = text.rsplit(f"{flag} ", 1)[1].split(" --")[0]
+            assert entry.endswith(f"(default {default})"), entry
 
     def test_eight_word_pair_at_the_default_csls_k(self, tmp_path, capsys):
         # the alignment's refit, then evaluation, raised for csls k=10 with 8

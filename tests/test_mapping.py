@@ -449,6 +449,19 @@ class TestSelfLearningAlign:
         # orthogonality of the stored transforms is unaffected by reweighting
         assert np.max(np.abs(result.w_src.T @ result.w_src - np.eye(6))) < 1e-6
 
+    def test_reweighted_mapping_allocates_one_space(self):
+        # map_src and map_trg scaled a copy of the mapped space, two spaces at once
+        n, d = 2000, 50
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((n, d))
+        w_src, w_trg = random_orthogonal(d, rng), random_orthogonal(d, rng)
+        scale = rng.uniform(0.5, 1.5, d)
+        result = mapping.MappingResult(w_src, w_trg, [(0, 0)], 1.0, 1, True, scale)
+        for map_side, w in ((result.map_src, w_src), (result.map_trg, w_trg)):
+            assert np.array_equal(map_side(x), (x @ w) * scale)
+            # slack: numpy's in-place broadcast scaling buffers 8192 values
+            assert traced_peak(map_side, x) <= 8 * n * d + 128 * 1024
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("side", ["x", "z"])

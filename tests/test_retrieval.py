@@ -266,6 +266,29 @@ def test_union_csls_computes_penalties_once(score_passes, call, passes):
     assert len(score_passes) == passes
 
 
+@pytest.mark.parametrize("height", [11, 22, 256])
+@pytest.mark.parametrize("method", ["nn", "csls"])
+def test_evaluation_ranks_by_the_forward_induction_scores(method, height):
+    # with every source's forward pick as its gold target, P@1 is exactly 1:
+    # evaluation ranks by the scores, penalties and ties induction picks by.
+    # Height 11 leaves a 1-row tail of the 23 source rows and of the 12 target
+    # rows (the rS pass's queries), height 22 of the source rows only
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((10, 5))
+    z = np.concatenate([z, z[[4]], 2.0 * z[[7]]])  # a duplicated row and a scaled one
+    x = np.concatenate([rng.standard_normal((19, 5)), z[[4, 4, 7, 11]]])
+    with tile_rows(height):
+        if method == "csls":
+            picks = retrieval.csls_retrieve(x, z, k=3)
+        else:
+            pairs = retrieval.induce_dictionary(x, z, method="nn", directions="forward")
+            picks = [j for _, j in pairs]
+        gold = GoldDictionary({i: {j} for i, j in enumerate(picks)}, 0)
+        report = precision_at_k(x, z, gold, ks=(1,), method=method, csls_k=3)
+    assert {4, 7} <= set(picks)
+    assert report.precision_at == {1: 1.0}
+
+
 @pytest.mark.parametrize("call", [
     # k=25 has 25 neighbors forward but only 24 backward
     lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=25, directions="union"),
