@@ -49,7 +49,9 @@ _SETTINGS = {
     "trg": {"help": "target embedding file"},
     "out": {"help": "output directory"},
     "config": {"help": "INI config file; CLI flags override it"},
-    "max_vocab": {"type": int, "help": "load at most this many words per language"},
+    # None, recorded as null in the manifest: every word of each file
+    "max_vocab": {"type": int, "default": None,
+                  "help": "load at most this many words per language"},
     "verbose": {"flags": ("-v", "--verbose"), "action": "count", "help": "-v INFO, -vv DEBUG"},
     "seed": {"type": int, "help": "RNG seed"},
     "csls_k": {"type": positive_int, "help": "CSLS neighborhood size"},
@@ -98,8 +100,11 @@ def build_parser():
             kwargs = dict(_SETTINGS[name])
             flags = kwargs.pop("flags", ("--" + name.replace("_", "-"),))
             kwargs.pop("default", None)
-            if name in _DEFAULTS:
-                kwargs["help"] += f" (default {_DEFAULTS[name]})"
+            default = _DEFAULTS.get(name)
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))  # as the flag takes it
+            if default is not None:
+                kwargs["help"] += f" (default {default})"
             # None marks a flag not given, so the file or the default applies
             p.add_argument(*flags, dest=name, default=None, **kwargs)
     return parser
@@ -152,7 +157,7 @@ def _config_from(cls, s):
 
 
 def _load_pair(settings):
-    max_vocab = settings.get("max_vocab")
+    max_vocab = settings["max_vocab"]
     src_vocab, x = io.load_embeddings(settings["src"], max_vocab)
     trg_vocab, z = io.load_embeddings(settings["trg"], max_vocab)
     return src_vocab, x, trg_vocab, z
@@ -167,9 +172,9 @@ def _run_align(settings, out_dir):
     log.info("aligning %d x %d against %d x %d (cutoff %d)",
              x.shape[0], x.shape[1], z.shape[0], z.shape[1], cfg.cutoff(x, z))
     result = mapping.align(x, z, cfg)
-    # rebound one at a time, so each preprocessed space is dropped once mapped
-    x = result.map_src(x)
-    z = result.map_trg(z)
+    # the CLI owns the preprocessed spaces, so maps them in place, a tile at a time
+    for m, w in ((x, result.w_src), (z, result.w_trg)):
+        mapping._map_in_place(m, w, result.reweight_scale)
     os.makedirs(out_dir, exist_ok=True)
     io.save_embeddings(src_vocab, x, os.path.join(out_dir, "src_mapped.vec"))
     io.save_embeddings(trg_vocab, z, os.path.join(out_dir, "trg_mapped.vec"))
@@ -188,7 +193,7 @@ def cmd_align(settings, args):
 
 def _run_refine(cfg, x, z, pairs, src_vocab, trg_vocab, out_dir):
     """Shared by cmd_refine and cmd_pipeline; saves and returns the refined spaces."""
-    refined = refine.refine_pipeline(x, z, pairs, cfg)
+    refined = refine.refine_pipeline(x, z, pairs, cfg, copy=False)  # x, z are the CLI's own
     os.makedirs(out_dir, exist_ok=True)
     io.save_embeddings(src_vocab, refined.x_refined, os.path.join(out_dir, "src_refined.vec"))
     io.save_embeddings(trg_vocab, refined.z_refined, os.path.join(out_dir, "trg_refined.vec"))

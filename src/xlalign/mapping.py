@@ -10,8 +10,12 @@ and the final full-vocabulary refit induce in float32, VecMap's precision,
 from float32 unit copies of x W_x and z W_z that ``_unit_rows32`` builds a
 tile of rows at a time (the refit's ``induce_dictionary`` divides them again
 by their float32 norms); the solves, the objective and this module's public
-functions stay float64. The rows of each dictionary are gathered once, for
-the d x d product X_D^T Z_D that gives both its objective and the next solve.
+functions stay float64. The rows of each loop dictionary are gathered once,
+for the d x d product X_D^T Z_D that gives both its objective and the next
+solve; the refit sums that product over tiles of pairs (``_pair_sums``), as
+refinement sums its maps' products, so it never gathers the full-vocabulary
+dictionary's rows. ``_map_in_place`` maps a space the caller owns a tile of
+rows at a time, as the CLI maps its preprocessed spaces.
 
 A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
 and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
@@ -251,7 +255,7 @@ def self_learning_align(x, z, init: BilingualDictionary,
     dictionary = induce_dictionary(_unit_rows32(x, w_x), _unit_rows32(z, w_z), method="csls",
                                    directions=cfg.direction, k=csls_k_between(cfg.csls_k, x, z))
     src, trg = np.array(dictionary, dtype=np.int64).T
-    w_x, w_z, s = _symmetric_solve(x[src].T @ z[trg])
+    w_x, w_z, s = _symmetric_solve(_pair_sums(x, z, src, trg)[-1])
     return MappingResult(
         w_src=w_x, w_trg=w_z, dictionary=dictionary, objective=float(np.sum(s)) / len(src),
         iterations=iterations, converged=converged,
@@ -259,15 +263,60 @@ def self_learning_align(x, z, init: BilingualDictionary,
     )
 
 
+def _mapped_tiles(m, w):
+    """Yield (start, rows ``start`` onward of ``m @ w``), ``BLOCK_SIZE`` rows
+    a tile, each product written into one reused float64 buffer, which the
+    next tile overwrites. Tile rows may differ from those of the whole
+    product in the last bits."""
+    height = retrieval.BLOCK_SIZE
+    buf = np.empty((min(len(m), height), w.shape[1]))
+    for start in range(0, len(m), height):
+        rows = m[start : start + height]
+        yield start, np.matmul(rows, w, out=buf[: len(rows)])
+
+
+def _map_in_place(m, w, scale=None):
+    """The float64 matrix ``m`` overwritten by ``m @ w``, times ``scale`` per
+    column when given (``MappingResult.reweight_scale``), a tile of rows at a
+    time (``_mapped_tiles``), so no second space is ever held; returns ``m``."""
+    for start, rows in _mapped_tiles(m, w):
+        if scale is not None:
+            rows *= scale
+        m[start : start + len(rows)] = rows
+    return m
+
+
 def _unit_rows32(m, w):
     """Rows of ``m @ w`` scaled to unit length in float32, each rounded once
     from its float64 quotient (``retrieval._unit``); mapped and scaled a tile
-    of rows at a time, so no float64 copy of ``m @ w`` is ever whole."""
+    of rows at a time (``_mapped_tiles``), so no float64 copy of ``m @ w`` is
+    ever whole."""
     out = np.empty((len(m), w.shape[1]), dtype=np.float32)
-    for start in range(0, len(m), retrieval.BLOCK_SIZE):
-        rows = m[start : start + retrieval.BLOCK_SIZE] @ w
+    for start, rows in _mapped_tiles(m, w):
         out[start : start + len(rows)] = _unit(rows, _norms(rows), dtype=np.float32)
     return out
+
+
+# pairs per tile of ``_pair_sums``. Its height moves the sums' last bits, so it
+# is its own constant: the score tiles' height (``retrieval.BLOCK_SIZE``)
+# moves no bit of an alignment's transforms
+_PAIR_TILE = 256
+
+
+def _pair_sums(x, z, src, trg, grams=False):
+    """[X_DᵀZ_D] of the dictionary rows X_D = x[src], Z_D = z[trg], or with
+    ``grams`` [X_DᵀX_D, Z_DᵀZ_D, X_DᵀZ_D]: d x d sums over ``_PAIR_TILE``
+    pairs at a time, so no |D| x d gather of the rows is ever whole."""
+    d = x.shape[1]
+    sums = [np.zeros((d, d)) for _ in range(3 if grams else 1)]
+    for start in range(0, len(src), _PAIR_TILE):
+        span = slice(start, start + _PAIR_TILE)
+        a, b = x[src[span]], z[trg[span]]
+        if grams:
+            sums[0] += a.T @ a
+            sums[1] += b.T @ b
+        sums[-1] += a.T @ b
+    return sums
 
 
 def align(x, z, cfg: MappingConfig) -> MappingResult:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import retrieval
-from .errors import ContractError, _require_fields, _require_pairs
+from .errors import ContractError, _require_fields, _require_kind, _require_pairs
 from .io import BilingualDictionary
+from .mapping import _map_in_place, _pair_sums
 from .normalize import (
     DEFAULT_NORM_ITERS,
     DEFAULT_NORM_TOL,
@@ -58,40 +58,51 @@ class RefinedSpaces:
 
 def _fitted_maps(x, z, src, trg):
     """M_x and M_z (module docstring) of the dictionary rows x[src], z[trg],
-    from the d x d sums X_DᵀX_D, Z_DᵀZ_D and X_DᵀZ_D, gathered
-    ``BLOCK_SIZE`` pairs at a time: X_D⁺ B = (X_DᵀX_D)⁺ X_Dᵀ B, which
-    ``lstsq`` gives as the least-squares solution of least norm."""
-    d = x.shape[1]
-    g_x, g_z, c = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
-    for start in range(0, len(src), retrieval.BLOCK_SIZE):
-        span = slice(start, start + retrieval.BLOCK_SIZE)
-        a, b = x[src[span]], z[trg[span]]
-        g_x += a.T @ a
-        g_z += b.T @ b
-        c += a.T @ b
-    return [np.eye(d) + np.linalg.lstsq(g, cross - g, rcond=None)[0] / 2.0
+    from the d x d sums X_DᵀX_D, Z_DᵀZ_D and X_DᵀZ_D (``mapping._pair_sums``):
+    X_D⁺ B = (X_DᵀX_D)⁺ X_Dᵀ B, which ``lstsq`` gives as the least-squares
+    solution of least norm."""
+    g_x, g_z, c = _pair_sums(x, z, src, trg, grams=True)
+    return [np.eye(x.shape[1]) + np.linalg.lstsq(g, cross - g, rcond=None)[0] / 2.0
             for g, cross in ((g_x, c), (g_z, c.T))]
 
 
 def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
-                    cfg: RefinementConfig = RefinementConfig()) -> RefinedSpaces:
+                    cfg: RefinementConfig = RefinementConfig(), *,
+                    copy: bool = True) -> RefinedSpaces:
     """Map each space by its map fitted to every dictionary pair (module
     docstring), then re-normalize each space independently.
+
+    The maps are fitted first, from d x d sums over 256-pair tiles. Each
+    space is then mapped a tile of rows at a time and normalized in place,
+    so the call holds the two output spaces, one tile and d x d matrices.
+    With ``copy`` (the default) the outputs are new float64 copies and the
+    inputs are left unchanged. With ``copy=False``, float64 inputs are
+    overwritten and returned as the outputs, so no third space is held; other
+    inputs are cast to new float64 matrices first. Inputs that share memory
+    (each side has its own map) or are read-only are not refined in place.
 
     With ``norm_iters`` = 0 the output is the mapped spaces. A mapped row of
     zeros, as an antipodal pair gives, has no direction: normalization
     raises DegenerateInputError naming its row and its space, x_aligned or
-    z_aligned. ``cfg`` is frozen and was checked when built. Non-finite
-    input raises ContractError naming its row, spaces of different
-    dimensionality raise it naming both dimensions, and a pair that is not
-    two integer rows raises it naming the pair.
+    z_aligned. ``cfg`` is frozen and was checked when built. A ``copy`` that
+    is not a bool, non-finite input, and inputs that ``copy=False`` may not
+    overwrite raise ContractError naming the fault; so do spaces of
+    different dimensionality, naming both dimensions, and a pair that is not
+    two integer rows, naming the pair.
     """
-    x, z = _require_spaces(x_aligned, z_aligned, ("x_aligned", "z_aligned"))
+    _require_kind(copy, "copy", "a bool")
+    names = ("x_aligned", "z_aligned")
+    x, z = _require_spaces(x_aligned, z_aligned, names)
+    if not copy and (np.may_share_memory(x, z) or not (x.flags.writeable
+                                                         and z.flags.writeable)):
+        raise ContractError("copy=False needs writeable x_aligned and z_aligned "
+                            "in separate memory")
     src, trg = _require_pairs(dictionary, len(x), len(z), "dictionary pair {} is not two "
                               f"rows in [0, {len(x)}) and [0, {len(z)})").T
-    m_x, m_z = _fitted_maps(x, z, src, trg)
-    # the mapped spaces are new matrices, so normalised in place
-    x, z = x @ m_x, z @ m_z
-    reports = [_iterative_normalize_in_place(m, cfg.norm_iters, cfg.norm_tol, name)
-               for m, name in ((x, "x_aligned"), (z, "z_aligned"))]
+    m_x, m_z = _fitted_maps(x, z, src, trg)  # before the copies: its tiles and they never meet
+    if copy:
+        x, z = x.copy(), z.copy()
+    reports = [_iterative_normalize_in_place(_map_in_place(m, w), cfg.norm_iters,
+                                             cfg.norm_tol, name)
+               for m, w, name in ((x, m_x, names[0]), (z, m_z, names[1]))]
     return RefinedSpaces(x, z, len(src), *reports)

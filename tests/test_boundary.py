@@ -78,7 +78,7 @@ def test_finite_inputs_are_left_unchanged(call, dtype):
     assert (x.tobytes(), z.tobytes()) == before
 
 
-# call on the (source, target) spaces and a value of one numeric parameter, the
+# call on the (source, target) spaces and a value of one numeric or bool parameter, the
 # name its error gives that parameter, the kind the parameter must be, and
 # values of another kind
 NUMERIC = {
@@ -95,6 +95,8 @@ NUMERIC = {
                               "csls k", "an integer", [2.5, "3", True]),
     "precision_at_k-ks": (lambda x, z, v: xlalign.precision_at_k(x, z, GOLD, ks=(v,)),
                           "each of ks", "an integer", [1.5, "1", True]),
+    "refine_pipeline-copy": (lambda x, z, v: xlalign.refine_pipeline(x, z, PAIRS, copy=v),
+                             "copy", "a bool", [0, "no", None]),
 }
 
 

@@ -229,6 +229,64 @@ class TestPipeline:
             entry = text.rsplit(f"{flag} ", 1)[1].split(" --")[0]
             assert entry.endswith(f"(default {default})"), entry
 
+    def test_help_shows_ks_as_the_flag_takes_it(self, capsys):
+        # the default printed as a Python tuple, (default (1, 5, 10))
+        with pytest.raises(SystemExit):
+            cli.main(["pipeline", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "comma-separated k values (default 1,5,10)" in text
+
+    def test_flagless_manifest_records_max_vocab_as_null(self, tmp_path):
+        # the manifest left max_vocab out, so it did not say every word was loaded
+        write_corpus(tmp_path, n=12, d=4)
+        run(["pipeline", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+             "--gold", tmp_path / "gold.txt", "--out", tmp_path / "run"])
+        settings = json.loads((tmp_path / "run" / "manifest.json").read_text())["settings"]
+        assert "max_vocab" in settings and settings["max_vocab"] is None
+
+    def test_mapping_and_refinement_hold_two_spaces(self, tmp_path, monkeypatch):
+        # mapping held a third space (each preprocessed space while its product
+        # was made) and refinement a third and a fourth (the mapped spaces and
+        # their products with the refinement maps)
+        n, d = 4000, 100
+        write_corpus(tmp_path, n=n, d=d)
+        held, peaks = [], {}
+        align, refine_pipeline, save = (cli.mapping.align, cli.refine.refine_pipeline,
+                                        cli.io.save_embeddings)
+
+        def traced_align(*args):
+            result = align(*args)
+            held.append(tracemalloc.get_traced_memory()[0])  # the two spaces and the rest
+            tracemalloc.reset_peak()
+            return result
+
+        def traced_save(*args):
+            peaks.setdefault("mapping", tracemalloc.get_traced_memory()[1])
+            return save(*args)
+
+        def traced_refine(*args, **kwargs):
+            tracemalloc.reset_peak()
+            refined = refine_pipeline(*args, **kwargs)
+            peaks["refine"] = tracemalloc.get_traced_memory()[1]
+            return refined
+
+        monkeypatch.setattr(cli.mapping, "align", traced_align)
+        monkeypatch.setattr(cli.io, "save_embeddings", traced_save)
+        monkeypatch.setattr(cli.refine, "refine_pipeline", traced_refine)
+        tracemalloc.start()
+        try:
+            run(["pipeline", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+                 "--gold", tmp_path / "gold.txt", "--out", tmp_path / "run",
+                 "--vocab-cutoff", "200", *FAST])
+        finally:
+            tracemalloc.stop()
+        # above what is held once aligned: one 256-row tile (0.2 MB), and
+        # 1.5 MiB for the refinement's two 256-pair gathers and d x d sums
+        # (about 1.1 MB); a third space is 3.2 MB
+        bound = held[0] + 8 * 256 * d + 1536 * 1024
+        assert peaks.keys() == {"mapping", "refine"}
+        assert max(peaks.values()) <= bound, (held, peaks, bound)
+
     def test_eight_word_pair_at_the_default_csls_k(self, tmp_path, capsys):
         # the alignment's refit, then evaluation, raised for csls k=10 with 8
         # words: every CSLS k is capped at one less than the smaller vocabulary

@@ -449,6 +449,35 @@ class TestSelfLearningAlign:
         # orthogonality of the stored transforms is unaffected by reweighting
         assert np.max(np.abs(result.w_src.T @ result.w_src - np.eye(6))) < 1e-6
 
+    def test_refit_solve_gathers_no_dictionary_rows(self, monkeypatch):
+        # the refit's solve gathered the dictionary's rows whole, 16 |D| d
+        # bytes (|D| >= n here, so 4.8 MB or more), for X_D^T Z_D. Now it sums
+        # 256-pair tiles (about 1.1 MB at d = 100), less than the refit's two
+        # float32 unit copies (8 n d bytes, 2.4 MB) held as its induction
+        # returns and freed just after
+        n, d = 3000, 100
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+        held, peaks = [], []
+        refit, solve = mapping.induce_dictionary, mapping._symmetric_solve
+
+        def traced_refit(*args, **kwargs):
+            pairs = refit(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return pairs
+
+        def traced_solve(cross):
+            if held and not peaks:  # the solve after the refit's induction
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return solve(cross)
+
+        monkeypatch.setattr(mapping, "induce_dictionary", traced_refit)
+        monkeypatch.setattr(mapping, "_symmetric_solve", traced_solve)
+        traced_peak(mapping.self_learning_align, x, z, [(i, i) for i in range(200)],
+                    self.fast_cfg(n, vocab_cutoff=200, max_iterations=2))
+        assert len(held) == len(peaks) == 1
+        assert peaks[0] <= held[0] + 256 * 1024, (held, peaks)
+
     def test_reweighted_mapping_allocates_one_space(self):
         # map_src and map_trg scaled a copy of the mapped space, two spaces at once
         n, d = 2000, 50
@@ -461,6 +490,24 @@ class TestSelfLearningAlign:
             assert np.array_equal(map_side(x), (x @ w) * scale)
             # slack: numpy's in-place broadcast scaling buffers 8192 values
             assert traced_peak(map_side, x) <= 8 * n * d + 128 * 1024
+
+    @pytest.mark.parametrize("height", [7, 256])
+    def test_map_in_place_overwrites_with_the_mapped_space(self, height):
+        # 7-row tiles leave a 1-row tail at 1000 rows; the tile products may
+        # differ from the whole product in the last bits
+        n, d = 1000, 50
+        rng = np.random.default_rng(16)
+        x, w = rng.standard_normal((n, d)), random_orthogonal(d, rng)
+        for scale in (None, rng.uniform(0.5, 1.5, d)):
+            m = x.copy()
+            with tile_rows(height):
+                assert mapping._map_in_place(m, w, scale) is m
+                # one tile, as the matrix is mapped in place (a second space
+                # is 0.4 MB), and numpy's buffer of 8192 values for scaling
+                assert traced_peak(mapping._map_in_place, x.copy(), w, scale) <= (
+                    8 * height * d + 128 * 1024)
+            expected = x @ w if scale is None else (x @ w) * scale
+            np.testing.assert_allclose(m, expected, rtol=0, atol=1e-12)
 
 
 class TestNonFiniteInput:

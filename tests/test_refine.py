@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from xlalign import refine
+from xlalign import mapping, refine
 from xlalign.errors import ContractError, DegenerateInputError
 from xlalign.normalize import iterative_normalize, preprocess
 
@@ -89,6 +89,36 @@ class TestRefinePipeline:
         peak = traced_peak(refine.refine_pipeline, x, z, pairs)
         assert peak < 16 * n * d + 16 * 256 * d + 256 * 1024
 
+    def test_copy_false_refines_the_inputs_in_place(self):
+        # the in-place path the CLI takes maps each space a tile at a time, so
+        # its rows may differ from the copies' in the last bits
+        rng = np.random.default_rng(10)
+        x = preprocess(rng.standard_normal((700, 20)))
+        z = preprocess(rng.standard_normal((600, 20)))
+        pairs = list(zip(rng.integers(0, 700, 500).tolist(), rng.integers(0, 600, 500).tolist()))
+        before = x.tobytes(), z.tobytes()
+        copied = refine.refine_pipeline(x, z, pairs)
+        assert (x.tobytes(), z.tobytes()) == before  # copy=True leaves its inputs unchanged
+        in_place = refine.refine_pipeline(x, z, pairs, copy=False)
+        assert in_place.x_refined is x and in_place.z_refined is z
+        np.testing.assert_allclose(x, copied.x_refined, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z, copied.z_refined, rtol=0, atol=1e-12)
+        assert in_place.x_norm_report == copied.x_norm_report
+        assert in_place.z_norm_report == copied.z_norm_report
+
+    def test_copy_false_needs_spaces_it_may_overwrite(self):
+        # one array as both spaces would be mapped by M_x, then by M_z
+        x = np.random.default_rng(11).standard_normal((10, 3))
+        pairs = [(0, 1), (2, 3)]
+        with pytest.raises(ContractError, match="^copy=False needs writeable"):
+            refine.refine_pipeline(x, x[::-1], pairs, copy=False)
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        with pytest.raises(ContractError, match="^copy=False needs writeable"):
+            refine.refine_pipeline(x, frozen, pairs, copy=False)
+        out = refine.refine_pipeline(x, frozen, pairs)  # copies: allowed
+        assert out.z_refined is not frozen
+
     def test_matches_literal_oracle(self):
         # three pairs in four dimensions: the dictionary rows have rank 3
         rng = np.random.default_rng(4)
@@ -113,7 +143,8 @@ class TestRefinePipeline:
         pairs = list(zip(rng.integers(0, len(x), n_pairs).tolist(),
                          rng.integers(0, len(z), n_pairs).tolist()))
         cfg = refine.RefinementConfig(norm_iters=5, norm_tol=1e-6)
-        with tile_rows(height):
+        with tile_rows(height), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mapping, "_PAIR_TILE", height)  # the maps' sums
             out = refine.refine_pipeline(x, z, pairs, cfg)
         ox, oz = refine_literal(x, z, pairs, norm_iters=5, tol=1e-6)
         np.testing.assert_allclose(out.x_refined, ox, atol=1e-9)
