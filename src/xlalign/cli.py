@@ -167,10 +167,11 @@ def _run_align(settings, out_dir):
     """Shared by cmd_align and cmd_pipeline; returns mapped artifacts."""
     cfg = _config_from(mapping.MappingConfig, settings)  # checked: fails before loading
     src_vocab, x, trg_vocab, z = _load_pair(settings)
+    cutoff = cfg.cutoff(x, z)  # a space under 2 words fails before preprocessing
     x = normalize.preprocess(x)
     z = normalize.preprocess(z)
     log.info("aligning %d x %d against %d x %d (cutoff %d)",
-             x.shape[0], x.shape[1], z.shape[0], z.shape[1], cfg.cutoff(x, z))
+             x.shape[0], x.shape[1], z.shape[0], z.shape[1], cutoff)
     result = mapping.align(x, z, cfg)
     # the CLI owns the preprocessed spaces, so maps them in place, a tile at a time
     for m, w in ((x, result.w_src), (z, result.w_trg)):
@@ -242,13 +243,30 @@ def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
     return report
 
 
+def _load_baseline(run_dir):
+    """The system name and ``EvalReport`` that ``run_dir``/eval.json holds;
+    an error naming the file where it is missing, is not JSON, or lacks a key."""
+    path = os.path.join(run_dir, "eval.json")
+    with open(path, encoding="utf-8") as fh:  # FileNotFoundError names the path
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} is not JSON: {e}") from None
+    fields = [f.name for f in dataclasses.fields(evaluate.EvalReport)]
+    for key in ("name", *fields):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError(f"{path} has no key {key!r}")
+    if not isinstance(payload["precision_at"], dict):
+        raise ValueError(f"{path}: 'precision_at' is not an object")
+    return payload["name"], evaluate.EvalReport(**{key: payload[key] for key in fields})
+
+
 def cmd_evaluate(settings, args):
+    baseline = _load_baseline(args.compare) if args.compare else None  # before any evaluation
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     report = _run_evaluate(settings, x, z, src_vocab, trg_vocab, settings.get("out"))
-    if args.compare:
-        with open(os.path.join(args.compare, "eval.json"), encoding="utf-8") as fh:
-            payload = json.load(fh)
-        base_name, base_report = payload.pop("name"), evaluate.EvalReport(**payload)
+    if baseline:
+        base_name, base_report = baseline
         name = settings["name"]
         if base_name == name:
             base_name += "-baseline"

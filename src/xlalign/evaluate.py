@@ -7,7 +7,9 @@ appears among the k highest-scoring target words. Retrieval is forward only
 Ranks are counted, not sorted: in a score row s, target j has rank
 #{i : s_i > s_j} + #{i < j : s_i = s_j}, its position in a stable descending
 sort of the row, so equal scores go to the lowest index. A source hits at k
-when its best-ranked gold target has rank < k. CSLS ranks by cos - rS/2, the
+when its best-ranked gold target has rank < k: its highest-scoring one, the
+lowest index among equal scores, so each score tile is ranked once, for one
+target per source, whatever the gold lists. CSLS ranks by cos - rS/2, the
 rank-only score of ``retrieval`` (its module docstring): the query penalty is
 the same along a row, so evaluation makes one ``_knn_means`` pass for rS, as
 a forward induction does, and ranks by the same scores.
@@ -66,15 +68,15 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
     _check_method([(x, z)], method, csls_k)
     norms = _norms(x), _norms(z)
     shift = _knn_means(z, x, norms[::-1], csls_k) / 2.0 if method == "csls" else None
-    best = np.full(len(sources), z.shape[0])  # no rank: a miss at every k
+    best = np.empty(len(sources), dtype=np.int64)
     for start, block in _score_blocks(x, z, sources, shift, norms):
-        rows = slice(start, start + block.shape[0])
-        rank, count, target = best[rows], counts[rows], targets[rows]
-        np.minimum(rank, _ranks(block, target[:, 0]), out=rank, where=count > 0)
-        for depth in range(1, targets.shape[1]):
-            sel = np.flatnonzero(count > depth)
-            rank[sel] = np.minimum(rank[sel], _ranks(block[sel], target[sel, depth]))
+        target = targets[start : start + len(block)]
+        # each source's best-ranked gold target, the first of its highest scores
+        pick = np.take_along_axis(block, target, axis=1).argmax(axis=1)[:, None]
+        top = np.take_along_axis(target, pick, axis=1)[:, 0]
+        best[start : start + len(block)] = _ranks(block, top)
         del block
+    best[counts == 0] = z.shape[0]  # no gold target: a miss at every k
     n = len(sources)
     return EvalReport(
         precision_at={k: int(np.count_nonzero(best < k)) / n for k in ks},
@@ -84,9 +86,10 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
 
 
 def _gold_arrays(gold, n_sources, n_targets):
-    """Sorted gold sources, their sorted targets as rows padded with 0, and
-    each source's target count; ContractError naming the first source or
-    target outside its space."""
+    """Sorted gold sources, their sorted targets as rows, each padded with its
+    first (lowest) target (a row of no targets with 0), and each source's
+    target count; ContractError naming the first source or target outside its
+    space."""
     sources = sorted(gold.entries)
     counts = np.array([len(gold.entries[s]) for s in sources])
     targets = np.zeros((len(sources), max(counts.max(), 1)), dtype=np.int64)
@@ -100,6 +103,7 @@ def _gold_arrays(gold, n_sources, n_targets):
                     f"gold target {t} of source {s} out of range for {n_targets} target rows"
                 )
         targets[row, : len(listed)] = listed
+        targets[row, len(listed) :] = targets[row, 0]  # padding that is no other target
     return np.array(sources, dtype=np.int64), targets, counts
 
 

@@ -10,12 +10,12 @@ and the final full-vocabulary refit induce in float32, VecMap's precision,
 from float32 unit copies of x W_x and z W_z that ``_unit_rows32`` builds a
 tile of rows at a time (the refit's ``induce_dictionary`` divides them again
 by their float32 norms); the solves, the objective and this module's public
-functions stay float64. The rows of each loop dictionary are gathered once,
-for the d x d product X_D^T Z_D that gives both its objective and the next
-solve; the refit sums that product over tiles of pairs (``_pair_sums``), as
-refinement sums its maps' products, so it never gathers the full-vocabulary
-dictionary's rows. ``_map_in_place`` maps a space the caller owns a tile of
-rows at a time, as the CLI maps its preprocessed spaces.
+functions stay float64. Each loop dictionary's d x d product X_D^T Z_D gives
+both its objective and the next solve. The loop, the refit and refinement
+all sum their products over tiles of pairs (``_pair_sums``), so no
+dictionary's rows are ever gathered whole. ``_map_in_place`` maps a space
+the caller owns a tile of rows at a time, as the CLI maps its preprocessed
+spaces.
 
 A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
 and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
@@ -90,15 +90,22 @@ class MappingResult:
     reweight_scale: np.ndarray | None = field(default=None, repr=False)
 
     def map_src(self, x):
-        mapped = np.asarray(x) @ self.w_src
-        if self.reweight_scale is not None:
-            mapped *= self.reweight_scale  # in place: one mapped space, not two
-        return mapped
+        return self._map(x, self.w_src, "x")
 
     def map_trg(self, z):
-        mapped = np.asarray(z) @ self.w_trg
+        return self._map(z, self.w_trg, "z")
+
+    def _map(self, m, w, name):
+        """A new float64 space ``m @ w``, scaled under ``reweight``. Non-finite
+        input raises ContractError naming its row, and rows of another
+        dimensionality than ``w`` raise it naming both dimensions."""
+        m = _require_finite(m, name)
+        if m.shape[1] != w.shape[0]:
+            raise ContractError(f"dimension mismatch: {name} d={m.shape[1]}, "
+                                f"transform d={w.shape[0]}")
+        mapped = m @ w
         if self.reweight_scale is not None:
-            mapped *= self.reweight_scale
+            mapped *= self.reweight_scale  # in place: one mapped space, not two
         return mapped
 
 
@@ -227,13 +234,12 @@ def self_learning_align(x, z, init: BilingualDictionary,
     stall = 0
     converged = False
 
-    cross = xc[src].T @ zc[trg]
+    cross = _pair_sums(xc, zc, src, trg)[-1]
     for iterations in range(1, cfg.max_iterations + 1):
         w_x, w_z, _ = _symmetric_solve(cross)
         pairs = _induce(_unit_rows32(xc, w_x), _unit_rows32(zc, w_z), "csls", k,
                         cfg.direction, keep_prob, rng, norms=(None, None))
-        src, trg = pairs.T
-        cross = xc[src].T @ zc[trg]
+        cross = _pair_sums(xc, zc, *pairs.T)[-1]
         objective = float(np.sum(w_x * (cross @ w_z))) / len(pairs)
         if not np.isfinite(objective):
             raise NumericalError(f"non-finite objective at iteration {iterations}")
@@ -306,7 +312,8 @@ _PAIR_TILE = 256
 def _pair_sums(x, z, src, trg, grams=False):
     """[X_DᵀZ_D] of the dictionary rows X_D = x[src], Z_D = z[trg], or with
     ``grams`` [X_DᵀX_D, Z_DᵀZ_D, X_DᵀZ_D]: d x d sums over ``_PAIR_TILE``
-    pairs at a time, so no |D| x d gather of the rows is ever whole."""
+    pairs at a time, so no |D| x d gather of the rows is ever whole. The one
+    product of dictionary rows: the loop, the refit and refinement call it."""
     d = x.shape[1]
     sums = [np.zeros((d, d)) for _ in range(3 if grams else 1)]
     for start in range(0, len(src), _PAIR_TILE):

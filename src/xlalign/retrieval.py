@@ -6,7 +6,9 @@ tie-breaking is lowest-index-wins. Every score in the package (CSLS penalties,
 induction, evaluation, the unsupervised init's similarities) comes from one
 loop over fixed-size query row blocks, ``_score_blocks``, so no n x n score
 matrix is ever built; the init keeps one n x n float32 matrix, the sorted
-target similarities, as its candidates.
+target similarities, as its candidates. The one whole-matrix scorer is the
+public ``cosine_block``, which no layer calls: it is kept as the plain
+reference that tests compare the blocked scores against.
 ``_score_blocks``, ``_knn_means``, ``_induce`` and the argmax helpers score
 in their candidates' dtype; only the public functions cast, to float64
 (``_require_finite``), and ``induce_dictionary`` keeps two float32 spaces as

@@ -22,10 +22,13 @@ GOLD = GoldDictionary({i: {i} for i in range(N)}, 0)
 PAIRS = [(0, 0), (1, 1)]  # the bad row is in none: refinement used to copy its NaN out
 BAD_ROW = 7
 WORDS = xlalign.Vocabulary([f"w{i}" for i in range(N)])
+# d = 4 transforms, scaled as under reweight
+_ROT = np.eye(4)[::-1]
+MAPPED = xlalign.MappingResult(_ROT, _ROT.T, PAIRS, 1.0, 1, True, np.full(4, 0.5))
 
 # call on the (source, target) spaces, and the names its errors give them;
-# nn_retrieve takes one score matrix, and the normalize functions and
-# save_embeddings one space
+# nn_retrieve takes one score matrix, the normalize functions, save_embeddings
+# and map_src one space, and map_trg the target space
 BOUNDARY = {
     "align": (lambda x, z: xlalign.align(x, z, CFG), "x", "z"),
     "unsupervised_init": (lambda x, z: xlalign.unsupervised_init(x, z, CFG), "x", "z"),
@@ -45,6 +48,8 @@ BOUNDARY = {
                             "x_space", "z_space"),
     "refine_pipeline": (lambda x, z: xlalign.refine_pipeline(x, z, PAIRS),
                         "x_aligned", "z_aligned"),
+    "map_src": (lambda x, z: MAPPED.map_src(x), "x", None),
+    "map_trg": (lambda x, z: MAPPED.map_trg(z), None, "z"),
     "length_normalize": (lambda x, z: xlalign.length_normalize(x), "emb", None),
     "mean_center": (lambda x, z: xlalign.mean_center(x), "emb", None),
     "iterative_normalize": (lambda x, z: xlalign.iterative_normalize(x), "emb", None),
@@ -111,6 +116,15 @@ def test_numeric_parameter_of_another_kind(call, value):
     message = f"{name} must be {kind}, got {value!r}"
     with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
         run(x, z, value)
+
+
+@pytest.mark.parametrize("side", ["x", "z"])
+def test_mapping_rows_of_another_dimension(side):
+    # a (3, 5) space raised numpy's matmul ValueError against a d = 4 transform
+    map_side = MAPPED.map_src if side == "x" else MAPPED.map_trg
+    message = f"dimension mismatch: {side} d=5, transform d=4"
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        map_side(np.ones((3, 5)))
 
 
 def test_finite_check_makes_no_copy_of_the_matrix():

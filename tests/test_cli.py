@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,19 @@ class TestAlign:
                     "--out", tmp_path / "run", "--max-iterations", "0"])
         assert code == 1
         assert "max_iterations must be >= 1" in caplog.text
+
+    def test_space_under_two_words_fails_before_preprocessing(self, tmp_path, caplog):
+        # preprocessing warned of the zero row that centring one word leaves,
+        # before the alignment rejected the space
+        write_corpus(tmp_path)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run(["align", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+                        "--out", tmp_path / "run", "--max-vocab", "1"])
+        assert code == 1
+        assert "alignment needs 2 rows per space, got x 1, z 1" in caplog.text
+        assert [str(w.message) for w in seen] == []
+        assert not (tmp_path / "run").exists()
 
     def test_missing_input_exits_1(self, tmp_path, caplog):
         code = run(["align", "--src", tmp_path / "nope.vec", "--trg", tmp_path / "nope2.vec",
@@ -174,6 +188,34 @@ class TestEvaluate:
         for row, name in zip(table[1:], ("system", "baseline")):
             cells = row.split()
             assert cells[0] == name and cells[2::2] == ["+0.00"] * 3
+
+    @pytest.mark.parametrize("payload, error", [
+        (None, "No such file or directory: '{}'"),
+        ('{"precision_at": {"1": 0.5}, "evaluated_sources": 2, "oov_sources": 0}',
+         "{} has no key 'name'"),
+        ('{"name": "b", "precision_at": {"1": 0.5}, "oov_sources": 0}',
+         "{} has no key 'evaluated_sources'"),
+        ('["name"]', "{} has no key 'name'"),
+        ('{"name": "b", "precision_at": [0.5], "evaluated_sources": 2, "oov_sources": 0}',
+         "{}: 'precision_at' is not an object"),
+        ('{"name": ', "{} is not JSON: "),
+    ], ids=["missing", "no-name", "no-evaluated-sources", "not-an-object", "list-precision",
+            "not-json"])
+    def test_bad_baseline_fails_before_evaluating(self, tmp_path, capsys, caplog, payload, error):
+        # a baseline without "name" ended in the error "'name'", after the
+        # results were printed and eval.json was written
+        write_corpus(tmp_path, seed=1)
+        base = tmp_path / "base"
+        base.mkdir()
+        if payload is not None:
+            (base / "eval.json").write_text(payload)
+        code = run(["evaluate", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+                    "--gold", tmp_path / "gold.txt", "--out", tmp_path / "run",
+                    "--compare", base])
+        assert code == 1
+        assert error.format(base / "eval.json") in caplog.text
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "run").exists()
 
 
 class TestPipeline:

@@ -144,6 +144,20 @@ class TestPrecisionAtK:
         assert peak < 8 * block * n + 256 * 1024
 
     @pytest.mark.parametrize("method", ["nn", "csls"])
+    def test_peak_memory_one_score_tile_with_three_gold_targets(self, method):
+        # one 256-row tile with its scaled query rows (8 . 256 (n + d)), as
+        # for single-target gold; ranking each further gold target copied
+        # the tile's rows, 8 . 256 n = 4.1 MB more
+        n, d = 2000, 100
+        x, z, rows = make_rotated_pair(n=n, d=d, seed=7)
+        gold = GoldDictionary({i: {int(rows[i]), (i * 7) % n, (i * 13 + 1) % n}
+                               for i in range(n)}, 0)
+        kwargs = dict(ks=(1, 10), method=method, csls_k=10)
+        evaluate.precision_at_k(x, z, gold, **kwargs)  # lazy imports are not the call's
+        peak = traced_peak(evaluate.precision_at_k, x, z, gold, **kwargs)
+        assert peak < 8 * 256 * (n + d) + 64 * n + 256 * 1024
+
+    @pytest.mark.parametrize("method", ["nn", "csls"])
     def test_dimension_mismatch(self, method):
         # nn used to reach the first block product and raise numpy's matmul error
         gold = GoldDictionary({i: {i} for i in range(3)}, 0)

@@ -432,8 +432,9 @@ class TestSelfLearningAlign:
         # at n = 4 cutoff the full-vocabulary refit sets the peak: a float32
         # unit copy of each side (8 n d bytes) and one float32 score tile with
         # its query rows (4 . 256 (n + d)); the slack holds the 8-row pick
-        # copies and the penalties. The solve's gather is 2.3 MB here. A
-        # float64 mapped space is 8 n d more (0.8 MB), a float64 tile 2 MB
+        # copies and the penalties. A whole gather of the dictionary's rows
+        # for the solve was 2.3 MB here. A float64 mapped space is 8 n d more
+        # (0.8 MB), a float64 tile 2 MB
         n, d = 2000, 50
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg, init = self.fast_cfg(n // 4), [(i, i) for i in range(n // 4)]
@@ -476,6 +477,35 @@ class TestSelfLearningAlign:
         traced_peak(mapping.self_learning_align, x, z, [(i, i) for i in range(200)],
                     self.fast_cfg(n, vocab_cutoff=200, max_iterations=2))
         assert len(held) == len(peaks) == 1
+        assert peaks[0] <= held[0] + 256 * 1024, (held, peaks)
+
+    def test_loop_solve_gathers_no_dictionary_rows(self, monkeypatch):
+        # each loop iteration gathered its dictionary's rows whole, 16 |D| d
+        # bytes (|D| >= n here, so 4.8 MB or more), for X_D^T Z_D. Now it sums
+        # 256-pair tiles, as the refit does, in less than the loop's two
+        # float32 unit copies (8 n d bytes, 2.4 MB) held as its induction
+        # returns and freed just after
+        n, d = 3000, 100
+        x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
+        held, peaks = [], []
+        induce, solve = mapping._induce, mapping._symmetric_solve
+
+        def traced_induce(*args, **kwargs):
+            pairs = induce(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return pairs
+
+        def traced_solve(cross):
+            if held and not peaks:  # the solve after the first loop induction
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            return solve(cross)
+
+        monkeypatch.setattr(mapping, "_induce", traced_induce)
+        monkeypatch.setattr(mapping, "_symmetric_solve", traced_solve)
+        traced_peak(mapping.self_learning_align, x, z, [(i, i) for i in range(n)],
+                    self.fast_cfg(n, max_iterations=2))
+        assert len(held) == 2 and len(peaks) == 1
         assert peaks[0] <= held[0] + 256 * 1024, (held, peaks)
 
     def test_reweighted_mapping_allocates_one_space(self):
