@@ -74,14 +74,10 @@ _SETTINGS = {
 }
 # config-file keys; the other flags are not settings, so not in the manifest
 _INI_KEYS = _SETTINGS.keys() - {"config", "verbose", "compare"}
-# settings whose config field has another name
-_FIELD_ALIASES = {"keep_prob": "keep_prob_initial"}
-_SETTING_OF_FIELD = {field: key for key, field in _FIELD_ALIASES.items()}
 # each setting's default, which --help shows and the manifest records: its
-# config field's, under the setting's name, else its "default"
+# config field's, which has the setting's name, else its "default"
 _DEFAULTS = {key: spec["default"] for key, spec in _SETTINGS.items() if "default" in spec}
-_DEFAULTS.update((_SETTING_OF_FIELD.get(f.name, f.name), f.default)
-                 for cls in (mapping.MappingConfig, refine.RefinementConfig)
+_DEFAULTS.update((f.name, f.default) for cls in (mapping.MappingConfig, refine.RefinementConfig)
                  for f in dataclasses.fields(cls))
 
 _IO = ("src", "trg", "out", "config", "max_vocab", "verbose")
@@ -152,8 +148,7 @@ def resolve_settings(args):
 
 def _config_from(cls, s):
     """The config dataclass ``cls`` with each field taken from its setting in ``s``."""
-    return cls(**{f.name: s[_SETTING_OF_FIELD.get(f.name, f.name)]
-                  for f in dataclasses.fields(cls)})
+    return cls(**{f.name: s[f.name] for f in dataclasses.fields(cls)})
 
 
 def _load_pair(settings):

@@ -13,9 +13,11 @@ by their float32 norms); the solves, the objective and this module's public
 functions stay float64. Each loop dictionary's d x d product X_D^T Z_D gives
 both its objective and the next solve. The loop, the refit and refinement
 all sum their products over tiles of pairs (``_pair_sums``), so no
-dictionary's rows are ever gathered whole. ``_map_in_place`` maps a space
-the caller owns a tile of rows at a time, as the CLI maps its preprocessed
-spaces.
+dictionary's rows are ever gathered whole. ``_mapped_tiles`` is the one
+product of a space and a transform: ``_map_in_place`` maps a space the
+caller owns a tile of rows at a time, as the CLI maps its preprocessed
+spaces, and ``MappingResult.map_src``/``map_trg`` map a float64 copy the
+same way, so the library and the CLI give the same bits.
 
 A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
 and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
@@ -41,7 +43,7 @@ from .retrieval import (
 class MappingConfig:
     vocab_cutoff: int = 20000
     csls_k: int = DEFAULT_CSLS_K
-    keep_prob_initial: float = 0.1
+    keep_prob: float = 0.1  # the loop's first similarity keep probability
     stall_patience: int = 50
     max_iterations: int = 10000
     direction: str = "union"  # one of retrieval.DIRECTIONS
@@ -51,15 +53,16 @@ class MappingConfig:
     def __post_init__(self):
         _require_fields(self, "an integer", "vocab_cutoff", "csls_k", "stall_patience",
                         "max_iterations", "seed")
-        _require_fields(self, "a real number", "keep_prob_initial")
+        _require_fields(self, "a real number", "keep_prob")
         _require_fields(self, "a bool", "reweight")
         for ok, rule in (
             (self.vocab_cutoff >= 2, "vocab_cutoff must be >= 2"),
             (self.csls_k >= 1, "csls_k must be >= 1"),
-            (0.0 < self.keep_prob_initial <= 1.0, "keep_prob_initial must be in (0, 1]"),
+            (0.0 < self.keep_prob <= 1.0, "keep_prob must be in (0, 1]"),
             (self.direction in retrieval.DIRECTIONS, f"unknown direction {self.direction!r}"),
             (self.stall_patience >= 1, "stall_patience must be >= 1"),
             (self.max_iterations >= 1, "max_iterations must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
         ):
             if not ok:
                 raise ContractError(rule)
@@ -96,16 +99,20 @@ class MappingResult:
         return self._map(z, self.w_trg, "z")
 
     def _map(self, m, w, name):
-        """A new float64 space ``m @ w``, scaled under ``reweight``. Non-finite
-        input raises ContractError naming its row, and rows of another
+        """A new float64 space ``m @ w``, scaled under ``reweight``: a copy of
+        ``m`` in C order (BLAS rounds another layout's rows differently),
+        mapped in place (``_map_in_place``), bit for bit the CLI's mapped
+        space, then scaled whole once its tile is freed, as scaling each tile
+        would hold numpy's broadcast buffer beside the tile. Non-finite input
+        raises ContractError naming its row, and rows of another
         dimensionality than ``w`` raise it naming both dimensions."""
-        m = _require_finite(m, name)
-        if m.shape[1] != w.shape[0]:
-            raise ContractError(f"dimension mismatch: {name} d={m.shape[1]}, "
+        mapped = _require_finite(np.array(m, dtype=np.float64, order="C"), name)
+        if mapped.shape[1] != w.shape[0]:
+            raise ContractError(f"dimension mismatch: {name} d={mapped.shape[1]}, "
                                 f"transform d={w.shape[0]}")
-        mapped = m @ w
+        _map_in_place(mapped, w)
         if self.reweight_scale is not None:
-            mapped *= self.reweight_scale  # in place: one mapped space, not two
+            mapped *= self.reweight_scale
         return mapped
 
 
@@ -160,9 +167,11 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
     the source side is built, sorted and scored one row block at a time, and
     one product per block answers both directions, 256 rows a block. Peak
     memory is about 4 (cutoff² + 3 · 256 · cutoff) bytes: 1.7 GB at cutoff
-    20000 (the cutoff is ``cfg.cutoff``). Non-finite input raises ContractError naming its row.
+    20000 (the cutoff is ``cfg.cutoff``). Non-finite input raises ContractError
+    naming its row, and spaces of different dimensionality raise it naming both
+    dimensions.
     """
-    x, z = _require_finite(x, "x"), _require_finite(z, "z")
+    x, z = _require_spaces(x, z, ("x", "z"))
     cutoff = cfg.cutoff(x, z)
     xc, zc = x[:cutoff], z[:cutoff]
     mz = np.empty((cutoff, cutoff), dtype=np.float32)
@@ -229,7 +238,7 @@ def self_learning_align(x, z, init: BilingualDictionary,
     k = csls_k_between(cfg.csls_k, xc, zc)
     rng = np.random.default_rng(cfg.seed)
 
-    keep_prob = cfg.keep_prob_initial
+    keep_prob = cfg.keep_prob
     best_objective = -np.inf
     stall = 0
     converged = False
@@ -273,7 +282,8 @@ def _mapped_tiles(m, w):
     """Yield (start, rows ``start`` onward of ``m @ w``), ``BLOCK_SIZE`` rows
     a tile, each product written into one reused float64 buffer, which the
     next tile overwrites. Tile rows may differ from those of the whole
-    product in the last bits."""
+    product in the last bits, so this is the package's one product of a
+    space and a transform."""
     height = retrieval.BLOCK_SIZE
     buf = np.empty((min(len(m), height), w.shape[1]))
     for start in range(0, len(m), height):

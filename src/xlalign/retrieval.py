@@ -54,10 +54,12 @@ cos - rT/2. Halving is exact in binary, so these order bit for bit like
 2 cos - r. Each penalty is computed once, and only the ones the directions
 rank by, each in its own ``_knn_means`` pass before the scoring pass that
 ranks by it: evaluation (forward only) and ``csls_retrieve`` (the forward
-induction's picks) make the same two passes. The one exception is a union
-induction (``_induce``), which shares one product between the directions:
-the uz·uxᵀ tile that gives the backward picks also gives the rS the forward
-picks need, so it makes three score products, not four. Induction also owns
+induction's picks, for every source row: the penalties take in every row,
+so a caller wanting some rows indexes the list) make the same two passes.
+The one exception is a union induction (``_induce``), which shares one
+product between the directions: the uz·uxᵀ tile that gives the backward
+picks also gives the rS the forward picks need, so it makes three score
+products, not four. Induction also owns
 the self-learning loop's similarity dropout (its docstring).
 """
 from __future__ import annotations
@@ -263,28 +265,14 @@ def _check_method(sides, method, k):
             )
 
 
-def _query_rows(query_indices, n):
-    """``query_indices`` as an int64 array; ContractError unless it lists
-    integers in [0, n), naming the first that is not."""
-    rows = np.asarray(query_indices)
-    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-        raise ContractError("query_indices must be a sequence of integers")
-    bad = np.flatnonzero((rows < 0) | (rows >= n))
-    if bad.size:
-        raise ContractError(
-            f"query index {rows[bad[0]]} (entry {bad[0]}) out of range for {n} query rows"
-        )
-    return rows.astype(np.int64)
-
-
-def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K, query_indices=None):
-    """The forward CSLS induction's picks (``_induce``) at the rows
-    ``query_indices``, in their order (default: every row); ties go to the
-    lowest index. Non-finite input, a dimension mismatch, a bad k and a query
-    index out of range raise ContractError before any score product."""
+def csls_retrieve(x_mapped, z_mapped, k=DEFAULT_CSLS_K):
+    """The forward CSLS induction's picks (``_induce``), one per row of
+    ``x_mapped`` in row order; ties go to the lowest index. A row's pick does
+    not depend on which rows a caller reads, so a caller indexes the list.
+    Non-finite input, a dimension mismatch and a bad k raise ContractError
+    before any score product."""
     x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"))
-    rows = slice(None) if query_indices is None else _query_rows(query_indices, len(x))
-    return _induce(x, z, "csls", k, "forward")[rows, 1].tolist()
+    return _induce(x, z, "csls", k, "forward")[:, 1].tolist()
 
 
 def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,

@@ -62,6 +62,17 @@ class TestAlign:
         assert code == 1
         assert "max_iterations must be >= 1" in caplog.text
 
+    @pytest.mark.parametrize("command", ["align", "pipeline"])
+    def test_negative_seed_exits_1_before_loading(self, command, tmp_path, caplog,
+                                                  monkeypatch):
+        # numpy's "expected non-negative integer" came only after the init had run
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        gold = ["--gold", "c"] if command == "pipeline" else []
+        code = run([command, "--src", "a", "--trg", "b", *gold, "--out", tmp_path / "run",
+                    "--seed", "-1"])
+        assert code == 1
+        assert "seed must be >= 0" in caplog.text
+
     def test_space_under_two_words_fails_before_preprocessing(self, tmp_path, caplog):
         # preprocessing warned of the zero row that centring one word leaves,
         # before the alignment rejected the space
@@ -219,6 +230,44 @@ class TestEvaluate:
 
 
 class TestPipeline:
+    def test_library_sequence_gives_the_pipeline_bits(self, tmp_path, monkeypatch):
+        # map_src and map_trg took the whole product m @ w while the CLI maps
+        # 256 rows at a time: at 600 x 50 the two differed in the last bits
+        write_corpus(tmp_path, n=600, d=50)
+        src, trg, gold_path = (str(tmp_path / name) for name in ("src.vec", "trg.vec", "gold.txt"))
+        saved, reports = {}, []
+        save, score = xlalign.io.save_embeddings, xlalign.evaluate.precision_at_k
+
+        def spy_save(vocab, emb, path):
+            saved[os.path.basename(path)] = emb.copy()  # refined in place after the save
+            return save(vocab, emb, path)
+
+        monkeypatch.setattr(xlalign.io, "save_embeddings", spy_save)
+        monkeypatch.setattr(xlalign.evaluate, "precision_at_k",
+                            lambda *a, **kw: reports.append(score(*a, **kw)) or reports[-1])
+        run(["pipeline", "--src", src, "--trg", trg, "--gold", gold_path,
+             "--out", tmp_path / "run", "--stall-patience", "3", "--reweight"])
+        monkeypatch.undo()
+
+        # README "Library"
+        src_vocab, x = xlalign.load_embeddings(src)
+        trg_vocab, z = xlalign.load_embeddings(trg)
+        x, z = xlalign.preprocess(x), xlalign.preprocess(z)
+        result = xlalign.align(x, z, xlalign.MappingConfig(stall_patience=3, reweight=True))
+        xw, zw = result.map_src(x), result.map_trg(z)
+        mapped = xw.copy(), zw.copy()
+        refined = xlalign.refine_pipeline(xw, zw, result.dictionary, copy=False)
+        gold = xlalign.load_gold_dictionary(gold_path, src_vocab, trg_vocab)
+        report = xlalign.precision_at_k(refined.x_refined, refined.z_refined, gold,
+                                        ks=(1, 5, 10), method="csls")
+
+        expected = dict(zip(("src_mapped.vec", "trg_mapped.vec", "src_refined.vec",
+                             "trg_refined.vec"), (*mapped, refined.x_refined, refined.z_refined)))
+        assert saved.keys() == expected.keys()
+        for name, emb in expected.items():
+            assert saved[name].tobytes() == emb.tobytes(), name
+        assert reports == [report]
+
     def test_end_to_end(self, tmp_path, capsys, monkeypatch, caplog):
         caplog.set_level(logging.INFO, logger="xlalign")
         write_corpus(tmp_path)
@@ -257,15 +306,14 @@ class TestPipeline:
         settings = json.loads((tmp_path / "run" / "manifest.json").read_text())["settings"]
         for cls in (MappingConfig, RefinementConfig):
             for field in dataclasses.fields(cls):
-                key = {"keep_prob_initial": "keep_prob"}.get(field.name, field.name)
-                assert settings[key] == field.default, key
+                assert settings[field.name] == field.default, field.name
 
     def test_help_shows_config_defaults(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["pipeline", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         for flag, default in (("--vocab-cutoff", MappingConfig.vocab_cutoff),
-                              ("--keep-prob", MappingConfig.keep_prob_initial),
+                              ("--keep-prob", MappingConfig.keep_prob),
                               ("--norm-iters", RefinementConfig.norm_iters)):
             # the flag's entry below the usage line, up to the next flag
             entry = text.rsplit(f"{flag} ", 1)[1].split(" --")[0]
@@ -434,9 +482,7 @@ class TestConfigFile:
         }
         defaults = {f.name: f.default for cls in (MappingConfig, RefinementConfig)
                     for f in dataclasses.fields(cls)}
-        exposed = {key for key in cli._INI_KEYS
-                   if cli._FIELD_ALIASES.get(key, key) in defaults}
-        assert exposed == set(values)
+        assert cli._INI_KEYS & defaults.keys() == set(values)
         config = tmp_path / "run.ini"
         config.write_text("[run]\n" + "".join(
             f"{key.replace('_', '-')} = {value}\n" for key, value in values.items()))
@@ -445,10 +491,9 @@ class TestConfigFile:
         mapping_cfg = cli._config_from(MappingConfig, settings)
         refine_cfg = cli._config_from(RefinementConfig, settings)
         for key, value in values.items():
-            name = cli._FIELD_ALIASES.get(key, key)
-            cfg = mapping_cfg if hasattr(mapping_cfg, name) else refine_cfg
-            assert defaults[name] != value
-            assert getattr(cfg, name) == value, key
+            cfg = mapping_cfg if hasattr(mapping_cfg, key) else refine_cfg
+            assert defaults[key] != value
+            assert getattr(cfg, key) == value, key
 
     def test_unknown_config_key(self, tmp_path, caplog):
         config = tmp_path / "bad.ini"

@@ -169,7 +169,7 @@ class TestSelfLearningAlign:
         x = preprocess(rng.standard_normal((n, d)))
         z = x @ random_orthogonal(d, rng)
         init = [(i, i) for i in range(n)]
-        cfg = self.fast_cfg(n, keep_prob_initial=1.0)
+        cfg = self.fast_cfg(n, keep_prob=1.0)
         result = mapping.self_learning_align(x, z, init, cfg)
         assert result.converged
         assert result.iterations <= 3
@@ -178,7 +178,7 @@ class TestSelfLearningAlign:
     def test_single_iteration_deterministic(self):
         x, z, _ = make_rotated_pair(n=150, d=8, seed=8)
         init = [(i, i) for i in range(150)]
-        cfg = self.fast_cfg(150, keep_prob_initial=1.0, max_iterations=1)
+        cfg = self.fast_cfg(150, keep_prob=1.0, max_iterations=1)
         r1 = mapping.self_learning_align(x, z, init, cfg)
         r2 = mapping.self_learning_align(x, z, init, cfg)
         assert not r1.converged
@@ -267,7 +267,7 @@ class TestSelfLearningAlign:
         monkeypatch.setattr(mapping, "_induce", induce_spy)
         mapping.self_learning_align(
             x, z, [(i, i) for i in range(n)],
-            self.fast_cfg(n, keep_prob_initial=1.0),
+            self.fast_cfg(n, keep_prob=1.0),
         )
         assert len(objectives) > 1
         diffs = np.diff(objectives)
@@ -296,7 +296,7 @@ class TestSelfLearningAlign:
 
         monkeypatch.setattr(mapping, "_symmetric_solve", solve_spy)
         monkeypatch.setattr(mapping, "_induce", induce_spy)
-        cfg = self.fast_cfg(60, csls_k=5, stall_patience=2, keep_prob_initial=0.25)
+        cfg = self.fast_cfg(60, csls_k=5, stall_patience=2, keep_prob=0.25)
         result = mapping.align(x, z, cfg)
         keep_prob, best, stall, broken_runs = 0.25, -np.inf, 0, 0
         for iteration, (used, objective) in enumerate(steps, 1):
@@ -314,15 +314,15 @@ class TestSelfLearningAlign:
         assert [kp for kp, _ in steps].count(0.5) and broken_runs
 
     def test_dimension_mismatch(self):
-        # raised numpy's matmul error at the first induction; the init takes
-        # such spaces, as it compares each language only with itself
+        # the loop raised numpy's matmul error at the first induction, and the
+        # init returned a dictionary, as it compares each language only with itself
         rng = np.random.default_rng(17)
-        x, z = rng.standard_normal((20, 4)), rng.standard_normal((20, 5))
-        cfg = self.fast_cfg(20)
-        init = mapping.unsupervised_init(x, z, cfg)
-        assert init
+        x, z = rng.standard_normal((30, 4)), rng.standard_normal((30, 5))
+        cfg = self.fast_cfg(30)
         with pytest.raises(ContractError, match="dimension mismatch: x d=4, z d=5"):
-            mapping.self_learning_align(x, z, init, cfg)
+            mapping.unsupervised_init(x, z, cfg)
+        with pytest.raises(ContractError, match="dimension mismatch: x d=4, z d=5"):
+            mapping.self_learning_align(x, z, [(0, 0)], cfg)
 
     def test_empty_init_rejected(self):
         x, z, _ = make_rotated_pair(n=50, d=5, seed=13)
@@ -331,14 +331,14 @@ class TestSelfLearningAlign:
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
-            mapping.MappingConfig(keep_prob_initial=0.0)
+            mapping.MappingConfig(keep_prob=0.0)
         with pytest.raises(ContractError):
             mapping.MappingConfig(vocab_cutoff=1)
         with pytest.raises(ContractError):
             mapping.MappingConfig(direction="both")
         # numpy numbers and bools are fields of their kind
-        mapping.MappingConfig(keep_prob_initial=np.float32(0.5), reweight=np.bool_(True))
-        mapping.MappingConfig(keep_prob_initial=1)
+        mapping.MappingConfig(keep_prob=np.float32(0.5), reweight=np.bool_(True))
+        mapping.MappingConfig(keep_prob=1)
 
     def test_config_is_frozen(self):
         cfg = mapping.MappingConfig()
@@ -359,7 +359,7 @@ class TestSelfLearningAlign:
         # partitioning must not change a single draw
         x, z, _ = make_rotated_pair(n=120, d=8, seed=15)
         init = [(i, i) for i in range(120)]
-        cfg = self.fast_cfg(120, keep_prob_initial=0.3, stall_patience=2)
+        cfg = self.fast_cfg(120, keep_prob=0.3, stall_patience=2)
         results = []
         for height in (1, 7, 1024):
             with tile_rows(height):
@@ -509,7 +509,8 @@ class TestSelfLearningAlign:
         assert peaks[0] <= held[0] + 256 * 1024, (held, peaks)
 
     def test_reweighted_mapping_allocates_one_space(self):
-        # map_src and map_trg scaled a copy of the mapped space, two spaces at once
+        # map_src and map_trg scaled a copy of the mapped space, two spaces at
+        # once; they map 256 rows at a time, as the CLI does
         n, d = 2000, 50
         rng = np.random.default_rng(15)
         x = rng.standard_normal((n, d))
@@ -517,7 +518,10 @@ class TestSelfLearningAlign:
         scale = rng.uniform(0.5, 1.5, d)
         result = mapping.MappingResult(w_src, w_trg, [(0, 0)], 1.0, 1, True, scale)
         for map_side, w in ((result.map_src, w_src), (result.map_trg, w_trg)):
-            assert np.array_equal(map_side(x), (x @ w) * scale)
+            tiles = np.concatenate([x[start : start + 256] @ w for start in range(0, n, 256)])
+            assert np.array_equal(map_side(x), tiles * scale)
+            # a Fortran-ordered copy was mapped with other bits in 1939 of 2000 rows
+            assert np.array_equal(map_side(np.asfortranarray(x)), tiles * scale)
             # slack: numpy's in-place broadcast scaling buffers 8192 values
             assert traced_peak(map_side, x) <= 8 * n * d + 128 * 1024
 
@@ -687,20 +691,21 @@ class TestAlignContracts:
 
     def test_invalid_config(self):
         x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
-        with pytest.raises(ContractError, match="keep_prob_initial"):
-            mapping.align(x, z, mapping.MappingConfig(vocab_cutoff=20, keep_prob_initial=1.5))
+        with pytest.raises(ContractError, match="keep_prob"):
+            mapping.align(x, z, mapping.MappingConfig(vocab_cutoff=20, keep_prob=1.5))
 
     @pytest.mark.parametrize("field, value", [
         ("max_iterations", 0), ("max_iterations", -3), ("stall_patience", 0),
-        ("stall_patience", -1), ("keep_prob_initial", float("nan")), ("vocab_cutoff", 20.5),
+        ("stall_patience", -1), ("keep_prob", float("nan")), ("vocab_cutoff", 20.5),
         ("csls_k", 2.5), ("stall_patience", 2.5), ("max_iterations", 3.0), ("seed", 1.5),
-        ("seed", True), ("reweight", "no"), ("reweight", 1), ("keep_prob_initial", "0.5"),
-        ("keep_prob_initial", True), ("keep_prob_initial", None),
+        ("seed", True), ("reweight", "no"), ("reweight", 1), ("keep_prob", "0.5"),
+        ("keep_prob", True), ("keep_prob", None), ("seed", -1),
     ])
     def test_loop_fields_rejected(self, field, value):
         # 0 iterations returned an unaligned result; a float count
         # raised TypeError inside the run or ran with a fractional patience; a
-        # string or None raised TypeError when built, and reweight="no" reweighted
+        # string or None raised TypeError when built, reweight="no" reweighted,
+        # and seed -1 raised numpy's ValueError after the init had run
         x, z, _ = make_rotated_pair(n=20, d=4, seed=18)
         with pytest.raises(ContractError, match=field):
             cfg = mapping.MappingConfig(**{"vocab_cutoff": 20, field: value})

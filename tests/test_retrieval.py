@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -144,17 +143,6 @@ class TestCslsRetrieve:
             with tile_rows(rows):
                 assert retrieval.csls_retrieve(x, z, k=5) == full
 
-    def test_query_indices_subset(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((20, 4))
-        z = rng.standard_normal((18, 4))
-        all_out = retrieval.csls_retrieve(x, z, k=3)
-        forward = retrieval.induce_dictionary(x, z, method="csls", k=3, directions="forward")
-        assert all_out == [j for _, j in forward]
-        for subset in ([2, 5, 11], [11, 2, 11, 11, 0], []):
-            assert retrieval.csls_retrieve(x, z, k=3, query_indices=subset) == \
-                [all_out[i] for i in subset]
-
 
 class TestInduceDictionary:
     def test_identical_spaces_nn_forward(self):
@@ -293,10 +281,8 @@ def test_evaluation_ranks_by_the_forward_induction_scores(method, height):
     # k=25 has 25 neighbors forward but only 24 backward
     lambda x, z: retrieval.induce_dictionary(x, z, method="csls", k=25, directions="union"),
     lambda x, z: retrieval.csls_retrieve(x, z, k=0),
-    lambda x, z: retrieval.csls_retrieve(x, z, k=3, query_indices=[25]),
     lambda x, z: precision_at_k(x, z, GoldDictionary({0: {0}}, 0), method="csls", csls_k=30),
-], ids=["induce_dictionary-union", "csls_retrieve", "csls_retrieve-query-index",
-        "precision_at_k-csls"])
+], ids=["induce_dictionary-union", "csls_retrieve", "precision_at_k-csls"])
 def test_bad_csls_input_raises_before_any_penalty_pass(score_passes, call):
     rng = np.random.default_rng(9)
     with pytest.raises(ContractError):
@@ -348,15 +334,6 @@ def test_csls_rejects_non_finite_input(call, side):
     (x if side == "x" else z)[2, 1] = np.nan
     with pytest.raises(ContractError, match=f"{side}_mapped row 2 "):
         getattr(retrieval, call)(x, z, k=1)
-
-
-@pytest.mark.parametrize("indices, first", [([-1], "-1 (entry 0)"), ([7], "7 (entry 0)"),
-                                            ([0, 4, -2], "4 (entry 1)")])
-@pytest.mark.parametrize("call", ["csls_retrieve"])
-def test_csls_rejects_query_index_out_of_range(call, indices, first):
-    # numpy would silently read a negative index from the end of the rows
-    with pytest.raises(ContractError, match=re.escape(f"query index {first} out of range")):
-        getattr(retrieval, call)(np.eye(4), np.eye(4), k=1, query_indices=indices)
 
 
 @pytest.mark.parametrize("method", ["nn", "csls"])
