@@ -35,15 +35,26 @@ class NumericalError(XlalignError):
 
 def _require_finite(m, name, cast=True):
     """``m`` as a float64 matrix, or without ``cast`` in its own float dtype if
-    float64 holds that exactly; ContractError unless it is one, naming the
-    first row of ``m`` that holds a NaN or infinity. The check reads ``m``'s
-    least and greatest values, which are NaN if any value is, so it makes no
-    temporary of ``m``'s size unless it fails."""
-    m = np.asarray(m)
-    if cast or m.dtype.kind != "f" or m.dtype.itemsize > 8:
-        m = m.astype(np.float64, copy=False)
+    float64 holds that exactly. ContractError naming ``name`` unless ``m`` is
+    a matrix of integers or floats (not bools, complex numbers, dates,
+    strings, objects or rows of different lengths) with at least one column,
+    checked before any cast, and naming its first row that holds a NaN or
+    infinity. The check reads ``m``'s least and greatest values, which are
+    NaN if any value is, so it makes no temporary of ``m``'s size unless it
+    fails."""
+    try:
+        m = np.asarray(m)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ContractError(f"{name} must be a matrix of real numbers, "
+                            "got rows of different lengths") from None
+    if m.dtype.kind not in "iuf":
+        raise ContractError(f"{name} must be a matrix of real numbers, got dtype {m.dtype}")
     if m.ndim != 2:
         raise ContractError(f"{name} must be a matrix, got {m.ndim} axes")
+    if m.shape[1] == 0:
+        raise ContractError(f"{name} has no columns")
+    if cast or m.dtype.kind != "f" or m.dtype.itemsize > 8:
+        m = m.astype(np.float64, copy=False)
     if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         row = int(np.argwhere(~np.isfinite(m))[0][0])
         raise ContractError(f"{name} row {row} holds a non-finite value")

@@ -192,8 +192,6 @@ def save_embeddings(vocab, emb, path):
     float64 cast without a float64 copy.
     """
     emb = _require_finite(emb, "emb", cast=False)
-    if emb.shape[1] == 0:
-        raise ContractError("emb has no columns, which load_embeddings rejects")
     if len(vocab) != emb.shape[0]:
         raise ContractError(
             f"vocabulary size {len(vocab)} does not match matrix rows {emb.shape[0]}"

@@ -106,7 +106,7 @@ class MappingResult:
         would hold numpy's broadcast buffer beside the tile. Non-finite input
         raises ContractError naming its row, and rows of another
         dimensionality than ``w`` raise it naming both dimensions."""
-        mapped = _require_finite(np.array(m, dtype=np.float64, order="C"), name)
+        mapped = np.array(_require_finite(m, name, cast=False), dtype=np.float64, order="C")
         if mapped.shape[1] != w.shape[0]:
             raise ContractError(f"dimension mismatch: {name} d={mapped.shape[1]}, "
                                 f"transform d={w.shape[0]}")
@@ -165,36 +165,62 @@ def unsupervised_init(x, z, cfg: MappingConfig) -> BilingualDictionary:
 
     Only the target side's sorted rows are held in full (4 cutoff^2 bytes);
     the source side is built, sorted and scored one row block at a time, and
-    one product per block answers both directions, 256 rows a block. Peak
-    memory is about 4 (cutoff² + 3 · 256 · cutoff) bytes: 1.7 GB at cutoff
-    20000 (the cutoff is ``cfg.cutoff``). Non-finite input raises ContractError
-    naming its row, and spaces of different dimensionality raise it naming both
+    one product per block answers both directions, 256 rows a block. Every
+    block lives in one float64 buffer of min(256, cutoff) x cutoff, made once
+    per call: each similarity block is computed, sorted and normalised in
+    it, its sorted rows are rounded into its first half seen as float32
+    (``_downcast_rows``), and the shift products and each score block are
+    written into its second half. Peak memory is thus about
+    4 cutoff² + 8 · 256 · cutoff bytes: 1.64 GB at cutoff 20000 (the cutoff
+    is ``cfg.cutoff``). Non-finite input raises ContractError naming its
+    row, and spaces of different dimensionality raise it naming both
     dimensions.
     """
     x, z = _require_spaces(x, z, ("x", "z"))
     cutoff = cfg.cutoff(x, z)
     xc, zc = x[:cutoff], z[:cutoff]
-    mz = np.empty((cutoff, cutoff), dtype=np.float32)
-    for start, sim in _score_blocks(zc, zc):
-        mz[start : start + sim.shape[0]] = _sorted_unit_rows(sim)
-        del sim
-    center = mz.mean(axis=0, dtype=np.float64).astype(np.float32)
     height = retrieval.BLOCK_SIZE
-    shift = np.concatenate([(center - mz[start : start + height]) @ center
-                            for start in range(0, cutoff, height)])
+    mz = np.empty((cutoff, cutoff), dtype=np.float32)
+    # two rows at least: a one-row block's product is computed two rows tall
+    buf = np.empty((max(min(height, cutoff), 2), cutoff))
+    # the buffer's first and second halves, as float32 matrices of its shape
+    low, high = buf.reshape(-1).view(np.float32).reshape(2, *buf.shape)
+    for start, sim in _score_blocks(zc, zc, out=buf):
+        mz[start : start + len(sim)] = _sorted_unit_rows(sim)
+    center = mz.mean(axis=0, dtype=np.float64).astype(np.float32)
+    shift = np.empty(cutoff, dtype=np.float32)
+    for start in range(0, cutoff, height):
+        rows = mz[start : start + height]
+        np.matmul(np.subtract(center, rows, out=high[: len(rows)]), center,
+                  out=shift[start : start + len(rows)])
 
     def scores():
         # sorted source rows, one block at a time, against all sorted target rows
-        for start, sim in _score_blocks(xc, xc):
-            rows = _sorted_unit_rows(sim).astype(np.float32)
-            del sim
+        for start, sim in _score_blocks(xc, xc, out=buf):
+            rows = _downcast_rows(_sorted_unit_rows(sim), low)
             rows -= center
-            for _, block in _score_blocks(rows, mz, shift=shift):
+            for _, block in _score_blocks(rows, mz, shift=shift, out=high):
                 yield start, block
-            del rows, block
 
     pairs = _union(*_argmax_both(scores(), cutoff, cutoff))
     return list(zip(*pairs.T.tolist()))
+
+
+def _downcast_rows(sim, low):
+    """``sim`` rounded to float32 into the leading rows of ``low``, the float32
+    view of the first half of the buffer ``sim`` heads: bit for bit
+    ``sim.astype(np.float32)``, with no temporary beyond one row. Row 0 is
+    copied first; then rows [lo, 2 lo) go at once, as their float32 bytes end
+    where their float64 bytes begin, so no row is overwritten before it is
+    read."""
+    b = len(sim)
+    rows = low[:b]
+    rows[0] = sim[0].copy()
+    lo = 1
+    while lo < b:
+        rows[lo : 2 * lo] = sim[lo : 2 * lo]
+        lo *= 2
+    return rows
 
 
 def _sorted_unit_rows(sim):

@@ -29,8 +29,9 @@ class NormalizationReport:
 
 def _own_copy(emb):
     """A float64 copy of ``emb`` that the in-place transforms may change,
-    checked by ``_require_finite``: the only copy each public function makes."""
-    return _require_finite(np.array(emb, dtype=np.float64), "emb")
+    checked by ``_require_finite`` before it is made: the only copy each
+    public function makes, beyond the cast of an integer matrix."""
+    return np.array(_require_finite(emb, "emb", cast=False), dtype=np.float64)
 
 
 def _length_normalize_in_place(x):

@@ -17,7 +17,7 @@ score in float32, every other layer in float64. Block size changes scores
 only in the last bits (BLAS rounds blocks of different heights differently).
 A consumer may edit a block in place, but every layer drops its reference
 (``del``) before the next block's product is computed, so one block is alive
-at a time.
+at a time; the init's blocks share one buffer, each overwriting the last.
 
 Cosines are products of unit rows. Each side's row norms are taken once
 (``_norms``, over ``_row_norms``, which squares a block of rows at a time).
@@ -35,13 +35,15 @@ every query either way. The loop scores the copies as they are; the refit's
 float32 norms, so it scores rows within float32 rounding of those quotients.
 The init scores its raw rows.
 
-Blocks are ``BLOCK_SIZE`` = 256 rows. The init holds two blocks at once (a
-float64 similarity block and its float32 sorted copy, then that copy and a
-score block). Induction shifts its forward tiles in place; its backward
-tiles also give penalties, so their picks rank shifted copies of 8 rows (32
-under dropout). The height thus sets most of the memory above the
-init's n x n matrix. A sweep over 128, 256, 512 and 1024 rows on the three perfbench
-workloads (table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS
+Blocks are ``BLOCK_SIZE`` = 256 rows. The init computes every block into
+one float64 buffer of a block's size (``_score_blocks``' ``out``): a
+similarity block, then in its two float32 halves the sorted rows and their
+score block, whose column maxima ``_argmax_both`` takes 32 rows at a time.
+Induction shifts its forward tiles in place; its backward tiles also give
+penalties, so their picks rank shifted copies of 8 rows (32 under dropout).
+The height thus sets most of the memory above the init's n x n matrix. A
+sweep over 128, 256, 512 and 1024 rows on the three perfbench workloads
+(table in CHANGES.md) chose 256. Against 1024 it lowered peak RSS
 by 30% on initheavy, 23% on selflearn and 16% on bigvocab, gave the same
 outputs, and moved no end-to-end time beyond the run-to-run spread. 128
 saved 7% more on initheavy but ran the loop slower than 256 on selflearn and
@@ -147,14 +149,13 @@ def cosine_block(queries, candidates):
 
 def nn_retrieve(sim):
     """Argmax candidate per query row of the score matrix ``sim``; ties go to
-    the lowest index. A non-finite score raises ContractError naming its row."""
+    the lowest index. A non-finite score raises ContractError naming its row,
+    and a matrix with no candidate columns raises it too (``_require_finite``)."""
     sim = _require_finite(sim, "sim")
-    if sim.shape[1] < 1:
-        raise ContractError("need at least one candidate")
     return sim.argmax(axis=1).tolist()
 
 
-def _score_blocks(q, c, rows=None, shift=None, norms=(None, None)):
+def _score_blocks(q, c, rows=None, shift=None, norms=(None, None), out=None):
     """Yield (start, block) of query rows ``q[rows]`` (default: all) scored
     against all candidate rows ``c`` in ``c``'s dtype, less ``shift[j]`` in
     candidate column j when ``shift`` is given; ``BLOCK_SIZE`` rows a block.
@@ -163,21 +164,25 @@ def _score_blocks(q, c, rows=None, shift=None, norms=(None, None)):
     norms, each block's query rows are scaled to unit length first
     (``_unit``); given the candidates', column j of each block is divided by
     candidate j's norm before the shift, zero rows' columns +0.0, so raw
-    candidates score cosines without a unit copy of them."""
+    candidates score cosines without a unit copy of them. Given ``out``, a
+    matrix of ``c``'s dtype with a column per candidate and at least two
+    rows, each block is computed into its leading rows, so it holds until
+    the next block is asked for (the init's one buffer)."""
     n = q.shape[0] if rows is None else len(rows)
     height = BLOCK_SIZE
     for start in range(0, n, height):
         sel = slice(start, start + height) if rows is None else rows[start : start + height]
         # yielded unnamed, so a consumer's ``del`` frees the block at once
-        yield start, _block_scores(q, sel, c, shift, norms)
+        yield start, _block_scores(q, sel, c, shift, norms, out)
 
 
-def _block_scores(q, sel, c, shift, norms):
+def _block_scores(q, sel, c, shift, norms, out=None):
     q_norms, c_norms = norms
     q = q[sel] if q_norms is None else _unit(q, q_norms, sel, c.dtype)
     # numpy computes a one-row product as a matrix-vector product, which
     # rounds differently from the matrix-matrix product of taller blocks
-    sim = q @ c.T if len(q) > 1 else (np.repeat(q, 2, axis=0) @ c.T)[:1]
+    n, q = len(q), q if len(q) > 1 else np.repeat(q, 2, axis=0)
+    sim = np.matmul(q, c.T, out=None if out is None else out[: len(q)])[:n]
     del q  # a copy (scaled, or with ``rows``): not held while the consumer uses the block
     if c_norms is not None:
         divisors, zero = c_norms
@@ -219,18 +224,24 @@ def _nth_best(sim, g, top):
 def _argmax_both(blocks, n, m):
     """Best candidate per query row and best query per candidate column of an
     ``n`` x ``m`` score matrix arriving in row blocks; ties go to the lowest
-    index both ways, as a later block takes a column only when strictly greater."""
+    index both ways. Columns are compared ``_PICK_ROWS`` rows at a time: a
+    column takes the lowest row of a slice that holds the slice's maximum,
+    and only when that maximum is strictly greater than the column's best so
+    far. ``max(axis=0)`` reduces a slice in place, where ``argmax(axis=0)``
+    would copy the block transposed."""
     rows = np.empty(n, dtype=np.int64)
     cols = np.zeros(m, dtype=np.int64)
     col_max = np.full(m, -np.inf)
     for start, sim in blocks:
         rows[start : start + sim.shape[0]] = sim.argmax(axis=1)
-        best = sim.argmax(axis=0)
-        top = sim[best, np.arange(m)]
-        del sim
-        better = top > col_max
-        cols[better] = best[better] + start
-        col_max[better] = top[better]
+        for lo in range(0, sim.shape[0], _PICK_ROWS):
+            part = sim[lo : lo + _PICK_ROWS]
+            top = part.max(axis=0)
+            better = np.flatnonzero(top > col_max)
+            top = top[better]
+            # the gathered columns as rows, so the argmax reads each in place
+            cols[better] = (part.T[better] == top[:, None]).argmax(axis=1) + start + lo
+            col_max[better] = top
     return rows, cols
 
 
@@ -286,9 +297,8 @@ def induce_dictionary(x_mapped, z_mapped, method="csls", k=DEFAULT_CSLS_K,
     Non-finite input raises ContractError naming its row, and spaces of
     different dimensionality raise it naming both dimensions.
     """
-    x, z = np.asarray(x_mapped), np.asarray(z_mapped)
-    x, z = _require_spaces(x, z, ("x_mapped", "z_mapped"),
-                           cast=not x.dtype == z.dtype == np.float32)
+    float32 = getattr(x_mapped, "dtype", None) == getattr(z_mapped, "dtype", None) == np.float32
+    x, z = _require_spaces(x_mapped, z_mapped, ("x_mapped", "z_mapped"), cast=not float32)
     pairs = _induce(x, z, method, k, directions)
     return list(zip(*pairs.T.tolist()))
 

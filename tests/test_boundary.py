@@ -1,11 +1,13 @@
-"""Public entry points that take an embedding space reject non-finite input at
-the boundary, and none of them takes a score tile height. Every function that
-takes a dictionary rejects a pair that is not two integer rows of its spaces,
-and the self-learning loop one outside its cutoff rows."""
+"""Public entry points that take an embedding space reject non-finite input,
+and anything but a matrix of real numbers with a column, at the boundary, and
+none of them takes a score tile height. Every function that takes a
+dictionary rejects a pair that is not two integer rows of its spaces, and the
+self-learning loop one outside its cutoff rows."""
 import dataclasses
 import inspect
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +83,40 @@ def test_finite_inputs_are_left_unchanged(call, dtype):
     before = x.tobytes(), z.tobytes()
     run(x, z)
     assert (x.tobytes(), z.tobytes()) == before
+
+
+# a space made into something that is not a matrix of real numbers with a
+# column, and the error it gives after the space's name
+NOT_REAL = {
+    # lost its imaginary part with only a ComplexWarning
+    "complex": (lambda m: m + 1j, "must be a matrix of real numbers, got dtype complex128"),
+    # raised numpy's "could not convert string to float"
+    "strings": (lambda m: np.full(m.shape, "a"), "must be a matrix of real numbers, got dtype <U1"),
+    # raised numpy's "inhomogeneous shape"
+    "ragged": (lambda m: [list(row) for row in m[:-1]] + [list(m[-1, :-1])],
+               "must be a matrix of real numbers, got rows of different lengths"),
+    # cast to days since 1970
+    "datetime64": (lambda m: np.full(m.shape, np.datetime64("2020-01-01")),
+                   "must be a matrix of real numbers, got dtype datetime64[D]"),
+    # read as 0 and 1
+    "bool": (lambda m: m > 0, "must be a matrix of real numbers, got dtype bool"),
+    # align converged to 59 pairs with 0 x 0 transforms
+    "no-columns": (lambda m: m[:, :0], "has no columns"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+@pytest.mark.parametrize("call, side", CASES)
+def test_space_that_is_not_a_real_matrix_is_named(call, side, kind):
+    run, *names = BOUNDARY[call]
+    make, message = NOT_REAL[kind]
+    x, z, _ = make_rotated_pair(n=N, d=4, seed=19)
+    x, z = (make(x), z) if side == "x" else (x, make(z))
+    message = f"{names['xz'.index(side)]} {message}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # checked before a cast could warn
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            run(x, z)
 
 
 # call on the (source, target) spaces and a value of one numeric or bool parameter, the

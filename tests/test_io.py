@@ -252,7 +252,8 @@ class TestSaveEmbeddings:
         (np.zeros(2), "emb must be a matrix, got 1 axes"),  # raised numpy's IndexError
         ([[0.5, 1.0], [np.inf, 0.0]], "emb row 1 holds a non-finite value"),  # wrote "inf"
         ([[0.5, np.nan], [1.0, 0.0]], "emb row 0 holds a non-finite value"),  # wrote "nan"
-        (np.zeros((2, 0)), "emb has no columns, which load_embeddings rejects"),  # "2 0\na \n..."
+        # wrote "2 0\na \n...", which load_embeddings rejects
+        (np.zeros((2, 0)), "emb has no columns"),
     ], ids=["vector", "inf", "nan", "no-columns"])
     def test_unloadable_matrix_rejected_before_the_file_opens(self, tmp_path, emb, message):
         out = tmp_path / "bad.vec"

@@ -119,15 +119,34 @@ class TestUnsupervisedInit:
         assert peak < 8 * n * n + 3 * 8 * 256 * n + 256 * 1024
 
     def test_peak_memory_in_float32(self):
-        # the float32 sorted target rows (4 n^2 bytes) plus three float32
-        # 256-row blocks: a float64 similarity block and its float32 sorted
-        # copy, or that copy and its score block; in float64 the init peaks
-        # at 27.3 MB here, against this bound of 14.1 MB
+        # the float32 sorted target rows (4 n^2 bytes) plus one float64
+        # 256-row block, which holds the similarity block, then its sorted
+        # rows in float32 and their score block, and a float32 copy of the
+        # columns a 32-row slice of scores takes: 12.4 MB here, against this
+        # bound of 12.8 MB. A fresh array per step, with a transposed copy of
+        # each score block for its column argmax, goes over it (13.7 MB)
         n, d = 1500, 20
         x, z, _ = make_rotated_pair(n=n, d=d, seed=7)
         cfg = mapping.MappingConfig(vocab_cutoff=n)
         peak = traced_peak(mapping.unsupervised_init, x, z, cfg)
-        assert peak < 4 * n * n + 3 * 4 * 256 * n + 8 * n * d + 256 * 1024
+        assert peak < 4 * n * n + 2 * 4 * 256 * n + 4 * 32 * n + 8 * n * d + 256 * 1024
+
+    @pytest.mark.parametrize("height", [*range(1, 10), 255, 256])
+    def test_downcast_in_place_is_astype(self, height):
+        # the float32 rows overwrite the float64 rows they are read from
+        n = 37
+        values = np.random.default_rng(height).standard_normal((height, n))
+        # signed zeros and float32 subnormals, some halfway between two of them
+        tiny = float(np.finfo(np.float32).smallest_subnormal)
+        special = [0.0, -0.0, tiny, -tiny, 0.5 * tiny, -1.5 * tiny, 2.5 * tiny,
+                   0.99 * float(np.finfo(np.float32).tiny)]
+        values.flat[::3] = np.resize(special, values.flat[::3].shape)
+        buf = np.empty((height, n))
+        low = buf.reshape(-1).view(np.float32).reshape(2, height, n)[0]
+        buf[:] = values
+        # no temporary beyond one row: a whole block cast would be 4 height n bytes
+        assert traced_peak(mapping._downcast_rows, buf, low) < 8 * n + 1024
+        assert low.tobytes() == values.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("seed", range(1, 8))
     def test_matches_bruteforce_on_nearly_parallel_sorted_rows(self, seed):

@@ -326,6 +326,23 @@ def test_argmax_both_compares_float32_blocks_exactly(height):
     np.testing.assert_array_equal(cols, sim.argmax(axis=0))
 
 
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 64, 256])
+def test_argmax_both_takes_the_lowest_index_across_slices_and_blocks(height):
+    # duplicated rows and columns of few values: equal maxima lie in other
+    # 32-row slices (retrieval._PICK_ROWS) and other blocks of one column
+    rng = np.random.default_rng(14)
+    base = rng.integers(0, 4, size=(40, 12)).astype(np.float64)
+    sim = base[rng.integers(0, 40, size=300)][:, rng.integers(0, 12, size=30)]
+    sim[[40, 100, 290]] = sim[8]
+    n, m = sim.shape
+    with tile_rows(height):
+        rows, cols = retrieval._argmax_both(retrieval._score_blocks(sim, np.eye(m)), n, m)
+    values = sim.tolist()
+    want_rows = [max(range(m), key=lambda j: (values[i][j], -j)) for i in range(n)]
+    want_cols = [max(range(n), key=lambda i: (values[i][j], -i)) for j in range(m)]
+    assert (rows.tolist(), cols.tolist()) == (want_rows, want_cols)
+
+
 @pytest.mark.parametrize("side", ["x", "z"])
 @pytest.mark.parametrize("call", ["csls_retrieve"])
 def test_csls_rejects_non_finite_input(call, side):
