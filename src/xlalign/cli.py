@@ -238,9 +238,11 @@ def _run_evaluate(settings, x, z, src_vocab, trg_vocab, out_dir=None):
     return report
 
 
-def _load_baseline(run_dir):
+def _load_baseline(run_dir, ks):
     """The system name and ``EvalReport`` that ``run_dir``/eval.json holds;
-    an error naming the file where it is missing, is not JSON, or lacks a key."""
+    an error naming the file where it is missing, is not JSON, lacks a key,
+    holds a ``precision_at`` key that is no integer or a value that is no real
+    number, or has another k set than ``ks``."""
     path = os.path.join(run_dir, "eval.json")
     with open(path, encoding="utf-8") as fh:  # FileNotFoundError names the path
         try:
@@ -253,11 +255,24 @@ def _load_baseline(run_dir):
             raise ValueError(f"{path} has no key {key!r}")
     if not isinstance(payload["precision_at"], dict):
         raise ValueError(f"{path}: 'precision_at' is not an object")
-    return payload["name"], evaluate.EvalReport(**{key: payload[key] for key in fields})
+    for k, value in payload["precision_at"].items():
+        try:
+            int(k)
+        except ValueError:
+            raise ValueError(f"{path}: 'precision_at' key {k!r} is not an integer") from None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: 'precision_at' value {value!r} is not a real number")
+    report = evaluate.EvalReport(**{key: payload[key] for key in fields})
+    have, want = sorted(report.precision_at), sorted(set(ks))
+    if have != want:
+        raise ValueError(f"{path} has k set {have}, not ks {want}: "
+                         "all reports must share the same k set")
+    return payload["name"], report
 
 
 def cmd_evaluate(settings, args):
-    baseline = _load_baseline(args.compare) if args.compare else None  # before any evaluation
+    # checked before any space is loaded
+    baseline = _load_baseline(args.compare, settings["ks"]) if args.compare else None
     src_vocab, x, trg_vocab, z = _load_pair(settings)
     report = _run_evaluate(settings, x, z, src_vocab, trg_vocab, settings.get("out"))
     if baseline:

@@ -33,9 +33,9 @@ class NumericalError(XlalignError):
     """A numerical routine failed or produced non-finite values."""
 
 
-def _require_finite(m, name, cast=True):
-    """``m`` as a float64 matrix, or without ``cast`` in its own float dtype if
-    float64 holds that exactly. ContractError naming ``name`` unless ``m`` is
+def _require_finite(m, name):
+    """``m`` as a matrix in its own float dtype if float64 holds that exactly,
+    else cast to float64. ContractError naming ``name`` unless ``m`` is
     a matrix of integers or floats (not bools, complex numbers, dates,
     strings, objects or rows of different lengths) with at least one column,
     checked before any cast, and naming its first row that holds a NaN or
@@ -53,12 +53,19 @@ def _require_finite(m, name, cast=True):
         raise ContractError(f"{name} must be a matrix, got {m.ndim} axes")
     if m.shape[1] == 0:
         raise ContractError(f"{name} has no columns")
-    if cast or m.dtype.kind != "f" or m.dtype.itemsize > 8:
+    if m.dtype.kind != "f" or m.dtype.itemsize > 8:
         m = m.astype(np.float64, copy=False)
     if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         row = int(np.argwhere(~np.isfinite(m))[0][0])
         raise ContractError(f"{name} row {row} holds a non-finite value")
     return m
+
+
+def _own_copy(m, name):
+    """A C-ordered float64 copy of ``m``, checked by ``_require_finite`` under
+    ``name`` before it is made: the one way a public function makes a space
+    of its own to change in place, the same for any layout of ``m``."""
+    return np.array(_require_finite(m, name), dtype=np.float64, order="C")
 
 
 def _require_pairs(pairs, n_src, n_trg, message):

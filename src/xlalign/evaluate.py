@@ -59,9 +59,10 @@ def precision_at_k(x_space, z_space, gold: GoldDictionary, ks=DEFAULT_KS,
     if not gold.entries:
         raise ContractError("gold dictionary is empty")
     x, z = _require_spaces(x_space, z_space, ("x_space", "z_space"))
+    ks = tuple(ks)  # read once, as a generator is consumed by the first pass
     for k in ks:
         _require_kind(k, "each of ks", "an integer")
-    ks = sorted(set(int(k) for k in ks))
+    ks = sorted(set(map(int, ks)))
     if not ks or ks[0] < 1 or ks[-1] > z.shape[0]:
         raise ContractError(f"k values {ks} out of range for {z.shape[0]} targets")
     sources, targets, counts = _gold_arrays(gold, x.shape[0], z.shape[0])

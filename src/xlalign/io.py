@@ -191,7 +191,7 @@ def save_embeddings(vocab, emb, path):
     and cast to float64 one tile at a time, so it writes the bytes of its
     float64 cast without a float64 copy.
     """
-    emb = _require_finite(emb, "emb", cast=False)
+    emb = _require_finite(emb, "emb")
     if len(vocab) != emb.shape[0]:
         raise ContractError(
             f"vocabulary size {len(vocab)} does not match matrix rows {emb.shape[0]}"

@@ -16,8 +16,8 @@ all sum their products over tiles of pairs (``_pair_sums``), so no
 dictionary's rows are ever gathered whole. ``_mapped_tiles`` is the one
 product of a space and a transform: ``_map_in_place`` maps a space the
 caller owns a tile of rows at a time, as the CLI maps its preprocessed
-spaces, and ``MappingResult.map_src``/``map_trg`` map a float64 copy the
-same way, so the library and the CLI give the same bits.
+spaces, and ``MappingResult.map_src``/``map_trg`` map their own copy
+(``errors._own_copy``) through it, so the library and the CLI give the same bits.
 
 A ``MappingConfig`` is frozen and checked when built; its cutoff (``cutoff``)
 and each CSLS k (``csls_k_between``) follow the vocabulary sizes.
@@ -29,9 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import retrieval
-from .errors import (
-    ContractError, NumericalError, _require_fields, _require_finite, _require_pairs,
-)
+from .errors import ContractError, NumericalError, _own_copy, _require_fields, _require_pairs
 from .io import BilingualDictionary
 from .retrieval import (
     DEFAULT_CSLS_K, _argmax_both, _induce, _norms, _require_spaces, _score_blocks, _union,
@@ -99,27 +97,19 @@ class MappingResult:
         return self._map(z, self.w_trg, "z")
 
     def _map(self, m, w, name):
-        """A new float64 space ``m @ w``, scaled under ``reweight``: a copy of
-        ``m`` in C order (BLAS rounds another layout's rows differently),
-        mapped in place (``_map_in_place``), bit for bit the CLI's mapped
-        space, then scaled whole once its tile is freed, as scaling each tile
-        would hold numpy's broadcast buffer beside the tile. Non-finite input
-        raises ContractError naming its row, and rows of another
+        """A new float64 space ``m @ w``, scaled under ``reweight``: ``m``'s own
+        copy mapped in place (``_map_in_place``), the CLI's bits. Non-finite
+        input raises ContractError naming its row, and rows of another
         dimensionality than ``w`` raise it naming both dimensions."""
-        mapped = np.array(_require_finite(m, name, cast=False), dtype=np.float64, order="C")
-        if mapped.shape[1] != w.shape[0]:
-            raise ContractError(f"dimension mismatch: {name} d={mapped.shape[1]}, "
-                                f"transform d={w.shape[0]}")
-        _map_in_place(mapped, w)
-        if self.reweight_scale is not None:
-            mapped *= self.reweight_scale
-        return mapped
+        mapped, _ = _require_spaces(_own_copy(m, name), w, (name, "transform"))
+        return _map_in_place(mapped, w, self.reweight_scale)
 
 
 def procrustes_solve(x_pairs, z_pairs):
     """Orthogonal W minimizing ||XW - Z||_F, via SVD of X^T Z. Non-finite
-    input raises ContractError naming its row, before the SVD."""
-    x, z = _require_finite(x_pairs, "x_pairs"), _require_finite(z_pairs, "z_pairs")
+    input raises ContractError naming its row, and pairs of different
+    dimensionality raise it naming both dimensions, before the SVD."""
+    x, z = _require_spaces(x_pairs, z_pairs, ("x_pairs", "z_pairs"))
     if x.shape != z.shape:
         raise ContractError(f"shape mismatch: {x.shape} vs {z.shape}")
     if x.shape[0] < 1:
@@ -318,13 +308,16 @@ def _mapped_tiles(m, w):
 
 
 def _map_in_place(m, w, scale=None):
-    """The float64 matrix ``m`` overwritten by ``m @ w``, times ``scale`` per
-    column when given (``MappingResult.reweight_scale``), a tile of rows at a
-    time (``_mapped_tiles``), so no second space is ever held; returns ``m``."""
+    """The C-ordered float64 matrix ``m`` overwritten by ``m @ w`` a tile of
+    rows at a time (``_mapped_tiles``), so no second space is ever held, then
+    scaled per column by ``scale`` when given (``MappingResult.reweight_scale``)
+    once the last tile is dropped, so numpy's broadcast buffer never sits
+    beside a tile; returns ``m``."""
     for start, rows in _mapped_tiles(m, w):
-        if scale is not None:
-            rows *= scale
         m[start : start + len(rows)] = rows
+        del rows  # the last tile's buffer is freed before the scaling
+    if scale is not None:
+        m *= scale
     return m
 
 

@@ -3,7 +3,9 @@
 ``iterative_normalize`` alternates the two single-pass transforms until both
 conditions (unit row norms, zero column means) hold simultaneously within a
 tolerance. Every function rejects a NaN or infinity in its input with
-ContractError naming the first bad row, before it can spread over the matrix.
+ContractError naming the first bad row, before it can spread over the matrix,
+and transforms one C-ordered float64 copy of it (``errors._own_copy``), so
+any layout of the same values gives the same bits.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, _require_finite, _require_kind
+from .errors import ContractError, DegenerateInputError, _own_copy, _require_kind
 from .retrieval import _norms, _row_norms
 
 DEFAULT_NORM_ITERS = 5
@@ -25,13 +27,6 @@ class NormalizationReport:
     iterations_run: int
     max_row_norm_deviation: float  # max over rows of | ||row|| - 1 |
     max_center_magnitude: float  # L2 norm of the column-mean vector
-
-
-def _own_copy(emb):
-    """A float64 copy of ``emb`` that the in-place transforms may change,
-    checked by ``_require_finite`` before it is made: the only copy each
-    public function makes, beyond the cast of an integer matrix."""
-    return np.array(_require_finite(emb, "emb", cast=False), dtype=np.float64)
 
 
 def _length_normalize_in_place(x):
@@ -53,12 +48,12 @@ def _mean_center_in_place(x):
 
 def length_normalize(emb):
     """Scale every row to unit L2 norm. Zero rows stay zero (warning)."""
-    return _length_normalize_in_place(_own_copy(emb))
+    return _length_normalize_in_place(_own_copy(emb, "emb"))
 
 
 def mean_center(emb):
     """Subtract the column mean from every row."""
-    return _mean_center_in_place(_own_copy(emb))
+    return _mean_center_in_place(_own_copy(emb, "emb"))
 
 
 def iterative_normalize(emb, max_iters=DEFAULT_NORM_ITERS, tol=DEFAULT_NORM_TOL):
@@ -70,7 +65,7 @@ def iterative_normalize(emb, max_iters=DEFAULT_NORM_ITERS, tol=DEFAULT_NORM_TOL)
     the start of any alternation is an error (its direction is undefined).
     """
     _check_iterations(max_iters, tol)
-    x = _own_copy(emb)
+    x = _own_copy(emb, "emb")
     return x, _iterative_normalize_in_place(x, max_iters, tol)
 
 
@@ -116,5 +111,5 @@ def preprocess(emb):
     The trailing re-normalization keeps the unit-norm property the mapping
     stage relies on. One copy of ``emb`` is made, and transformed in place.
     """
-    x = _own_copy(emb)
+    x = _own_copy(emb, "emb")
     return _length_normalize_in_place(_mean_center_in_place(_length_normalize_in_place(x)))

@@ -75,11 +75,13 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
     The maps are fitted first, from d x d sums over 256-pair tiles. Each
     space is then mapped a tile of rows at a time and normalized in place,
     so the call holds the two output spaces, one tile and d x d matrices.
-    With ``copy`` (the default) the outputs are new float64 copies and the
-    inputs are left unchanged. With ``copy=False``, float64 inputs are
-    overwritten and returned as the outputs, so no third space is held; other
-    inputs are cast to new float64 matrices first. Inputs that share memory
-    (each side has its own map) or are read-only are not refined in place.
+    A space that is not C-ordered float64 is refined in the copy the
+    boundary makes (``_require_spaces``), so any layout gives the same bits,
+    and with ``copy`` (the default) any other is copied once, after the fit:
+    the inputs are left unchanged. With ``copy=False``, C-ordered float64
+    inputs are overwritten and returned as the outputs, so no third space is
+    held; inputs that share memory (each side has its own map) or are
+    read-only are not refined in place.
 
     With ``norm_iters`` = 0 the output is the mapped spaces. A mapped row of
     zeros, as an antipodal pair gives, has no direction: normalization
@@ -93,15 +95,16 @@ def refine_pipeline(x_aligned, z_aligned, dictionary: BilingualDictionary,
     _require_kind(copy, "copy", "a bool")
     names = ("x_aligned", "z_aligned")
     x, z = _require_spaces(x_aligned, z_aligned, names)
-    if not copy and (np.may_share_memory(x, z) or not (x.flags.writeable
-                                                         and z.flags.writeable)):
+    if not copy and (np.may_share_memory(x_aligned, z_aligned)
+                     or not (x.flags.writeable and z.flags.writeable)):
         raise ContractError("copy=False needs writeable x_aligned and z_aligned "
                             "in separate memory")
     src, trg = _require_pairs(dictionary, len(x), len(z), "dictionary pair {} is not two "
                               f"rows in [0, {len(x)}) and [0, {len(z)})").T
     m_x, m_z = _fitted_maps(x, z, src, trg)  # before the copies: its tiles and they never meet
     if copy:
-        x, z = x.copy(), z.copy()
+        x, z = (m.copy() if np.may_share_memory(m, given) else m
+                for m, given in ((x, x_aligned), (z, z_aligned)))
     reports = [_iterative_normalize_in_place(_map_in_place(m, w), cfg.norm_iters,
                                              cfg.norm_tol, name)
                for m, w, name in ((x, m_x, names[0]), (z, m_z, names[1]))]

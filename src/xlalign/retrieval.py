@@ -10,9 +10,9 @@ target similarities, as its candidates. The one whole-matrix scorer is the
 public ``cosine_block``, which no layer calls: it is kept as the plain
 reference that tests compare the blocked scores against.
 ``_score_blocks``, ``_knn_means``, ``_induce`` and the argmax helpers score
-in their candidates' dtype; only the public functions cast, to float64
-(``_require_finite``), and ``induce_dictionary`` keeps two float32 spaces as
-they are. The init, the self-learning loop's induction and the final refit
+in their candidates' dtype; only the public functions cast, to C-ordered
+float64 (``_require_spaces``; ``induce_dictionary`` keeps two float32 spaces
+float32). The init, the self-learning loop's induction and the final refit
 score in float32, every other layer in float64. Block size changes scores
 only in the last bits (BLAS rounds blocks of different heights differently).
 A consumer may edit a block in place, but every layer drops its reference
@@ -79,13 +79,10 @@ DIRECTIONS = ("forward", "backward", "union")
 
 
 def _row_norms(m):
-    """Euclidean norm of each row of the float matrix ``m``, in its dtype: bit
-    for bit ``np.linalg.norm(m, axis=1)``, which squares all of ``m`` at once,
-    while this squares ``BLOCK_SIZE`` rows at a time. A matrix that is not
-    C-contiguous goes to ``np.linalg.norm``, whose order of summation
-    follows the layout."""
-    if not m.flags.c_contiguous:
-        return np.linalg.norm(m, axis=1)
+    """Euclidean norm of each row of the C-ordered float matrix ``m`` (the
+    only layout the boundary passes on), in its dtype: bit for bit
+    ``np.linalg.norm(m, axis=1)``, which squares all of ``m`` at once, while
+    this squares ``BLOCK_SIZE`` rows at a time."""
     out = np.empty(len(m), dtype=m.dtype)
     for start in range(0, len(m), BLOCK_SIZE):
         rows = m[start : start + BLOCK_SIZE]
@@ -123,12 +120,13 @@ def _unit_rows(m):
 
 
 def _require_spaces(x, z, names, cast=True):
-    """``x`` and ``z`` as float64 matrices (without ``cast``, float dtypes
-    float64 holds exactly are kept), each checked by ``_require_finite``
-    under its name in ``names``; ContractError naming both dimensions unless
-    they are equal. Called before any product."""
-    x = _require_finite(x, names[0], cast)
-    z = _require_finite(z, names[1], cast)
+    """``x`` and ``z`` as C-ordered float64 matrices (without ``cast``, float
+    dtypes float64 holds exactly are kept), each checked by ``_require_finite``
+    under its name in ``names`` and copied once unless it is one already, so
+    any layout gives the same bits; ContractError naming both dimensions
+    unless they are equal. Called before any product."""
+    x, z = (np.ascontiguousarray(_require_finite(m, name), np.float64 if cast else None)
+            for m, name in zip((x, z), names))
     if x.shape[1] != z.shape[1]:
         raise ContractError(
             f"dimension mismatch: {names[0]} d={x.shape[1]}, {names[1]} d={z.shape[1]}"

@@ -4,6 +4,7 @@ none of them takes a score tile height. Every function that takes a
 dictionary rejects a pair that is not two integer rows of its spaces, and the
 self-learning loop one outside its cutoff rows."""
 import dataclasses
+import hashlib
 import inspect
 import os
 import re
@@ -265,3 +266,68 @@ def test_empty_dictionary_is_no_pairs(call, tmp_path):
         assert out.read_bytes() == b""
     else:
         assert result.pairs_averaged == 0
+
+
+# every public function that takes a space, on a 700 x 12 pair, with the
+# spaces as given; refine_pipeline(copy=False) overwrites its own arguments.
+# At d = 40 a Fortran-ordered procrustes_solve happened to give the same bits
+_L_D = 12
+_L_CFG = xlalign.MappingConfig(vocab_cutoff=300, max_iterations=4)
+_L_ROT = np.linalg.qr(np.random.default_rng(24).standard_normal((_L_D, _L_D)))[0]
+_L_MAPPED = xlalign.MappingResult(_L_ROT, _L_ROT.T, PAIRS, 1.0, 1, True,
+                                  np.linspace(0.5, 1.5, _L_D))
+_L_GOLD = GoldDictionary({i: {i, i + 1} for i in range(0, 600, 3)}, 0)
+LAYOUT = {
+    "preprocess": lambda x, z: xlalign.preprocess(x),
+    "length_normalize": lambda x, z: xlalign.length_normalize(x),
+    "mean_center": lambda x, z: xlalign.mean_center(x),
+    "iterative_normalize": lambda x, z: xlalign.iterative_normalize(x),
+    "cosine_block": xlalign.cosine_block,
+    "csls_retrieve": xlalign.csls_retrieve,
+    "induce_dictionary": xlalign.induce_dictionary,
+    "procrustes_solve": xlalign.procrustes_solve,
+    "unsupervised_init": lambda x, z: xlalign.unsupervised_init(x, z, _L_CFG),
+    "self_learning_align": lambda x, z: xlalign.self_learning_align(
+        x, z, [(i, i) for i in range(20)], _L_CFG),
+    "map_src": lambda x, z: _L_MAPPED.map_src(x),
+    "map_trg": lambda x, z: _L_MAPPED.map_trg(z),
+    "refine_pipeline": lambda x, z: xlalign.refine_pipeline(x, z, PAIRS * 50 + [(5, 6)]),
+    "refine_pipeline-copy-false": lambda x, z: xlalign.refine_pipeline(
+        x, z, PAIRS * 50 + [(5, 6)], copy=False),
+    "precision_at_k-nn": lambda x, z: xlalign.precision_at_k(x, z, _L_GOLD, ks=(1, 2, 10)),
+    "precision_at_k-csls": lambda x, z: xlalign.precision_at_k(x, z, _L_GOLD, ks=(1, 2, 10),
+                                                               method="csls"),
+}
+
+
+def _digest(out, h=None):
+    """SHA-256 of every value in ``out`` (arrays by dtype, shape and values,
+    not layout; lists, tuples and dataclasses by their items)."""
+    h = h or hashlib.sha256()
+    if isinstance(out, np.ndarray):
+        h.update(f"{out.dtype.str}{out.shape}".encode())
+        h.update(np.ascontiguousarray(out).tobytes())
+    elif dataclasses.is_dataclass(out):
+        _digest([getattr(out, f.name) for f in dataclasses.fields(out)], h)
+    elif isinstance(out, (list, tuple)):
+        for item in out:
+            _digest(item, h)
+    else:
+        h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("call", LAYOUT)
+def test_any_layout_gives_the_bytes_of_the_c_ordered_input(call, layout):
+    # a Fortran-ordered copy gave other bits from preprocess, mean_center,
+    # cosine_block, procrustes_solve and refine_pipeline(copy=False): the
+    # one owned copy and the boundary's conversion are both C-ordered
+    rng = np.random.default_rng(25)
+    x, z = (rng.standard_normal((700, _L_D)) * rng.uniform(0.5, 3.0, _L_D) + 0.2 for _ in "xz")
+    relaid = {"fortran": np.asfortranarray,
+              "strided": lambda m: np.repeat(m, 2, axis=1)[:, ::2]}[layout]
+    want = _digest(LAYOUT[call](x.copy(), z.copy()))
+    a, b = relaid(x), relaid(z)
+    assert not a.flags.c_contiguous and np.array_equal(a, x)
+    assert _digest(LAYOUT[call](a, b)) == want

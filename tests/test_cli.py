@@ -210,8 +210,16 @@ class TestEvaluate:
         ('{"name": "b", "precision_at": [0.5], "evaluated_sources": 2, "oov_sources": 0}',
          "{}: 'precision_at' is not an object"),
         ('{"name": ', "{} is not JSON: "),
+        # raised the bare "invalid literal for int() with base 10: 'one'"
+        ('{"name": "b", "precision_at": {"one": 0.5}, "evaluated_sources": 2, "oov_sources": 0}',
+         "{}: 'precision_at' key 'one' is not an integer"),
+        ('{"name": "b", "precision_at": {"1": "half"}, "evaluated_sources": 2, "oov_sources": 0}',
+         "{}: 'precision_at' value 'half' is not a real number"),
+        # was found only after the report was printed and eval.json written
+        ('{"name": "b", "precision_at": {"1": 0.5, "3": 0.7}, "evaluated_sources": 2, '
+         '"oov_sources": 0}', "{} has k set [1, 3], not ks [1, 5, 10]: all reports must share"),
     ], ids=["missing", "no-name", "no-evaluated-sources", "not-an-object", "list-precision",
-            "not-json"])
+            "not-json", "non-integer-k", "non-real-value", "other-k-set"])
     def test_bad_baseline_fails_before_evaluating(self, tmp_path, capsys, caplog, payload, error):
         # a baseline without "name" ended in the error "'name'", after the
         # results were printed and eval.json was written
@@ -227,6 +235,15 @@ class TestEvaluate:
         assert error.format(base / "eval.json") in caplog.text
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "run").exists()
+
+    def test_baseline_of_the_same_name_is_suffixed(self, tmp_path, capsys):
+        write_corpus(tmp_path, seed=1)
+        args = ["evaluate", "--src", tmp_path / "src.vec", "--trg", tmp_path / "trg.vec",
+                "--gold", tmp_path / "gold.txt", "--retrieval", "nn", "--name", "run"]
+        assert run(args + ["--out", tmp_path / "base"]) == 0
+        assert run(args + ["--compare", tmp_path / "base"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert [row.split()[0] for row in rows] == ["run", "run-baseline"]
 
 
 class TestPipeline:
@@ -494,6 +511,16 @@ class TestConfigFile:
             cfg = mapping_cfg if hasattr(mapping_cfg, key) else refine_cfg
             assert defaults[key] != value
             assert getattr(cfg, key) == value, key
+
+    def test_missing_config_file(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(cli, "_load_pair", no_load)
+        missing = tmp_path / "none.ini"
+        args = ["align", "--config", missing, "--src", "a", "--trg", "b", "--out", "c"]
+        assert run(args) == 1
+        assert f"config file not found: {missing}" in caplog.text
+        # -vv re-raises the error for its traceback
+        with pytest.raises(FileNotFoundError, match="^config file not found: "):
+            run(args + ["-vv"])
 
     def test_unknown_config_key(self, tmp_path, caplog):
         config = tmp_path / "bad.ini"

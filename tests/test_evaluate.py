@@ -118,6 +118,20 @@ class TestPrecisionAtK:
         with pytest.raises(ContractError):
             evaluate.precision_at_k(basis_space(2), basis_space(2), gold, ks=())
 
+    def test_ks_generator_is_read_once(self):
+        # the kind check consumed it, so "k values [] out of range for 50 targets"
+        x, z, rows = make_rotated_pair(n=50, d=5, seed=3)
+        gold = GoldDictionary({i: {int(rows[i])} for i in range(50)}, 0)
+        want = evaluate.precision_at_k(x, z, gold, ks=(1, 5))
+        assert evaluate.precision_at_k(x, z, gold, ks=(k for k in (1, 5))) == want
+        assert list(want.precision_at) == [1, 5]
+
+    def test_unknown_method(self):
+        gold = GoldDictionary({0: {0}}, 0)
+        with pytest.raises(ContractError, match="^unknown retrieval method 'cosine'$"):
+            evaluate.precision_at_k(basis_space(2), basis_space(2), gold, ks=(1,),
+                                    method="cosine")
+
     @pytest.mark.parametrize("method", ["nn", "csls"])
     @pytest.mark.parametrize("entries, match", [
         ({-1: {0}, 0: {0}}, "gold source -1 "),

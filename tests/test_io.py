@@ -21,6 +21,11 @@ def write(tmp_path, text, name="emb.vec"):
     return path
 
 
+def test_vocabulary_rejects_duplicate_words():
+    with pytest.raises(ContractError, match="^vocabulary contains duplicate words$"):
+        io.Vocabulary(["a", "a"])
+
+
 class TestLoadEmbeddings:
     def test_basic_format(self, tmp_path):
         path = write(tmp_path, "2 3\napple 1 0 0\nbanana 0 1 0\n")
@@ -54,6 +59,13 @@ class TestLoadEmbeddings:
         path = write(tmp_path, "2\napple 1 0 0\n")
         with pytest.raises(FormatError, match="header"):
             io.load_embeddings(path)
+
+    @pytest.mark.parametrize("header", ["-1 3", "2 0", "2 -3"])
+    def test_header_counts_out_of_range(self, tmp_path, header):
+        path = write(tmp_path, f"{header}\napple 1 0 0\nbanana 0 1 0\n")
+        with pytest.raises(FormatError, match="^line 1: .*invalid header counts") as info:
+            io.load_embeddings(path)
+        assert info.value.line == 1
 
     def test_wrong_value_count_names_line(self, tmp_path):
         path = write(tmp_path, "2 3\napple 1 0 0\nbanana 0 1\n")

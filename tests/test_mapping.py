@@ -49,6 +49,10 @@ class TestProcrustesSolve:
         with pytest.raises(ContractError):
             mapping.procrustes_solve(np.eye(2), np.eye(3))
 
+    def test_zero_pairs(self):
+        with pytest.raises(ContractError, match="^need at least one pair$"):
+            mapping.procrustes_solve(np.empty((0, 3)), np.empty((0, 3)))
+
 
 class TestUnsupervisedInit:
     def test_permuted_twin_recovery(self):

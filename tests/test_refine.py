@@ -89,6 +89,16 @@ class TestRefinePipeline:
         peak = traced_peak(refine.refine_pipeline, x, z, pairs)
         assert peak < 16 * n * d + 16 * 256 * d + 256 * 1024
 
+    def test_float32_pair_holds_two_new_spaces(self):
+        # the boundary casts each space to float64 and refines that cast: one
+        # more copy of each, as made before, was four spaces (6.4 MB here)
+        n, d = 2000, 100
+        x, z, rows = make_rotated_pair(n=n, d=d, seed=3)
+        x, z = x.astype(np.float32), z.astype(np.float32)
+        pairs = [(i, int(rows[i])) for i in range(n)]
+        refine.refine_pipeline(x, z, pairs)  # lazy imports are not the call's
+        assert traced_peak(refine.refine_pipeline, x, z, pairs) < 3 * 8 * n * d
+
     def test_copy_false_refines_the_inputs_in_place(self):
         # the in-place path the CLI takes maps each space a tile at a time, so
         # its rows may differ from the copies' in the last bits

@@ -170,6 +170,10 @@ class TestInduceDictionary:
         with pytest.raises(ContractError):
             retrieval.induce_dictionary(np.eye(2), np.eye(2), method="nn", directions="sideways")
 
+    def test_unknown_method(self):
+        with pytest.raises(ContractError, match="^unknown retrieval method 'cosine'$"):
+            retrieval.induce_dictionary(np.eye(2), np.eye(2), method="cosine")
+
     def test_float32_spaces_are_scored_in_float32(self, score_passes):
         # a noisy rotation: no pick is within float32 rounding of another
         x, z, _ = make_rotated_pair(n=120, d=8, seed=3, noise=0.05)
@@ -382,13 +386,12 @@ def test_float64_scoring_holds_no_copy_of_a_space(call):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
 def test_row_norms_match_linalg_norm_bit_for_bit(n, dtype):
-    # squared a tile at a time, the last of 257 rows alone; a matrix that is
-    # not C-contiguous, whose sums run in another order, goes to np.linalg.norm
+    # squared a tile at a time, the last of 257 rows alone; only C-ordered
+    # rows reach it (the boundary copies any other layout)
     m = (np.random.default_rng(n).standard_normal((n, 300)) * 3).astype(dtype)
-    for rows in (m, np.asfortranarray(m), m[:, ::3]):
-        want = np.linalg.norm(rows, axis=1)
-        got = retrieval._row_norms(rows)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    want = np.linalg.norm(m, axis=1)
+    got = retrieval._row_norms(m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
